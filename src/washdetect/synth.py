@@ -354,6 +354,22 @@ def gen_exchange(cfg: GeneratorConfig) -> LabeledTape:
     )
 
 
+# Rows formatted per write: bounds the transient strings of a large tape.
+_WRITE_ROWS = 1 << 16
+
+
+def _column_chunks(tape: LabeledTape):
+    """Timestamps, prices, amounts and labels as Python lists, in row chunks.
+
+    Plain Python values, because converting numpy scalars one by one costs
+    more than formatting them.
+    """
+    g = tape.group
+    for lo in range(0, g.n, _WRITE_ROWS):
+        rows = slice(lo, lo + _WRITE_ROWS)
+        yield g.timestamps[rows].tolist(), g.prices[rows].tolist(), g.amounts[rows].tolist(), tape.labels[rows].tolist()
+
+
 def write_tape(tape: LabeledTape, out: TextIO, fmt: str = "csv", include_labels: bool = False) -> None:
     """Emit a tape in the ingestion schema, optionally with a label column.
 
@@ -364,27 +380,29 @@ def write_tape(tape: LabeledTape, out: TextIO, fmt: str = "csv", include_labels:
     if fmt == "csv":
         header = ",".join(CSV_HEADER) + (",label" if include_labels else "")
         out.write(header + "\n")
-        for i in range(g.n):
-            row = (
-                f"{g.exchange_id},{g.pair},{int(g.timestamps[i])},"
-                f"{float(g.prices[i])!r},{format_amount(int(g.amounts[i]))}"
+        prefix = f"{g.exchange_id},{g.pair},"
+        ends = (",authentic\n", ",wash\n") if include_labels else ("\n", "\n")
+        for ts, prices, amounts, labels in _column_chunks(tape):
+            out.write(
+                "".join(
+                    f"{prefix}{t},{price!r},{format_amount(amount)}{ends[label]}"
+                    for t, price, amount, label in zip(ts, prices, amounts, labels)
+                )
             )
-            if include_labels:
-                row += f",{'wash' if tape.labels[i] else 'authentic'}"
-            out.write(row + "\n")
     elif fmt == "jsonl":
         import json
 
-        for i in range(g.n):
-            obj = {
-                "exchange": g.exchange_id,
-                "pair": g.pair,
-                "timestamp_ms": int(g.timestamps[i]),
-                "price": float(g.prices[i]),
-                "amount": format_amount(int(g.amounts[i])),
-            }
-            if include_labels:
-                obj["label"] = "wash" if tape.labels[i] else "authentic"
-            out.write(json.dumps(obj, sort_keys=True) + "\n")
+        for ts, prices, amounts, labels in _column_chunks(tape):
+            for t, price, amount, label in zip(ts, prices, amounts, labels):
+                obj = {
+                    "exchange": g.exchange_id,
+                    "pair": g.pair,
+                    "timestamp_ms": t,
+                    "price": price,
+                    "amount": format_amount(amount),
+                }
+                if include_labels:
+                    obj["label"] = "wash" if label else "authentic"
+                out.write(json.dumps(obj, sort_keys=True) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")

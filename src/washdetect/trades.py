@@ -31,7 +31,9 @@ SUBUNITS_PER_UNIT = 10**AMOUNT_DECIMALS
 # Largest representable amount in sub-units (fits comfortably in int64).
 MAX_AMOUNT_SUBUNITS = 2**62
 
-_AMOUNT_RE = re.compile(r"^\s*(\d+)(?:\.(\d*))?\s*$")
+# ASCII digits and whitespace only: `\d` and `int()` would also take digits
+# such as the Arabic-Indic '٥'.
+_AMOUNT_RE = re.compile(r"^\s*([0-9]+)(?:\.([0-9]*))?\s*$", re.ASCII)
 
 
 def parse_amount(text: str) -> int:
@@ -43,10 +45,12 @@ def parse_amount(text: str) -> int:
     m = _AMOUNT_RE.match(text)
     if m is None:
         raise AmountError(f"malformed amount {text!r}")
-    int_part, frac_part = m.group(1), m.group(2) or ""
+    int_part, frac_part = m.group(1).lstrip("0"), m.group(2) or ""
     if len(frac_part) > AMOUNT_DECIMALS:
         raise AmountError(f"precision overflow: {text!r} has more than {AMOUNT_DECIMALS} decimals")
-    subunits = int(int_part) * SUBUNITS_PER_UNIT + int(frac_part.ljust(AMOUNT_DECIMALS, "0") or "0")
+    if len(int_part) > 19:  # past MAX_AMOUNT_SUBUNITS; int() is kept off huge digit strings
+        raise AmountError(f"amount overflow {text!r}")
+    subunits = int(int_part or "0") * SUBUNITS_PER_UNIT + int(frac_part.ljust(AMOUNT_DECIMALS, "0") or "0")
     if subunits <= 0:
         raise AmountError(f"non-positive amount {text!r}")
     if subunits >= MAX_AMOUNT_SUBUNITS:

@@ -43,10 +43,15 @@ class TestAmountParsing:
         with pytest.raises(AmountError, match="precision overflow"):
             parse_amount("0.123456789")
 
-    @pytest.mark.parametrize("bad", ["", "abc", "-1", "0", "0.0", "1e5", "1.2.3", "."])
+    @pytest.mark.parametrize("bad", ["", "abc", "-1", "0", "0.0", "1e5", "1.2.3", ".", "\u0665", "5\u00a0", "\u0665.5"])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(AmountError):
             parse_amount(bad)
+
+    def test_huge_integer_part_is_an_overflow(self):
+        with pytest.raises(AmountError, match="amount overflow"):
+            parse_amount("1" * 5000)
+        assert parse_amount("0" * 5000 + "1") == 10**8
 
     def test_format_canonical(self):
         assert format_amount(2_000_000) == "0.02"
