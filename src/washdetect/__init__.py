@@ -25,6 +25,7 @@ from .clustering import (
 )
 from .errors import (
     AmountError,
+    ConfigError,
     EstimationError,
     InsufficientDataError,
     PairConfigError,

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: ingest-check, benford, cluster, tail, roundness, fit-benchmark,
-estimate-wash, fisher, report, synth, plot-data, rank. Exit codes: 0 on
-success, 1 on a fatal error, 2 when the run completed but some group was
-flagged (insufficient data for one or more tests).
+estimate-wash, fisher, report, synth, plot-data, rank. The analysis
+subcommands are views of ``report``: each runs ``report.run_battery`` with
+the configuration its flags give and prints its slice of the result. Exit
+codes: 0 on success, 1 on a fatal error, 2 when a test or estimate that the
+subcommand prints was skipped or flagged.
 """
 
 from __future__ import annotations
@@ -24,15 +26,26 @@ from . import tailfit as tf
 from . import verdicts as vd
 from . import washest as we
 from .errors import WashdetectError
-from .ingest import TradeDataset, make_group, parse_trades, unrounded_subset, weekly_split
-from .trades import PairRegistry, load_exchange_meta
+from .ingest import TradeDataset, make_group, parse_trades, unrounded_subset
+from .trades import PairRegistry, RegulatoryClass, load_exchange_meta
 
 EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_FLAGGED = 2
 
 
-def _add_common(p: argparse.ArgumentParser, inputs: bool = True) -> None:
+def _subcommand(
+    sub, name: str, func, help: str, inputs: bool = True, unrounded: bool = False
+) -> argparse.ArgumentParser:
+    """Declare a subcommand with the flags every analysis shares."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    if unrounded:
+        p.add_argument(
+            "--unrounded-only",
+            action="store_true",
+            help="run the test on the unrounded subset (validation mode)",
+        )
     if inputs:
         p.add_argument("inputs", nargs="+", help="trade files (CSV or JSONL)")
         p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
@@ -48,29 +61,14 @@ def _add_common(p: argparse.ArgumentParser, inputs: bool = True) -> None:
     p.add_argument("--bootstrap", type=int, default=0, help="bootstrap replicates (0 = off)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output directory")
+    return p
 
 
-def _effective_n(value: str) -> int | None:
-    if value == "raw":
-        return None
-    n = int(value)
-    if n <= 0:
-        raise WashdetectError(f"effective n must be positive or 'raw', got {value}")
-    return n
-
-
-def _registry(args) -> PairRegistry:
-    if getattr(args, "pairs", None):
-        return PairRegistry.from_file(args.pairs)
-    return PairRegistry()
-
-
-def _load(args) -> tuple[TradeDataset, int]:
+def _load(args) -> tuple[TradeDataset, PairRegistry]:
+    """Merged inputs (restricted to unrounded trades under --unrounded-only)."""
     merged = TradeDataset()
-    rejected = 0
     for path in args.inputs:
-        ds, report = parse_trades(path, args.format, strict=args.strict, dedupe=args.dedupe)
-        rejected += report.n_rejected
+        ds, _ = parse_trades(path, args.format, strict=args.strict, dedupe=args.dedupe)
         for key, group in ds.groups.items():
             if key in merged.groups:
                 old = merged.groups[key]
@@ -85,7 +83,53 @@ def _load(args) -> tuple[TradeDataset, int]:
                 merged.groups[key] = group
     if merged.n_trades == 0:
         raise WashdetectError("no trades ingested")
-    return merged, rejected
+    registry = PairRegistry.from_file(args.pairs) if args.pairs else PairRegistry()
+    if getattr(args, "unrounded_only", False):
+        merged = unrounded_subset(merged, registry)
+    return merged, registry
+
+
+def _battery(
+    args, ds: TradeDataset, registry: PairRegistry, estimate_wash: bool = False
+) -> rp.BatteryReport:
+    """Run the battery with the configuration the subcommand's flags give."""
+    meta = load_exchange_meta(args.meta) if getattr(args, "meta", None) else None
+    models = we.load_models(json.loads(Path(args.model).read_text())) if getattr(args, "model", None) else None
+    config = rp.RunConfig(
+        alpha=args.alpha,
+        effective_n=None if args.effective_n == "raw" else int(args.effective_n),
+        bootstrap=args.bootstrap,
+        seed=args.seed,
+        estimate_wash=estimate_wash,
+        pool_pairs=getattr(args, "pooled", False),
+        use_controls=getattr(args, "controls", False),
+        min_window_support=getattr(args, "min_support", rp.RunConfig.min_window_support),
+    )
+    report = rp.run_battery(ds, registry, meta, config, benchmark_models=models)
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return report
+
+
+def _flags(p: rp.PairReport, prefix: str) -> str:
+    return "; ".join(f for f in p.flags if f.startswith(prefix))
+
+
+def _print_pairs(report: rp.BatteryReport, line, skip_regulated: bool = False) -> int:
+    """Print ``line(p)`` for each exchange-pair; exit 2 if one was flagged.
+
+    ``line`` returns the text and whether the test it shows was skipped or
+    flagged.
+    """
+    flagged = False
+    for ex in report.exchanges:
+        if skip_regulated and ex.regulatory_class == RegulatoryClass.REGULATED.value:
+            continue
+        for p in ex.pairs:
+            text, flag = line(p)
+            print(f"{ex.exchange_id} {p.pair}: {text}")
+            flagged = flagged or flag
+    return EXIT_FLAGGED if flagged else EXIT_OK
 
 
 def _outdir(args) -> Path | None:
@@ -101,17 +145,29 @@ def _write_rows(path: Path, rows: list[list]) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def _slug(exchange: str, pair: str) -> str:
-    return f"{exchange}_{pair}".replace("/", "-")
+def _export_csvs(out, ds, registry, which: str, keys, step=100, lo=1, hi=1000) -> None:
+    """Write ``{which}_{exchange}_{pair}.csv`` for each group key: the digit
+    histogram, the 1-unit size histogram or the log-log tail."""
+    for key in keys:
+        g = ds.groups[key]
+        spec = registry.get(g.pair)
+        name = f"{which}_{g.exchange_id}_{g.pair}.csv".replace("/", "-")
+        with open(out / name, "w", newline="") as fh:
+            if which == "benford":
+                bf.export_histogram_csv(bf.digit_histogram(g.amounts), fh)
+            elif which == "sizes":
+                cl.export_size_histogram_csv(g.amounts, spec, fh, lo_units=lo, hi_units=hi, step=step)
+            else:
+                sizes = g.amounts / spec.subunits_per_base_unit
+                fit = tf.fit_tail(sizes)
+                tf.export_tail_csv(fit, sizes[sizes >= fit.x_min], fh)
 
 
 def cmd_ingest_check(args) -> int:
-    datasets = []
     total_rejected = 0
     out = _outdir(args)
     for path in args.inputs:
         ds, report = parse_trades(path, args.format, strict=args.strict, dedupe=args.dedupe)
-        datasets.append(ds)
         total_rejected += report.n_rejected
         print(f"{path}: {report.n_accepted} accepted, {report.n_rejected} rejected", end="")
         if args.dedupe:
@@ -127,228 +183,115 @@ def cmd_ingest_check(args) -> int:
 
 
 def cmd_benford(args) -> int:
-    ds, _ = _load(args)
-    if args.unrounded_only:
-        ds = unrounded_subset(ds, _registry(args))
-    out = _outdir(args)
-    n_eff = _effective_n(args.effective_n)
-    flagged = False
-    for key in ds.sorted_keys():
-        g = ds.groups[key]
-        try:
-            hist = bf.digit_histogram(g.amounts)
-        except WashdetectError as exc:
-            print(f"{g.exchange_id} {g.pair}: skipped ({exc})")
-            flagged = True
-            continue
-        res = bf.chi_squared_benford(hist, n_eff, args.alpha)
-        raw = bf.chi_squared_benford(hist, None, args.alpha)
-        print(
-            f"{g.exchange_id} {g.pair}: chi2={res.statistic:.3f} p={res.p_value:.4f} "
-            f"(raw-n chi2={raw.statistic:.3f}) -> {'PASS' if not res.reject else 'FAIL'}"
-        )
-        if out:
-            with open(out / f"benford_{_slug(*key)}.csv", "w", newline="") as fh:
-                bf.export_histogram_csv(hist, fh)
-    return EXIT_FLAGGED if flagged else EXIT_OK
+    ds, registry = _load(args)
+    report = _battery(args, ds, registry)
+
+    def line(p: rp.PairReport) -> tuple[str, bool]:
+        if p.benford is None:
+            return _flags(p, "benford skipped"), True
+        return (
+            f"chi2={p.benford.statistic:.3f} p={p.benford.p_value:.4f} "
+            f"(raw-n chi2={p.benford_raw.statistic:.3f}) -> {'FAIL' if p.benford.reject else 'PASS'}"
+        ), False
+
+    if args.out:
+        keys = [(ex.exchange_id, p.pair) for ex in report.exchanges for p in ex.pairs if p.benford is not None]
+        _export_csvs(_outdir(args), ds, registry, "benford", keys)
+    return _print_pairs(report, line)
 
 
 def cmd_cluster(args) -> int:
-    ds, _ = _load(args)
-    flagged = False
-    for key in ds.sorted_keys():
-        g = ds.groups[key]
-        spec = _registry(args).get(g.pair)
-        res = cl.run_cluster_test(
-            g.amounts, spec, args.step, alpha=args.alpha, min_support=args.min_support
-        )
+    def line(p: rp.PairReport) -> tuple[str, bool]:
+        res = getattr(p, f"cluster_{args.step}")
         if res.insufficient:
-            print(f"{g.exchange_id} {g.pair}: insufficient windows ({res.n_pairs})")
-            flagged = True
-            continue
-        print(
-            f"{g.exchange_id} {g.pair}: step={args.step} diff={res.mean_difference:+.4f} "
-            f"t={res.t_statistic:.2f} p={res.p_value:.3e} -> "
-            f"{'clustering present' if not res.reject else 'NO clustering'}"
-        )
-    return EXIT_FLAGGED if flagged else EXIT_OK
+            return f"insufficient windows ({res.n_pairs})", True
+        return (
+            f"step={args.step} diff={res.mean_difference:+.4f} t={res.t_statistic:.2f} "
+            f"p={res.p_value:.3e} -> {'NO clustering' if res.reject else 'clustering present'}"
+        ), False
+
+    return _print_pairs(_battery(args, *_load(args)), line)
 
 
 def cmd_tail(args) -> int:
-    ds, _ = _load(args)
-    registry = _registry(args)
-    if args.unrounded_only:
-        ds = unrounded_subset(ds, registry)
-    out = _outdir(args)
-    flagged = False
-    for key in ds.sorted_keys():
-        g = ds.groups[key]
-        sizes = g.amounts / registry.get(g.pair).subunits_per_base_unit
-        try:
-            fit = tf.fit_tail(sizes)
-        except WashdetectError as exc:
-            print(f"{g.exchange_id} {g.pair}: skipped ({exc})")
-            flagged = True
-            continue
-        ols = "n/a" if fit.alpha_ols is None else f"{fit.alpha_ols:.3f}"
-        print(
-            f"{g.exchange_id} {g.pair}: alpha_ols={ols} alpha_hill={fit.alpha_hill:.3f} "
-            f"n_tail={fit.n_tail} -> {'Pareto-Levy' if fit.in_pareto_levy else 'OUTSIDE range'}"
-        )
-        if fit.flags:
-            flagged = True
-        if out:
-            tail_sizes = sizes[sizes >= fit.x_min]
-            with open(out / f"tail_{_slug(*key)}.csv", "w", newline="") as fh:
-                tf.export_tail_csv(fit, tail_sizes, fh)
-    return EXIT_FLAGGED if flagged else EXIT_OK
+    ds, registry = _load(args)
+    report = _battery(args, ds, registry)
+
+    def line(p: rp.PairReport) -> tuple[str, bool]:
+        if p.tail is None:
+            return _flags(p, "tail skipped"), True
+        ols = "n/a" if p.tail.alpha_ols is None else f"{p.tail.alpha_ols:.3f}"
+        return (
+            f"alpha_ols={ols} alpha_hill={p.tail.alpha_hill:.3f} n_tail={p.tail.n_tail} -> "
+            f"{'Pareto-Levy' if p.tail.in_pareto_levy else 'OUTSIDE range'}"
+        ), bool(_flags(p, "tail"))
+
+    if args.out:
+        keys = [(ex.exchange_id, p.pair) for ex in report.exchanges for p in ex.pairs if p.tail is not None]
+        _export_csvs(_outdir(args), ds, registry, "tail", keys)
+    return _print_pairs(report, line)
 
 
 def cmd_roundness(args) -> int:
-    ds, _ = _load(args)
-    registry = _registry(args)
-    meta = load_exchange_meta(args.meta)
-    regulated = {ex for ex, m in meta.items() if m.is_regulated}
-    if not regulated:
-        raise WashdetectError("no regulated exchange in metadata; nothing to benchmark against")
-    pooled = rp.pooled_regulated_roundness(ds, registry, regulated)
-    n_eff = _effective_n(args.effective_n)
-    for key in ds.sorted_keys():
-        g = ds.groups[key]
-        if g.exchange_id in regulated:
-            continue
-        if g.pair not in pooled:
-            print(f"{g.exchange_id} {g.pair}: no regulated benchmark for this pair")
-            continue
-        target = we.roundness_distribution(g.amounts, registry.get(g.pair))
-        res = we.roundness_chi_squared(target, pooled[g.pair], n_eff, args.alpha)
-        print(
-            f"{g.exchange_id} {g.pair}: chi2={res.statistic:.3f} p={res.p_value:.4f} -> "
-            f"{'consistent' if not res.reject else 'DIFFERS from regulated benchmark'}"
-        )
-    return EXIT_OK
+    def line(p: rp.PairReport) -> tuple[str, bool]:
+        if p.roundness is None:
+            skipped = _flags(p, "roundness")
+            return skipped or "no regulated benchmark for this pair", bool(skipped)
+        return (
+            f"chi2={p.roundness.statistic:.3f} p={p.roundness.p_value:.4f} -> "
+            f"{'DIFFERS from regulated benchmark' if p.roundness.reject else 'consistent'}"
+        ), False
+
+    return _print_pairs(_battery(args, *_load(args)), line, skip_regulated=True)
+
+
+def cmd_fisher(args) -> int:
+    def line(p: rp.PairReport) -> tuple[str, bool]:
+        if p.fisher is None:
+            return f"fisher skipped ({'; '.join(p.flags)})", True
+        return (
+            f"chi2={p.fisher.chi2:.3f} df={p.fisher.df} critical={p.fisher.critical_value:.3f} -> "
+            f"{'REJECT authenticity' if p.fisher.reject else 'consistent'}"
+        ), False
+
+    return _print_pairs(_battery(args, *_load(args)), line)
 
 
 def cmd_fit_benchmark(args) -> int:
-    ds, _ = _load(args)
-    registry = _registry(args)
-    meta = load_exchange_meta(args.meta)
-    regulated = {ex for ex, m in meta.items() if m.is_regulated}
-    splits = [r for r in weekly_split(ds, registry) if r.exchange_id in regulated]
-    if not splits:
-        raise WashdetectError("no regulated exchange-weeks found")
-    models = {}
-    pairs = sorted({r.pair for r in splits})
-    if args.pooled:
-        model = we.fit_benchmark(splits, meta=meta, use_controls=args.controls, pool_pairs=True)
-        models["pooled"] = model
-    else:
-        for pair in pairs:
-            rows = [r for r in splits if r.pair == pair]
-            models[pair] = we.fit_benchmark(rows, meta=meta, use_controls=args.controls)
-    payload = {scope: m.to_json() for scope, m in models.items()}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    Path(args.out_model).write_text(text)
-    for scope, m in models.items():
+    report = _battery(args, *_load(args), estimate_wash=True)
+    models = report.benchmark_models
+    if not models:
+        raise WashdetectError("no benchmark model could be fitted")
+    Path(args.out_model).write_text(json.dumps(we.dump_models(models), indent=2, sort_keys=True) + "\n")
+    for scope, m in sorted(models.items()):
         print(
             f"{scope}: intercept={m.intercept:.4f} slope={m.slope:.4f} "
             f"resid_se={m.resid_se:.4f} n={m.n_obs}"
         )
     print(f"model written to {args.out_model}")
-    return EXIT_OK
-
-
-def _load_models(path: str) -> dict[str, we.BenchmarkModel]:
-    payload = json.loads(Path(path).read_text())
-    return {scope: we.BenchmarkModel.from_json(obj) for scope, obj in payload.items()}
+    return EXIT_FLAGGED if report.warnings else EXIT_OK
 
 
 def cmd_estimate_wash(args) -> int:
-    ds, _ = _load(args)
-    registry = _registry(args)
-    meta = load_exchange_meta(args.meta) if args.meta else None
-    if args.model:
-        models = _load_models(args.model)
-        regulated = {ex for ex, m in (meta or {}).items() if m.is_regulated}
-    elif meta:
-        regulated = {ex for ex, m in meta.items() if m.is_regulated}
-        if not regulated:
-            raise WashdetectError("metadata has no regulated exchange; supply --model instead")
-        splits = [r for r in weekly_split(ds, registry) if r.exchange_id in regulated]
-        models = {}
-        for pair in sorted({r.pair for r in splits}):
-            models[pair] = we.fit_benchmark([r for r in splits if r.pair == pair], meta=meta)
-    else:
-        raise WashdetectError("pass --meta (with regulated exchanges) or --model FILE")
-
-    splits = weekly_split(ds, registry)
-    rows_out = [["exchange", "pair", "wash_volume", "wash_percent", "bootstrap_sd", "controls_used", "flags"]]
-    for ex in sorted({r.exchange_id for r in splits} - regulated):
-        for pair in sorted({r.pair for r in splits if r.exchange_id == ex}):
-            model = models.get(pair) or models.get("pooled")
-            if model is None:
-                continue
-            target = [r for r in splits if r.exchange_id == ex and r.pair == pair]
-            est = we.estimate_wash(target, model, meta=meta)
-            if args.bootstrap:
-                bench = [r for r in splits if r.exchange_id in regulated and r.pair == pair]
-                if bench:
-                    est = we.with_bootstrap_sd(
-                        est,
-                        we.bootstrap_wash_sd(
-                            target, bench, n_boot=args.bootstrap, seed=args.seed, meta=meta
-                        ),
-                    )
-            sd = "" if est.bootstrap_sd is None else f" (sd {est.bootstrap_sd:.2f})"
-            print(f"{ex} {pair}: wash {est.wash_percent:.2f}%{sd} of {est.total_volume:.4f}")
-            rows_out.append(
-                [ex, pair, est.wash_volume, est.wash_percent, est.bootstrap_sd, est.controls_used, ";".join(est.flags)]
-            )
-    out = _outdir(args)
-    if out:
-        _write_rows(out / "wash_estimates.csv", rows_out)
-    return EXIT_OK
-
-
-def cmd_fisher(args) -> int:
-    ds, _ = _load(args)
-    registry = _registry(args)
-    config = rp.RunConfig(
-        alpha=args.alpha,
-        effective_n=_effective_n(args.effective_n),
-        estimate_wash=False,
-    )
-    report = rp.run_battery(ds, registry, None, config)
+    report = _battery(args, *_load(args), estimate_wash=True)
     flagged = False
     for ex in report.exchanges:
-        for p in ex.pairs:
-            if p.fisher is None:
-                print(f"{ex.exchange_id} {p.pair}: fisher skipped ({'; '.join(p.flags)})")
-                flagged = True
-                continue
-            print(
-                f"{ex.exchange_id} {p.pair}: chi2={p.fisher.chi2:.3f} df={p.fisher.df} "
-                f"critical={p.fisher.critical_value:.3f} -> "
-                f"{'REJECT authenticity' if p.fisher.reject else 'consistent'}"
-            )
+        for est in ex.wash_by_pair:
+            sd = "" if est.bootstrap_sd is None else f" (sd {est.bootstrap_sd:.2f})"
+            note = f" [{'; '.join(est.flags)}]" if est.flags else ""
+            print(f"{ex.exchange_id} {est.scope}: wash {est.wash_percent:.2f}%{sd} of {est.total_volume:.4f}{note}")
+            flagged = flagged or bool(est.flags)
+        for failure in (f for f in ex.flags if f.startswith("wash estimate failed")):
+            print(f"{ex.exchange_id}: {failure}")
+            flagged = True
+    out = _outdir(args)
+    if out:
+        _write_rows(out / "wash_estimates.csv", rp.wash_estimate_rows(report))
     return EXIT_FLAGGED if flagged else EXIT_OK
 
 
 def cmd_report(args) -> int:
-    ds, _ = _load(args)
-    registry = _registry(args)
-    meta = load_exchange_meta(args.meta) if args.meta else None
-    models = _load_models(args.model) if args.model else None
-    config = rp.RunConfig(
-        alpha=args.alpha,
-        effective_n=_effective_n(args.effective_n),
-        bootstrap=args.bootstrap,
-        seed=args.seed,
-        estimate_wash=not args.no_wash,
-        pool_pairs=args.pooled,
-        use_controls=args.controls,
-    )
-    report = rp.run_battery(ds, registry, meta, config, benchmark_models=models)
+    report = _battery(args, *_load(args), estimate_wash=not args.no_wash)
     out = _outdir(args)
     text = rp.dump_report_json(report)
     if out:
@@ -403,27 +346,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    ds, _ = _load(args)
-    registry = _registry(args)
+    ds, registry = _load(args)
     out = _outdir(args) or Path(".")
     lo, hi = (int(x) for x in args.range.split(":")) if args.range else (1, 1000)
-    for key in ds.sorted_keys():
-        g = ds.groups[key]
-        spec = registry.get(g.pair)
-        slug = _slug(*key)
-        if args.which == "benford":
-            with open(out / f"benford_{slug}.csv", "w", newline="") as fh:
-                bf.export_histogram_csv(bf.digit_histogram(g.amounts), fh)
-        elif args.which == "sizes":
-            with open(out / f"sizes_{slug}.csv", "w", newline="") as fh:
-                cl.export_size_histogram_csv(
-                    g.amounts, spec, fh, lo_units=lo, hi_units=hi, step=args.step
-                )
-        elif args.which == "tail":
-            sizes = g.amounts / spec.subunits_per_base_unit
-            fit = tf.fit_tail(sizes)
-            with open(out / f"tail_{slug}.csv", "w", newline="") as fh:
-                tf.export_tail_csv(fit, sizes[sizes >= fit.x_min], fh)
+    _export_csvs(out, ds, registry, args.which, ds.sorted_keys(), args.step, lo, hi)
     print(f"plot data written to {out}")
     return EXIT_OK
 
@@ -449,68 +375,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest-check", help="parse inputs and report rejected rows")
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest_check)
+    _subcommand(sub, "ingest-check", cmd_ingest_check, "parse inputs and report rejected rows")
 
-    p = sub.add_parser("benford", help="first-digit chi-squared test per group")
-    _add_common(p)
-    p.add_argument(
-        "--unrounded-only",
-        action="store_true",
-        help="re-run the test on the unrounded subset (validation mode)",
-    )
-    p.set_defaults(func=cmd_benford)
+    _subcommand(sub, "benford", cmd_benford, "first-digit chi-squared test per group", unrounded=True)
 
-    p = sub.add_parser("cluster", help="round-size clustering t-test per group")
-    _add_common(p)
+    p = _subcommand(sub, "cluster", cmd_cluster, "round-size clustering t-test per group")
     p.add_argument("--step", type=int, choices=[100, 500], default=100)
     p.add_argument("--min-support", type=int, default=50)
-    p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("tail", help="power-law tail fit per group")
-    _add_common(p)
-    p.add_argument(
-        "--unrounded-only",
-        action="store_true",
-        help="fit the tail of the unrounded subset (validation mode)",
-    )
-    p.set_defaults(func=cmd_tail)
+    _subcommand(sub, "tail", cmd_tail, "power-law tail fit per group", unrounded=True)
 
-    p = sub.add_parser("roundness", help="roundness distribution vs regulated benchmark")
-    _add_common(p)
+    p = _subcommand(sub, "roundness", cmd_roundness, "roundness distribution vs regulated benchmark")
     p.add_argument("--meta", required=True, help="exchange metadata JSON")
-    p.set_defaults(func=cmd_roundness)
 
-    p = sub.add_parser("fit-benchmark", help="fit the round/unrounded volume relation")
-    _add_common(p)
+    p = _subcommand(sub, "fit-benchmark", cmd_fit_benchmark, "fit the round/unrounded volume relation")
     p.add_argument("--meta", required=True)
     p.add_argument("--pooled", action="store_true", help="pool pairs with indicator terms")
     p.add_argument("--controls", action="store_true", help="include exchange covariates")
     p.add_argument("--out-model", required=True, help="where to write the model JSON")
-    p.set_defaults(func=cmd_fit_benchmark)
 
-    p = sub.add_parser("estimate-wash", help="estimate wash volume per exchange")
-    _add_common(p)
+    p = _subcommand(sub, "estimate-wash", cmd_estimate_wash, "estimate wash volume per exchange")
     p.add_argument("--meta")
     p.add_argument("--model", help="benchmark model JSON from fit-benchmark")
-    p.set_defaults(func=cmd_estimate_wash)
 
-    p = sub.add_parser("fisher", help="combined test per exchange-pair")
-    _add_common(p)
-    p.set_defaults(func=cmd_fisher)
+    _subcommand(sub, "fisher", cmd_fisher, "combined test per exchange-pair")
 
-    p = sub.add_parser("report", help="full battery plus wash estimation")
-    _add_common(p)
+    p = _subcommand(sub, "report", cmd_report, "full battery plus wash estimation")
     p.add_argument("--meta")
     p.add_argument("--model", help="benchmark model JSON (skip refitting)")
     p.add_argument("--no-wash", action="store_true", help="battery only")
     p.add_argument("--pooled", action="store_true")
     p.add_argument("--controls", action="store_true")
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("synth", help="generate a synthetic labeled tape")
-    _add_common(p, inputs=False)
+    p = _subcommand(sub, "synth", cmd_synth, "generate a synthetic labeled tape", inputs=False)
     p.add_argument("--wash", type=float, default=0.0, help="wash volume fraction in [0, 1]")
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--pair", default="BTC/USD")
@@ -520,14 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", action="store_true", help="emit the ground-truth label column")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--out-file", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("plot-data", help="emit plot-ready CSVs")
-    _add_common(p)
+    p = _subcommand(sub, "plot-data", cmd_plot_data, "emit plot-ready CSVs")
     p.add_argument("--which", choices=["benford", "sizes", "tail"], required=True)
     p.add_argument("--range", help="size histogram range in base units, lo:hi")
     p.add_argument("--step", type=int, default=100)
-    p.set_defaults(func=cmd_plot_data)
 
     p = sub.add_parser("rank", help="counterfactual ranking improvement")
     p.add_argument("--volume", type=float, required=True, help="reported volume")

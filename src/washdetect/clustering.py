@@ -24,10 +24,10 @@ from scipy import stats
 
 from .errors import InsufficientDataError
 from .trades import PairSpec
+from .verdicts import P_FLOOR
 
 STEP_RADIUS = {100: 50, 500: 100}
 MIN_WINDOWS = 10
-P_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)

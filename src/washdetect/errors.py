@@ -21,5 +21,9 @@ class EstimationError(WashdetectError, ValueError):
     """An estimator is undefined on the given input (degenerate or singular)."""
 
 
+class ConfigError(WashdetectError, ValueError):
+    """A run configuration value is out of range."""
+
+
 class ParseError(WashdetectError, ValueError):
     """A trade file could not be parsed in strict mode."""

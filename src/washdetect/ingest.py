@@ -638,13 +638,6 @@ class WeeklyVolumeSplit:
         return self.round_subunits + self.unrounded_subunits
 
 
-def _exact_segment_sums(values: np.ndarray, boundaries: np.ndarray) -> list[int]:
-    """Exact per-segment sums of int64 values (segments given by start offsets)."""
-    hi = np.add.reduceat(values >> 32, boundaries)
-    lo = np.add.reduceat(values & 0xFFFFFFFF, boundaries)
-    return [(int(h) << 32) + int(l) for h, l in zip(hi, lo)]
-
-
 def weekly_split(dataset: TradeDataset, registry: PairRegistry) -> list[WeeklyVolumeSplit]:
     """Exact per-week round/unrounded volume sums for every group.
 
@@ -663,8 +656,8 @@ def weekly_split(dataset: TradeDataset, registry: PairRegistry) -> list[WeeklyVo
         uniq_weeks, starts = np.unique(weeks, return_index=True)
         round_amounts = np.where(round_mask, g.amounts, 0)
         unrounded_amounts = np.where(round_mask, 0, g.amounts)
-        round_sums = _exact_segment_sums(round_amounts, starts)
-        unrounded_sums = _exact_segment_sums(unrounded_amounts, starts)
+        round_sums = exact_sum(round_amounts, starts)
+        unrounded_sums = exact_sum(unrounded_amounts, starts)
         for w, r, u in zip(uniq_weeks, round_sums, unrounded_sums):
             out.append(WeeklyVolumeSplit(g.exchange_id, g.pair, int(w), r, u))
     return out

@@ -15,7 +15,7 @@ failure rate and counterfactual rank improvement summarize each exchange.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -25,7 +25,7 @@ from . import clustering as cl
 from . import tailfit as tf
 from . import verdicts as vd
 from . import washest as we
-from .errors import EstimationError, InsufficientDataError
+from .errors import ConfigError, EstimationError, InsufficientDataError
 from .ingest import TradeDataset, WeeklyVolumeSplit, weekly_split
 from .trades import ExchangeMeta, PairRegistry
 
@@ -48,9 +48,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 0.5:
-            raise ValueError(f"alpha must be in (0, 0.5], got {self.alpha}")
+            raise ConfigError(f"alpha must be in (0, 0.5], got {self.alpha}")
+        if self.effective_n is not None and self.effective_n <= 0:
+            raise ConfigError(f"effective_n must be positive or None (raw), got {self.effective_n}")
         if self.bootstrap and self.bootstrap < 100:
-            raise ValueError(f"bootstrap must be 0 or >= 100, got {self.bootstrap}")
+            raise ConfigError(f"bootstrap must be 0 or >= 100, got {self.bootstrap}")
 
 
 @dataclass
@@ -114,8 +116,10 @@ class BatteryReport:
 
     @property
     def has_flags(self) -> bool:
-        return any(p.flags for ex in self.exchanges for p in ex.pairs) or any(
-            ex.flags for ex in self.exchanges
+        """Whether a test, an exchange or a wash estimate carries a flag."""
+        return any(
+            ex.flags or any(p.flags for p in ex.pairs) or any(e.flags for e in ex.wash_by_pair)
+            for ex in self.exchanges
         )
 
 
@@ -162,7 +166,7 @@ def _pair_battery(group, spec, config: RunConfig) -> PairReport:
     return rep
 
 
-def pooled_regulated_roundness(
+def _pooled_regulated_roundness(
     dataset: TradeDataset, registry: PairRegistry, regulated: set[str]
 ) -> dict[str, np.ndarray]:
     pooled: dict[str, np.ndarray] = {}
@@ -187,37 +191,44 @@ def _wash_section(
     by_pair: dict[str, list[WeeklyVolumeSplit]] = {}
     for row in splits:
         by_pair.setdefault(row.pair, []).append(row)
-
-    models: dict[str, we.BenchmarkModel] = dict(external_models or {})
-    if not models:
-        use_controls = config.use_controls
-        if use_controls and meta is not None:
-            lacking = [ex for ex in regulated if not meta[ex].has_all_controls()]
-            if lacking:
-                report.warnings.append(
-                    f"controls disabled: missing covariates for {', '.join(sorted(lacking))}"
-                )
-                use_controls = False
-        for pair, rows in sorted(by_pair.items()):
-            bench_rows = [r for r in rows if r.exchange_id in regulated]
-            try:
-                models[pair] = we.fit_benchmark(
-                    bench_rows, meta=meta, use_controls=use_controls
-                )
-            except (InsufficientDataError, EstimationError) as exc:
-                report.warnings.append(f"benchmark for {pair} not fitted: {exc}")
-    report.benchmark_models = models
-
+    bench_rows = [r for r in splits if r.exchange_id in regulated]
     bench_rows_by_pair = {
         pair: [r for r in rows if r.exchange_id in regulated] for pair, rows in by_pair.items()
     }
+
+    use_controls = config.use_controls
+    if use_controls and meta is not None:
+        lacking = [ex for ex in regulated if not meta[ex].has_all_controls()]
+        if lacking:
+            report.warnings.append(
+                f"controls disabled: missing covariates for {', '.join(sorted(lacking))}"
+            )
+            use_controls = False
+
+    models: dict[str, we.BenchmarkModel] = dict(external_models or {})
+    if not models:
+        if config.pool_pairs:
+            # one fit over every pair, with pair indicator terms, under one key
+            panels = {"pooled": bench_rows}
+        else:
+            panels = dict(sorted(bench_rows_by_pair.items()))
+        for scope, rows in panels.items():
+            try:
+                models[scope] = we.fit_benchmark(
+                    rows, meta=meta, use_controls=use_controls, pool_pairs=config.pool_pairs
+                )
+            except (InsufficientDataError, EstimationError) as exc:
+                report.warnings.append(f"benchmark for {scope} not fitted: {exc}")
+    report.benchmark_models = models
+
     for ex_rep in report.exchanges:
         if ex_rep.exchange_id in regulated:
             continue
         per_pair: list[we.WashEstimate] = []
         wash_volume = total_volume = 0.0
         for pair_rep in ex_rep.pairs:
-            model = models.get(pair_rep.pair)
+            scope = pair_rep.pair if pair_rep.pair in models else "pooled"
+            model = models.get(scope)
             if model is None:
                 continue
             target = [
@@ -232,16 +243,20 @@ def _wash_section(
             except (InsufficientDataError, EstimationError) as exc:
                 ex_rep.flags.append(f"wash estimate failed for {pair_rep.pair}: {exc}")
                 continue
-            if config.bootstrap:
+            bench = bench_rows if scope == "pooled" else bench_rows_by_pair.get(pair_rep.pair, [])
+            if config.bootstrap and not bench:
+                est = replace(est, flags=est.flags + ("bootstrap skipped: no benchmark rows",))
+            elif config.bootstrap:
                 sd = we.bootstrap_wash_sd(
                     target,
-                    bench_rows_by_pair.get(pair_rep.pair, []),
+                    bench,
                     n_boot=config.bootstrap,
                     seed=config.seed,
                     meta=meta,
                     use_controls=model.controls_used,
+                    pool_pairs=scope == "pooled",
                 )
-                est = we.with_bootstrap_sd(est, sd)
+                est = replace(est, bootstrap_sd=sd)
             per_pair.append(est)
             wash_volume += est.wash_volume
             total_volume += est.total_volume
@@ -264,12 +279,14 @@ def _wash_section(
 
     if len(regulated) >= 3:
         rows_by_ex = {}
-        for row in splits:
-            if row.exchange_id in regulated:
-                rows_by_ex.setdefault(row.exchange_id, []).append(row)
+        for row in bench_rows:
+            rows_by_ex.setdefault(row.exchange_id, []).append(row)
         try:
             cv = we.cross_validate_regulated(
-                rows_by_ex, meta=meta, pool_pairs=config.pool_pairs or len(by_pair) > 1
+                rows_by_ex,
+                meta=meta,
+                use_controls=use_controls,
+                pool_pairs=config.pool_pairs or len(by_pair) > 1,
             )
             report.cross_validation = {
                 ex: est.wash_percent for ex, est in cv.estimates.items()
@@ -318,8 +335,8 @@ def _wash_failure_relation(report: BatteryReport) -> None:
         report.wash_failure_fit = vd.wash_failure_regression(
             [p[0] for p in points], [p[1] for p in points]
         )
-    except (InsufficientDataError, EstimationError):
-        pass
+    except (InsufficientDataError, EstimationError) as exc:
+        report.warnings.append(f"wash-failure fit skipped: {exc}")
 
 
 def run_battery(
@@ -336,7 +353,7 @@ def run_battery(
 
     pooled_roundness: dict[str, np.ndarray] = {}
     if regulated:
-        pooled_roundness = pooled_regulated_roundness(dataset, registry, regulated)
+        pooled_roundness = _pooled_regulated_roundness(dataset, registry, regulated)
 
     by_exchange: dict[str, ExchangeReport] = {}
     for ex, pair in dataset.sorted_keys():
@@ -389,8 +406,8 @@ def run_battery(
             _wash_section(report, dataset, registry, meta, regulated, config, benchmark_models)
         else:
             raise EstimationError(
-                "wash estimation requested but no regulated exchange is present; "
-                "pass --no-wash or supply a benchmark model file"
+                "wash estimation needs a regulated exchange in the metadata or a "
+                "benchmark model file (report --no-wash skips it)"
             )
     return report
 
@@ -503,9 +520,7 @@ def report_to_json(report: BatteryReport) -> dict[str, Any]:
             for ex in report.exchanges
         ],
         "failure_rate_by_pair": report.failure_rate_by_pair,
-        "benchmark_models": {
-            pair: m.to_json() for pair, m in sorted(report.benchmark_models.items())
-        },
+        "benchmark_models": we.dump_models(report.benchmark_models),
         "regulated_cross_validation": report.cross_validation,
         "wash_summary": report.wash_summary,
         "wash_failure_fit": (

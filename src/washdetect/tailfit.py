@@ -23,6 +23,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import EstimationError, InsufficientDataError
+from .verdicts import P_FLOOR
 
 MIN_TAIL_SIZE = 50
 BINS_PER_DECADE = 10
@@ -30,7 +31,6 @@ BINS_PER_DECADE = 10
 # noise plus a survivor bias that flattens the fitted slope; the fit stops at
 # the last bin holding this many points.
 TAIL_BIN_MIN_COUNT = 30
-P_FLOOR = 1e-300
 
 
 def tail_cutoff(sizes: np.ndarray, *, min_tail: int = MIN_TAIL_SIZE) -> float:

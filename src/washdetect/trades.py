@@ -376,15 +376,17 @@ def load_exchange_meta(path: str | Path) -> dict[str, ExchangeMeta]:
     return meta
 
 
-def exact_sum(subunits: np.ndarray) -> int:
+def exact_sum(subunits: np.ndarray, starts: np.ndarray | None = None) -> int | list[int]:
     """Exact Python-int sum of an int64 array (no silent int64 overflow).
 
-    Splits each value into high and low 32-bit halves so each partial sum
-    stays far from the int64 boundary.
+    With ``starts`` (increasing segment start offsets) it returns the list
+    of per-segment sums instead. Splits each value into high and low 32-bit
+    halves so each partial sum stays far from the int64 boundary.
     """
     x = np.asarray(subunits, dtype=np.int64)
-    if x.size == 0:
-        return 0
-    hi = int(np.sum(x >> 32, dtype=np.int64))
-    lo = int(np.sum(x & 0xFFFFFFFF, dtype=np.int64))
-    return (hi << 32) + lo
+    if starts is None:
+        # the whole array is one segment starting at 0
+        return exact_sum(x, [0])[0] if x.size else 0
+    hi = np.add.reduceat(x >> 32, starts)
+    lo = np.add.reduceat(x & 0xFFFFFFFF, starts)
+    return [(int(h) << 32) + int(l) for h, l in zip(hi, lo)]

@@ -14,10 +14,8 @@ regulated benchmark) give a complementary distribution-shape test.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -146,12 +144,20 @@ class BenchmarkModel:
             pair_levels=tuple(obj.get("pair_levels", ())),
         )
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
 
-    @classmethod
-    def load(cls, path: str | Path) -> "BenchmarkModel":
-        return cls.from_json(json.loads(Path(path).read_text()))
+
+def dump_models(models: dict[str, BenchmarkModel]) -> dict[str, dict]:
+    """The benchmark-model file format: ``{scope: model.to_json()}``.
+
+    A scope is a pair code or ``"pooled"``. ``report.json`` carries the same
+    mapping under ``benchmark_models``.
+    """
+    return {scope: m.to_json() for scope, m in sorted(models.items())}
+
+
+def load_models(payload: dict[str, dict]) -> dict[str, BenchmarkModel]:
+    """Inverse of :func:`dump_models`."""
+    return {scope: BenchmarkModel.from_json(obj) for scope, obj in payload.items()}
 
 
 def _control_vector(meta: ExchangeMeta) -> list[float]:
@@ -366,10 +372,6 @@ def bootstrap_wash_sd(
             continue
         replicates.append(est.wash_percent)
     return float(np.std(replicates, ddof=1))
-
-
-def with_bootstrap_sd(estimate: WashEstimate, sd: float) -> WashEstimate:
-    return replace(estimate, bootstrap_sd=sd)
 
 
 @dataclass(frozen=True)

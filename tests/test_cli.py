@@ -5,6 +5,9 @@ import json
 import pytest
 
 from washdetect.cli import EXIT_FATAL, EXIT_FLAGGED, EXIT_OK, main
+from washdetect.ingest import parse_trades, weekly_split
+from washdetect.trades import PairRegistry, load_exchange_meta
+from washdetect.washest import cross_validate_regulated
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +49,19 @@ def workspace(tmp_path_factory):
         assert code == EXIT_OK
         tapes.append(str(path))
     return root, tapes
+
+
+def synth_market(root, specs, meta):
+    """One stable-panel tape per (exchange, pair, seed, n, wash), plus meta.json."""
+    (root / "meta.json").write_text(json.dumps(meta))
+    tapes = []
+    for ex, pair, seed, n, wash in specs:
+        path = root / f"{ex}_{pair.replace('/', '-')}.csv"
+        argv = ["synth", "--seed", str(seed), "--n", str(n), "--wash", str(wash), "--exchange-id", ex]
+        argv += ["--pair", pair, "--profile", "stable-panel", "--out-file", str(path)]
+        assert main(argv) == EXIT_OK
+        tapes.append(str(path))
+    return tapes
 
 
 class TestSynth:
@@ -186,6 +202,96 @@ class TestBenchmarkModelFlow:
         assert "U1 BTC/USD: wash" in out
         rows = (tmp_path / "w" / "wash_estimates.csv").read_text().splitlines()
         assert rows[0].startswith("exchange,pair,wash_volume,wash_percent,bootstrap_sd")
+
+
+class TestViewsOfReport:
+    def test_fit_benchmark_writes_the_report_models(self, workspace, tmp_path):
+        root, tapes = workspace
+        meta, model = str(root / "meta.json"), tmp_path / "model.json"
+        assert main(["fit-benchmark", *tapes, "--meta", meta, "--out-model", str(model)]) == EXIT_OK
+        assert main(["report", *tapes, "--meta", meta, "--out", str(tmp_path / "r")]) == EXIT_OK
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert json.loads(model.read_text()) == report["benchmark_models"]
+
+    def test_estimate_wash_writes_the_report_estimates(self, workspace, tmp_path):
+        root, tapes = workspace
+        argv = [*tapes, "--meta", str(root / "meta.json"), "--bootstrap", "100", "--seed", "3"]
+        assert main(["estimate-wash", *argv, "--out", str(tmp_path / "e")]) == EXIT_OK
+        assert main(["report", *argv, "--out", str(tmp_path / "r")]) == EXIT_OK
+        estimates = (tmp_path / "e" / "wash_estimates.csv").read_text()
+        assert estimates == (tmp_path / "r" / "wash_estimates.csv").read_text()
+        assert "U1,aggregate," in estimates
+
+    def test_bootstrap_without_benchmark_rows_is_flagged(self, workspace, tmp_path, capsys):
+        root, tapes = workspace
+        model = str(tmp_path / "model.json")
+        main(["fit-benchmark", *tapes[:3], "--meta", str(root / "meta.json"), "--out-model", model])
+        argv = [tapes[3], "--model", model, "--bootstrap", "200"]
+        assert main(["report", *argv, "--out", str(tmp_path / "r")]) == EXIT_FLAGGED
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        (est,) = report["exchanges"][0]["wash_by_pair"]
+        assert est["bootstrap_sd"] is None
+        assert est["flags"] == ["bootstrap skipped: no benchmark rows"]
+        capsys.readouterr()
+        assert main(["estimate-wash", *argv]) == EXIT_FLAGGED
+        assert "[bootstrap skipped: no benchmark rows]" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def two_pair_market(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pairs")
+    meta = {f"R{i}": {"regulatory_class": "regulated"} for i in (1, 2, 3)}
+    meta["U1"] = {"regulatory_class": "tier2"}
+    specs = [
+        (ex, pair, 10 * i + j + 1, 20_000, 0.8 if ex == "U1" else 0.0)
+        for i, ex in enumerate(meta)
+        for j, pair in enumerate(["BTC/USD", "ETH/USD"])
+    ]
+    return root, synth_market(root, specs, meta)
+
+
+class TestPooled:
+    def run(self, market, out, *extra):
+        root, tapes = market
+        argv = ["report", *tapes, "--meta", str(root / "meta.json"), "--bootstrap", "100", "--out", str(out)]
+        assert main(argv + list(extra)) == EXIT_OK
+        return json.loads((out / "report.json").read_text())
+
+    def test_pooled_reports_one_model_with_pair_terms(self, two_pair_market, tmp_path):
+        report = self.run(two_pair_market, tmp_path, "--pooled")
+        (scope, model), = report["benchmark_models"].items()
+        assert scope == "pooled" and model["scope"] == "pooled"
+        assert model["feature_names"] == ["const", "ln_round", "pair=ETH/USD"]
+        u1 = next(ex for ex in report["exchanges"] if ex["exchange_id"] == "U1")
+        assert [e["scope"] for e in u1["wash_by_pair"]] == ["BTC/USD", "ETH/USD"]
+        assert all(e["bootstrap_sd"] > 0 for e in u1["wash_by_pair"])
+
+    def test_default_fits_one_model_per_pair(self, two_pair_market, tmp_path):
+        models = self.run(two_pair_market, tmp_path)["benchmark_models"]
+        assert sorted(models) == ["BTC/USD", "ETH/USD"]
+        assert all(m["scope"] == "per-pair" for m in models.values())
+
+
+def test_report_cross_validates_the_controls_model(tmp_path):
+    meta = {
+        f"R{i}": {"regulatory_class": "regulated", "age_years": i, "rank": 3 * i % 7 + 1,
+                  "traffic_pct": i * i % 5 + 1, "unique_visitors": 10 + i**3 % 11}
+        for i in range(1, 7)
+    }
+    # six regulated exchanges: a leave-one-out fit on five identifies the four controls
+    specs = [(ex, "BTC/USD", 20 + i, 20_000, 0.0) for i, ex in enumerate(meta)]
+    tapes = synth_market(tmp_path, specs, meta)
+    out = tmp_path / "out"
+    code = main(["report", *tapes, "--meta", str(tmp_path / "meta.json"), "--controls", "--out", str(out)])
+    assert code == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["benchmark_models"]["BTC/USD"]["controls_used"]
+    rows = {ex: weekly_split(parse_trades(t)[0], PairRegistry()) for ex, t in zip(meta, tapes)}
+    exchange_meta = load_exchange_meta(tmp_path / "meta.json")
+    for controls in (True, False):
+        cv = cross_validate_regulated(rows, meta=exchange_meta, use_controls=controls)
+        direct = {ex: est.wash_percent for ex, est in cv.estimates.items()}
+        assert (report["regulated_cross_validation"] == direct) == controls
 
 
 class TestPlotData:

@@ -126,6 +126,16 @@ class TestBattery:
         assert rep.wash_failure_fit.n == 3
         assert rep.wash_failure_fit.slope > 0
 
+    def test_equal_failure_rates_leave_a_warning(self):
+        # wash-only tapes fail every test, so the failure rates have no spread
+        specs = [("R1", 1, 60_000, 0.0), ("R2", 2, 60_000, 0.0), ("R3", 3, 60_000, 0.0)]
+        specs += [(f"U{i}", 50 + i, 60_000, 1.0) for i in range(3)]
+        meta = make_meta(["R1", "R2", "R3"], ["U0", "U1", "U2"])
+        rep = run_battery(make_dataset(specs), REG, meta, RunConfig())
+        assert [ex.failure_rate for ex in rep.exchanges[3:]] == [1.0, 1.0, 1.0]
+        assert rep.wash_failure_fit is None
+        assert "wash-failure fit skipped: singular regression: all failure rates equal" in rep.warnings
+
 
 class TestSerialization:
     def test_json_validates_against_shipped_schema(self, battery):

@@ -1,5 +1,6 @@
 """Roundness benchmark test, volume-ratio regression, wash estimates."""
 
+import json
 import math
 
 import numpy as np
@@ -9,11 +10,12 @@ from washdetect.errors import EstimationError, InsufficientDataError
 from washdetect.ingest import WeeklyVolumeSplit
 from washdetect.trades import BUILTIN_PAIR_SPECS, ExchangeMeta, RegulatoryClass, parse_amount
 from washdetect.washest import (
-    BenchmarkModel,
     bootstrap_wash_sd,
     cross_validate_regulated,
+    dump_models,
     estimate_wash,
     fit_benchmark,
+    load_models,
     predict_unrounded,
     roundness_chi_squared,
     roundness_distribution,
@@ -144,9 +146,8 @@ class TestFitBenchmark:
     def test_model_round_trips_through_json(self, tmp_path):
         model = fit_benchmark(identity_panel("R1"))
         path = tmp_path / "model.json"
-        model.save(path)
-        loaded = BenchmarkModel.load(path)
-        assert loaded == model
+        path.write_text(json.dumps(dump_models({"BTC/USD": model})))
+        assert load_models(json.loads(path.read_text())) == {"BTC/USD": model}
 
 
 class TestEstimateWash:
