@@ -21,7 +21,6 @@ from .clustering import (
     cluster_pairs,
     clustering_t_test,
     run_cluster_test,
-    window_frequencies,
 )
 from .errors import (
     AmountError,
@@ -57,15 +56,8 @@ from .trades import (
     PairRegistry,
     PairSpec,
     RegulatoryClass,
-    RoundnessLevel,
-    Trade,
-    first_significant_digit,
     format_amount,
-    infer_base_unit_exponent,
-    is_round,
     parse_amount,
-    roundness_level,
-    to_base_units,
 )
 from .verdicts import (
     FisherResult,
@@ -83,9 +75,7 @@ from .synth import (
     LabeledTape,
     STABLE_PANEL_PARAMS,
     WashParams,
-    gen_authentic,
     gen_exchange,
-    gen_wash,
     write_tape,
 )
 from .washest import (

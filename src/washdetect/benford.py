@@ -7,10 +7,8 @@ lower bound on fabricated volume built from per-digit anchors.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 from scipy import stats
@@ -151,10 +149,10 @@ def counterfactual_wash_benford(hist: DigitHistogram) -> float:
     return float(np.median(diffs))
 
 
-def export_histogram_csv(hist: DigitHistogram, out: TextIO) -> None:
-    """Plot-ready CSV: digit, count, frequency, benford_expected."""
-    writer = csv.writer(out)
-    writer.writerow(["digit", "count", "frequency", "benford_expected"])
+def histogram_rows(hist: DigitHistogram) -> list[list]:
+    """Plot-ready CSV rows, header first: digit, count, frequency, benford_expected."""
+    rows: list[list] = [["digit", "count", "frequency", "benford_expected"]]
     freqs = hist.frequencies()
     for i, d in enumerate(DIGITS):
-        writer.writerow([d, hist.counts[i], repr(float(freqs[i])), repr(float(_BENFORD_P[i]))])
+        rows.append([d, hist.counts[i], repr(float(freqs[i])), repr(float(_BENFORD_P[i]))])
+    return rows

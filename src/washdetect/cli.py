@@ -3,9 +3,10 @@
 Subcommands: ingest-check, benford, cluster, tail, roundness, fit-benchmark,
 estimate-wash, fisher, report, synth, plot-data, rank. The analysis
 subcommands are views of ``report``: each runs ``report.run_battery`` with
-the configuration its flags give and prints its slice of the result. Exit
-codes: 0 on success, 1 on a fatal error, 2 when a test or estimate that the
-subcommand prints was skipped or flagged.
+the configuration its flags give and prints its slice of the result. Each
+subcommand accepts only the flags it reads. Exit codes: 0 on success, 1 on a
+fatal error, 2 when a test or estimate that the subcommand prints was
+skipped or flagged.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import synth
 from . import tailfit as tf
 from . import verdicts as vd
 from . import washest as we
-from .errors import WashdetectError
+from .errors import ConfigError, WashdetectError
 from .ingest import TradeDataset, make_group, parse_trades, unrounded_subset
 from .trades import PairRegistry, RegulatoryClass, load_exchange_meta
 
@@ -34,11 +35,28 @@ EXIT_FATAL = 1
 EXIT_FLAGGED = 2
 
 
+# Flags several subcommands share; each subcommand declares those it reads.
+_SHARED_FLAGS = {
+    "--pairs": dict(help="JSON file of pair -> base-unit exponent overrides"),
+    "--alpha": dict(type=float, default=rp.RunConfig.alpha, help="significance level"),
+    "--effective-n": dict(
+        default=str(rp.RunConfig.effective_n), help="chi-squared effective sample size: an integer or 'raw'"
+    ),
+    "--bootstrap": dict(type=int, default=rp.RunConfig.bootstrap, help="bootstrap replicates (0 = off)"),
+    "--seed": dict(type=int, default=rp.RunConfig.seed),
+    "--out": dict(help="output directory"),
+}
+
+
 def _subcommand(
-    sub, name: str, func, help: str, inputs: bool = True, unrounded: bool = False
+    sub, name: str, func, help: str, flags: str, inputs: bool = True, unrounded: bool = False
 ) -> argparse.ArgumentParser:
-    """Declare a subcommand with the flags every analysis shares."""
-    p = sub.add_parser(name, help=help)
+    """Declare a subcommand with the shared flags it reads, named in ``flags``.
+
+    Abbreviated flags are refused, so that a flag a subcommand does not take
+    (``synth --out``) is a usage error and not a prefix of another one.
+    """
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
     p.set_defaults(func=func)
     if unrounded:
         p.add_argument(
@@ -49,18 +67,10 @@ def _subcommand(
     if inputs:
         p.add_argument("inputs", nargs="+", help="trade files (CSV or JSONL)")
         p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-        p.add_argument("--pairs", help="JSON file of pair -> base-unit exponent overrides")
         p.add_argument("--strict", action="store_true", help="abort on the first bad row")
         p.add_argument("--dedupe", action="store_true", help="drop exact duplicate rows")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    p.add_argument(
-        "--effective-n",
-        default=str(rp.BENFORD_EMULATION_N),
-        help="chi-squared effective sample size: an integer or 'raw'",
-    )
-    p.add_argument("--bootstrap", type=int, default=0, help="bootstrap replicates (0 = off)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output directory")
+    for flag in flags.split():
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
     return p
 
 
@@ -94,12 +104,17 @@ def _battery(
 ) -> rp.BatteryReport:
     """Run the battery with the configuration the subcommand's flags give."""
     meta = load_exchange_meta(args.meta) if getattr(args, "meta", None) else None
-    models = we.load_models(json.loads(Path(args.model).read_text())) if getattr(args, "model", None) else None
+    models = we.load_models(args.model) if getattr(args, "model", None) else None
+    text = getattr(args, "effective_n", str(rp.RunConfig.effective_n))
+    try:
+        effective_n = None if text == "raw" else int(text)
+    except ValueError:
+        raise ConfigError(f"--effective-n must be an integer or 'raw', got {text!r}") from None
     config = rp.RunConfig(
-        alpha=args.alpha,
-        effective_n=None if args.effective_n == "raw" else int(args.effective_n),
-        bootstrap=args.bootstrap,
-        seed=args.seed,
+        alpha=getattr(args, "alpha", rp.RunConfig.alpha),
+        effective_n=effective_n,
+        bootstrap=getattr(args, "bootstrap", rp.RunConfig.bootstrap),
+        seed=getattr(args, "seed", rp.RunConfig.seed),
         estimate_wash=estimate_wash,
         pool_pairs=getattr(args, "pooled", False),
         use_controls=getattr(args, "controls", False),
@@ -151,16 +166,15 @@ def _export_csvs(out, ds, registry, which: str, keys, step=100, lo=1, hi=1000) -
     for key in keys:
         g = ds.groups[key]
         spec = registry.get(g.pair)
-        name = f"{which}_{g.exchange_id}_{g.pair}.csv".replace("/", "-")
-        with open(out / name, "w", newline="") as fh:
-            if which == "benford":
-                bf.export_histogram_csv(bf.digit_histogram(g.amounts), fh)
-            elif which == "sizes":
-                cl.export_size_histogram_csv(g.amounts, spec, fh, lo_units=lo, hi_units=hi, step=step)
-            else:
-                sizes = g.amounts / spec.subunits_per_base_unit
-                fit = tf.fit_tail(sizes)
-                tf.export_tail_csv(fit, sizes[sizes >= fit.x_min], fh)
+        if which == "benford":
+            rows = bf.histogram_rows(bf.digit_histogram(g.amounts))
+        elif which == "sizes":
+            rows = cl.size_histogram_rows(g.amounts, spec, lo_units=lo, hi_units=hi, step=step)
+        else:
+            sizes = g.amounts / spec.subunits_per_base_unit
+            fit = tf.fit_tail(sizes)
+            rows = tf.tail_rows(fit, sizes[sizes >= fit.x_min])
+        _write_rows(out / f"{which}_{g.exchange_id}_{g.pair}.csv".replace("/", "-"), rows)
 
 
 def cmd_ingest_check(args) -> int:
@@ -177,8 +191,7 @@ def cmd_ingest_check(args) -> int:
             g = ds.groups[key]
             print(f"  {g.exchange_id} {g.pair}: {g.n} trades")
         if out and report.rejected:
-            with open(out / f"rejected_{Path(path).stem}.csv", "w", newline="") as fh:
-                report.write_csv(fh)
+            _write_rows(out / f"rejected_{Path(path).stem}.csv", report.rejected_rows())
     return EXIT_OK if total_rejected == 0 else EXIT_FLAGGED
 
 
@@ -375,39 +388,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _subcommand(sub, "ingest-check", cmd_ingest_check, "parse inputs and report rejected rows")
+    battery = "--pairs --alpha --effective-n"
+    _subcommand(sub, "ingest-check", cmd_ingest_check, "parse inputs and report rejected rows", "--out")
 
-    _subcommand(sub, "benford", cmd_benford, "first-digit chi-squared test per group", unrounded=True)
+    _subcommand(
+        sub, "benford", cmd_benford, "first-digit chi-squared test per group", f"{battery} --out", unrounded=True
+    )
 
-    p = _subcommand(sub, "cluster", cmd_cluster, "round-size clustering t-test per group")
+    p = _subcommand(sub, "cluster", cmd_cluster, "round-size clustering t-test per group", "--pairs --alpha")
     p.add_argument("--step", type=int, choices=[100, 500], default=100)
     p.add_argument("--min-support", type=int, default=50)
 
-    _subcommand(sub, "tail", cmd_tail, "power-law tail fit per group", unrounded=True)
+    _subcommand(sub, "tail", cmd_tail, "power-law tail fit per group", "--pairs --out", unrounded=True)
 
-    p = _subcommand(sub, "roundness", cmd_roundness, "roundness distribution vs regulated benchmark")
+    p = _subcommand(sub, "roundness", cmd_roundness, "roundness distribution vs regulated benchmark", battery)
     p.add_argument("--meta", required=True, help="exchange metadata JSON")
 
-    p = _subcommand(sub, "fit-benchmark", cmd_fit_benchmark, "fit the round/unrounded volume relation")
+    p = _subcommand(sub, "fit-benchmark", cmd_fit_benchmark, "fit the round/unrounded volume relation", battery)
     p.add_argument("--meta", required=True)
     p.add_argument("--pooled", action="store_true", help="pool pairs with indicator terms")
     p.add_argument("--controls", action="store_true", help="include exchange covariates")
     p.add_argument("--out-model", required=True, help="where to write the model JSON")
 
-    p = _subcommand(sub, "estimate-wash", cmd_estimate_wash, "estimate wash volume per exchange")
+    wash = f"{battery} --bootstrap --seed --out"
+    p = _subcommand(sub, "estimate-wash", cmd_estimate_wash, "estimate wash volume per exchange", wash)
     p.add_argument("--meta")
     p.add_argument("--model", help="benchmark model JSON from fit-benchmark")
 
-    _subcommand(sub, "fisher", cmd_fisher, "combined test per exchange-pair")
+    _subcommand(sub, "fisher", cmd_fisher, "combined test per exchange-pair", battery)
 
-    p = _subcommand(sub, "report", cmd_report, "full battery plus wash estimation")
+    p = _subcommand(sub, "report", cmd_report, "full battery plus wash estimation", wash)
     p.add_argument("--meta")
     p.add_argument("--model", help="benchmark model JSON (skip refitting)")
     p.add_argument("--no-wash", action="store_true", help="battery only")
     p.add_argument("--pooled", action="store_true")
     p.add_argument("--controls", action="store_true")
 
-    p = _subcommand(sub, "synth", cmd_synth, "generate a synthetic labeled tape", inputs=False)
+    p = _subcommand(sub, "synth", cmd_synth, "generate a synthetic labeled tape", "--seed", inputs=False)
     p.add_argument("--wash", type=float, default=0.0, help="wash volume fraction in [0, 1]")
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--pair", default="BTC/USD")
@@ -418,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--out-file", required=True)
 
-    p = _subcommand(sub, "plot-data", cmd_plot_data, "emit plot-ready CSVs")
+    p = _subcommand(sub, "plot-data", cmd_plot_data, "emit plot-ready CSVs", "--pairs --out")
     p.add_argument("--which", choices=["benford", "sizes", "tail"], required=True)
     p.add_argument("--range", help="size histogram range in base units, lo:hi")
     p.add_argument("--step", type=int, default=100)

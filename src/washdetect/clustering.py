@@ -14,10 +14,8 @@ so neighboring windows never share a size.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 from scipy import stats
@@ -68,29 +66,6 @@ class ClusterTestResult:
 def _percentile_nearest_rank(sorted_values: np.ndarray, q: float) -> int:
     rank = max(1, math.ceil(q / 100.0 * sorted_values.size))
     return int(sorted_values[rank - 1])
-
-
-def window_frequencies(
-    amounts_subunits: np.ndarray, spec: PairSpec, center: int, radius: int
-) -> dict[int, float]:
-    """Frequency of each exact integer size within [center-radius, center+radius).
-
-    Frequencies are relative to every trade in the window, including those at
-    non-integer sizes, so they form a sub-probability.
-    """
-    if center <= radius:
-        raise ValueError(f"center {center} must exceed radius {radius}")
-    unit = spec.subunits_per_base_unit
-    x = np.sort(np.asarray(amounts_subunits, dtype=np.int64))
-    lo = np.searchsorted(x, (center - radius) * unit, side="left")
-    hi = np.searchsorted(x, (center + radius) * unit, side="left")
-    total = int(hi - lo)
-    if total == 0:
-        return {}
-    window = x[lo:hi]
-    q, r = np.divmod(window, unit)
-    vals, counts = np.unique(q[r == 0], return_counts=True)
-    return {int(v): int(c) / total for v, c in zip(vals, counts)}
 
 
 def _candidate_centers(sizes_units_int: np.ndarray, step: int, radius: int, cap: int) -> np.ndarray:
@@ -229,16 +204,15 @@ def run_cluster_test(
     return clustering_t_test(pairs, step, alpha)
 
 
-def export_size_histogram_csv(
+def size_histogram_rows(
     amounts_subunits: np.ndarray,
     spec: PairSpec,
-    out: TextIO,
     *,
     lo_units: int = 1,
     hi_units: int = 1000,
     step: int = 100,
-) -> None:
-    """Plot-ready CSV of 1-base-unit size bins with round bins highlighted.
+) -> list[list]:
+    """Plot-ready CSV rows, header first, of 1-base-unit size bins.
 
     Bin i counts trades with size in [i, i+1) base units; ``is_round_bin``
     marks multiples of 5 * step, the strongest expected clustering points.
@@ -247,7 +221,7 @@ def export_size_histogram_csv(
     sizes = np.asarray(amounts_subunits, dtype=np.int64) // unit
     in_range = (sizes >= lo_units) & (sizes < hi_units)
     counts = np.bincount((sizes[in_range] - lo_units).astype(np.int64), minlength=hi_units - lo_units)
-    writer = csv.writer(out)
-    writer.writerow(["size_base_units", "count", "is_round_bin"])
+    rows: list[list] = [["size_base_units", "count", "is_round_bin"]]
     for i in range(lo_units, hi_units):
-        writer.writerow([i, int(counts[i - lo_units]), int(i % (5 * step) == 0)])
+        rows.append([i, int(counts[i - lo_units]), int(i % (5 * step) == 0)])
+    return rows

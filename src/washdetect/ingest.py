@@ -32,12 +32,12 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator
 
 import numpy as np
 
 from .errors import AmountError, ParseError
-from .trades import PairRegistry, Trade, exact_sum, format_amount, is_round_mask, parse_amount
+from .trades import PairRegistry, exact_sum, is_round_mask, parse_amount
 
 CSV_HEADER = ("exchange", "pair", "timestamp_ms", "price", "amount")
 
@@ -46,15 +46,13 @@ MS_PER_DAY = 86_400_000
 _EPOCH_MONDAY_OFFSET_DAYS = 3
 
 
-def week_index(timestamp_ms: int) -> int:
-    """UTC week number, weeks starting Monday 00:00:00, week 0 holding the epoch."""
+def week_index(timestamp_ms):
+    """UTC week number, weeks starting Monday 00:00:00, week 0 holding the epoch.
+
+    Takes an int or an int64 array of millisecond timestamps.
+    """
     days = timestamp_ms // MS_PER_DAY
     return (days + _EPOCH_MONDAY_OFFSET_DAYS) // 7
-
-
-def week_start_ms(index: int) -> int:
-    """Timestamp of the Monday 00:00:00 UTC that opens the given week."""
-    return (index * 7 - _EPOCH_MONDAY_OFFSET_DAYS) * MS_PER_DAY
 
 
 @dataclass
@@ -78,7 +76,7 @@ class TradeGroup:
 
 @dataclass
 class TradeDataset:
-    """Trade groups keyed by (exchange, pair) plus the overall sample window."""
+    """The groups of trades, keyed by (exchange, pair)."""
 
     groups: dict[tuple[str, str], TradeGroup] = field(default_factory=dict)
 
@@ -86,22 +84,11 @@ class TradeDataset:
     def n_trades(self) -> int:
         return sum(g.n for g in self.groups.values())
 
-    @property
-    def window(self) -> tuple[int, int] | None:
-        if not self.groups:
-            return None
-        lo = min(int(g.timestamps[0]) for g in self.groups.values())
-        hi = max(int(g.timestamps[-1]) for g in self.groups.values())
-        return lo, hi
-
     def group(self, exchange_id: str, pair: str) -> TradeGroup:
         return self.groups[(exchange_id, pair)]
 
     def sorted_keys(self) -> list[tuple[str, str]]:
         return sorted(self.groups)
-
-    def exchanges(self) -> list[str]:
-        return sorted({ex for ex, _ in self.groups})
 
 
 def make_group(
@@ -123,22 +110,6 @@ def make_group(
     )
 
 
-def dataset_from_trades(trades: Iterable[Trade]) -> TradeDataset:
-    buckets: dict[tuple[str, str], list[Trade]] = {}
-    for t in trades:
-        buckets.setdefault((t.exchange_id, t.pair), []).append(t)
-    ds = TradeDataset()
-    for (ex, pair), rows in buckets.items():
-        ds.groups[(ex, pair)] = make_group(
-            ex,
-            pair,
-            np.array([t.timestamp_ms for t in rows], dtype=np.int64),
-            np.array([t.amount_subunits for t in rows], dtype=np.int64),
-            np.array([t.price for t in rows], dtype=np.float64),
-        )
-    return ds
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -156,11 +127,9 @@ class ParseReport:
         self.n_rejected += 1
         self.rejected.append((line, reason))
 
-    def write_csv(self, out: TextIO) -> None:
-        writer = csv.writer(out)
-        writer.writerow(["line", "reason"])
-        for line, reason in self.rejected:
-            writer.writerow([line, reason])
+    def rejected_rows(self) -> list[list]:
+        """The rejected-row log as CSV rows, header first."""
+        return [["line", "reason"], *map(list, self.rejected)]
 
 
 # Bytes read per block. Blocks hold whole lines, so the transient memory of a
@@ -599,18 +568,6 @@ def parse_trades(
     return parser.columns.dataset(report, dedupe), report
 
 
-def write_trades_csv(dataset: TradeDataset, out: TextIO) -> None:
-    """Write a dataset back out in the canonical CSV schema."""
-    writer = csv.writer(out)
-    writer.writerow(CSV_HEADER)
-    for key in dataset.sorted_keys():
-        g = dataset.groups[key]
-        for i in range(g.n):
-            writer.writerow(
-                [g.exchange_id, g.pair, int(g.timestamps[i]), repr(float(g.prices[i])), format_amount(int(g.amounts[i]))]
-            )
-
-
 # ---------------------------------------------------------------------------
 # Weekly volume panel and unrounded subset
 
@@ -633,10 +590,6 @@ class WeeklyVolumeSplit:
     def unrounded_volume(self) -> float:
         return self.unrounded_subunits / 10**8
 
-    @property
-    def total_subunits(self) -> int:
-        return self.round_subunits + self.unrounded_subunits
-
 
 def weekly_split(dataset: TradeDataset, registry: PairRegistry) -> list[WeeklyVolumeSplit]:
     """Exact per-week round/unrounded volume sums for every group.
@@ -650,7 +603,7 @@ def weekly_split(dataset: TradeDataset, registry: PairRegistry) -> list[WeeklyVo
         if g.n == 0:
             continue
         spec = registry.get(g.pair)
-        weeks = (g.timestamps // MS_PER_DAY + _EPOCH_MONDAY_OFFSET_DAYS) // 7
+        weeks = week_index(g.timestamps)
         round_mask = is_round_mask(g.amounts, spec)
         # timestamps are sorted, so week indices are non-decreasing
         uniq_weeks, starts = np.unique(weeks, return_index=True)

@@ -247,16 +247,20 @@ def _wash_section(
             if config.bootstrap and not bench:
                 est = replace(est, flags=est.flags + ("bootstrap skipped: no benchmark rows",))
             elif config.bootstrap:
-                sd = we.bootstrap_wash_sd(
-                    target,
-                    bench,
-                    n_boot=config.bootstrap,
-                    seed=config.seed,
-                    meta=meta,
-                    use_controls=model.controls_used,
-                    pool_pairs=scope == "pooled",
-                )
-                est = replace(est, bootstrap_sd=sd)
+                try:
+                    sd = we.bootstrap_wash_sd(
+                        target,
+                        bench,
+                        n_boot=config.bootstrap,
+                        seed=config.seed,
+                        meta=meta,
+                        use_controls=model.controls_used,
+                        pool_pairs=scope == "pooled",
+                    )
+                except EstimationError as exc:
+                    est = replace(est, flags=est.flags + (f"bootstrap failed: {exc}",))
+                else:
+                    est = replace(est, bootstrap_sd=sd)
             per_pair.append(est)
             wash_volume += est.wash_volume
             total_volume += est.total_volume

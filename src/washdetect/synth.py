@@ -21,6 +21,7 @@ from typing import TextIO
 
 import numpy as np
 
+from .errors import ConfigError
 from .ingest import MS_PER_DAY, TradeDataset, make_group, CSV_HEADER
 from .trades import (
     BUILTIN_PAIR_SPECS,
@@ -123,9 +124,9 @@ class WashParams:
 
     def __post_init__(self) -> None:
         if self.law not in ("uniform", "lognormal"):
-            raise ValueError(f"unknown wash size law {self.law!r}")
+            raise ConfigError(f"unknown wash size law {self.law!r}")
         if not 0 < self.size_low_units < self.size_high_units:
-            raise ValueError("wash size band must satisfy 0 < low < high")
+            raise ConfigError("wash size band must satisfy 0 < low < high")
 
     def mean_size_units(self) -> float:
         if self.law == "lognormal":
@@ -260,26 +261,6 @@ def _finish_group(cfg, timestamps, subunits, labels, rng):
     return ds, lab
 
 
-def gen_authentic(cfg: GeneratorConfig, n: int | None = None) -> LabeledTape:
-    """Authentic-only tape (wealth-walk sizes, round snapping, Pareto tail)."""
-    n = cfg.n_trades if n is None else n
-    rng = np.random.default_rng(cfg.seed)
-    weights = _weekly_weights(rng, cfg)
-    ts, subs = _gen_authentic_arrays(rng, cfg, weights, n)
-    ds, labels = _finish_group(cfg, ts, subs, np.zeros(n, dtype=bool), rng)
-    return LabeledTape(ds, labels, 0.0, n, 0, cfg)
-
-
-def gen_wash(cfg: GeneratorConfig, n: int | None = None) -> LabeledTape:
-    """Wash-only tape (uniform sub-decade sizes in buy/sell bursts)."""
-    n = cfg.n_trades if n is None else n
-    rng = np.random.default_rng(cfg.seed)
-    weights = _weekly_weights(rng, cfg)
-    ts, subs = _gen_wash_arrays(rng, cfg, weights, n)
-    ds, labels = _finish_group(cfg, ts, subs, np.ones(n, dtype=bool), rng)
-    return LabeledTape(ds, labels, 1.0, 0, n, cfg)
-
-
 def _gen_authentic_arrays(rng, cfg, weights, n):
     log10_sizes = _authentic_size_log10(rng, cfg.authentic, n)
     sizes_units = 10.0**log10_sizes
@@ -307,7 +288,9 @@ def _split_counts(cfg: GeneratorConfig) -> tuple[int, int]:
     """Allocate the trade budget so the expected wash volume share is w."""
     w = cfg.wash_fraction
     if not 0.0 <= w <= 1.0:
-        raise ValueError(f"wash fraction must be in [0, 1], got {w}")
+        raise ConfigError(f"wash fraction must be in [0, 1], got {w}")
+    if cfg.n_trades < 1 or cfg.n_weeks < 1:
+        raise ConfigError(f"need at least one trade and one week, got {cfg.n_trades} and {cfg.n_weeks}")
     if w == 0.0:
         return cfg.n_trades, 0
     if w == 1.0:
@@ -320,9 +303,9 @@ def _split_counts(cfg: GeneratorConfig) -> tuple[int, int]:
 
 def gen_exchange(cfg: GeneratorConfig) -> LabeledTape:
     """Interleave authentic and wash flow at the configured volume share."""
+    n_auth, n_wash = _split_counts(cfg)
     rng = np.random.default_rng(cfg.seed)
     weights = _weekly_weights(rng, cfg)
-    n_auth, n_wash = _split_counts(cfg)
     flags: list[str] = []
     parts_ts, parts_subs, parts_lab = [], [], []
     if n_auth:

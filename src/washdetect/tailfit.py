@@ -14,10 +14,8 @@ the PDF exponent alpha + 1; both faces are reported (``pdf_exponent`` and
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 from scipy import stats
@@ -240,12 +238,11 @@ def pareto_levy_verdict(fit: TailFit) -> ParetoLevyVerdict:
     return ParetoLevyVerdict(fit.in_pareto_levy, p_outside, anomaly_p)
 
 
-def export_tail_csv(fit: TailFit, tail_sizes: np.ndarray, out: TextIO) -> None:
-    """Plot-ready CSV: binned density with both fitted lines, in log10."""
+def tail_rows(fit: TailFit, tail_sizes: np.ndarray) -> list[list]:
+    """Plot-ready CSV rows, header first: binned density with both fitted lines, in log10."""
     centers, density = log_binned_density(np.asarray(tail_sizes, float), fit.x_min)
     ln10 = math.log(10.0)
-    writer = csv.writer(out)
-    writer.writerow(["log10_size", "log10_density", "fitted_ols", "fitted_hill"])
+    rows: list[list] = [["log10_size", "log10_density", "fitted_ols", "fitted_hill"]]
     for c, d in zip(centers, density):
         if fit.ols_slope is not None:
             fitted_ols = (fit.ols_intercept + fit.ols_slope * math.log(c)) / ln10
@@ -254,4 +251,5 @@ def export_tail_csv(fit: TailFit, tail_sizes: np.ndarray, out: TextIO) -> None:
         # Pareto PDF implied by the Hill fit, normalized over the tail.
         a = fit.alpha_hill
         fitted_hill = (math.log(a / fit.x_min) - (a + 1.0) * math.log(c / fit.x_min)) / ln10
-        writer.writerow([repr(math.log10(c)), repr(math.log10(d)), repr(fitted_ols), repr(fitted_hill)])
+        rows.append([repr(math.log10(c)), repr(math.log10(d)), repr(fitted_ols), repr(fitted_hill)])
+    return rows

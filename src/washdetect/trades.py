@@ -1,13 +1,13 @@
-"""Exact trade representation, base units, digits, and roundness.
+"""Exact trade amounts, base units, digits, roundness and exchange metadata.
 
-Trade amounts are decimal strings with at most 8 fractional digits. They are
-stored as integer counts of 1e-8 native-currency sub-units so that every
+A trade amount is a decimal string with at most 8 fractional digits. It is
+stored as an integer count of 1e-8 native-currency sub-units so that every
 roundness and digit computation is exact integer arithmetic; a float would
 misclassify roundness, which is the core signal everything else builds on.
 
 Each currency pair has a base unit: the power of ten of the native currency
-whose market value sits near one US dollar. Trade sizes are measured in base
-units for all clustering and roundness logic. A trade is "round" when its
+whose market value sits near one US dollar. All clustering and roundness
+logic measures trade sizes in base units. A trade is "round" when its
 size is an exact integer multiple of 100 base units.
 """
 
@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .errors import AmountError, PairConfigError
+from .errors import AmountError, ConfigError, PairConfigError
 
 AMOUNT_DECIMALS = 8
 SUBUNITS_PER_UNIT = 10**AMOUNT_DECIMALS
@@ -71,19 +69,12 @@ def format_amount(subunits: int) -> str:
     return f"{units}.{frac}" if frac else str(units)
 
 
-def first_significant_digit(subunits: int) -> int:
-    """Leading non-zero decimal digit of a positive amount (1..9).
+def first_significant_digits(subunits: np.ndarray) -> np.ndarray:
+    """Leading non-zero decimal digit (1..9) of each positive int64 amount.
 
     Invariant under multiplication by powers of ten, so the sub-unit integer
     carries the same leading digit as the native-unit decimal.
     """
-    if subunits <= 0:
-        raise AmountError("first significant digit undefined for non-positive amount")
-    return int(str(subunits)[0])
-
-
-def first_significant_digits(subunits: np.ndarray) -> np.ndarray:
-    """Vectorized leading digit for an int64 array of positive amounts."""
     x = np.asarray(subunits, dtype=np.int64)
     if x.size and x.min() <= 0:
         raise AmountError("first significant digit undefined for non-positive amount")
@@ -99,12 +90,6 @@ def first_significant_digits(subunits: np.ndarray) -> np.ndarray:
         e[too_high] += 1
         lead[too_high] = x[too_high] // 10 ** e[too_high]
     return lead.astype(np.int64)
-
-
-def decimal_trailing_zeros(subunits: int) -> int:
-    """Number of trailing decimal zeros of a positive integer."""
-    s = str(subunits)
-    return len(s) - len(s.rstrip("0"))
 
 
 # ---------------------------------------------------------------------------
@@ -153,28 +138,11 @@ BUILTIN_PAIR_SPECS: dict[str, PairSpec] = {
 }
 
 
-def infer_base_unit_exponent(reference_price_usd: float) -> int:
-    """Pick the power-of-ten base unit whose unit price is nearest 1 USD.
-
-    Nearness is the absolute distance |price * 10**e - 1|; exact ties break
-    toward the smaller exponent. ``reference_price_usd`` is the price of one
-    native unit.
-    """
-    if not (reference_price_usd > 0 and math.isfinite(reference_price_usd)):
-        raise PairConfigError(f"reference price must be positive, got {reference_price_usd}")
-    best_e, best_dist = None, None
-    for e in range(BASE_UNIT_EXPONENT_MIN, BASE_UNIT_EXPONENT_MAX + 1):
-        dist = abs(reference_price_usd * 10.0**e - 1.0)
-        if best_dist is None or dist < best_dist - 1e-12 * max(1.0, best_dist):
-            best_e, best_dist = e, dist
-    return best_e
-
-
 class PairRegistry:
     """Lookup table pair -> PairSpec, seeded with the four built-in pairs."""
 
-    def __init__(self, specs: dict[str, PairSpec] | None = None, include_builtins: bool = True):
-        self._specs: dict[str, PairSpec] = dict(BUILTIN_PAIR_SPECS) if include_builtins else {}
+    def __init__(self, specs: dict[str, PairSpec] | None = None):
+        self._specs: dict[str, PairSpec] = dict(BUILTIN_PAIR_SPECS)
         if specs:
             self._specs.update(specs)
 
@@ -184,79 +152,34 @@ class PairRegistry:
         except KeyError:
             raise PairConfigError(f"no base-unit configuration for pair {pair!r}") from None
 
-    def add(self, spec: PairSpec) -> None:
-        self._specs[spec.pair] = spec
-
-    def pairs(self) -> list[str]:
-        return sorted(self._specs)
-
-    def __contains__(self, pair: str) -> bool:
-        return pair in self._specs
-
     @classmethod
-    def from_file(cls, path: str | Path, include_builtins: bool = True) -> "PairRegistry":
+    def from_file(cls, path: str | Path) -> "PairRegistry":
         """Load overrides from a JSON file mapping pair -> exponent."""
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise PairConfigError(f"{path}: expected a JSON object of pair -> exponent")
         specs = {}
-        for pair, exponent in raw.items():
+        for pair, exponent in read_json_object(path).items():
             if not isinstance(exponent, int):
-                raise PairConfigError(f"{path}: exponent for {pair!r} must be an integer")
+                raise ConfigError(f"{path}: exponent for {pair!r} must be an integer")
             specs[pair] = PairSpec(pair, exponent)
-        return cls(specs, include_builtins=include_builtins)
+        return cls(specs)
+
+
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object a side file holds, or ConfigError naming the file."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return raw
 
 
 # ---------------------------------------------------------------------------
 # Roundness
 
 
-class RoundnessLevel(enum.IntEnum):
-    """Place value, in base units, of the last non-zero digit of a trade size.
-
-    The value of each member is the (clipped) power of ten of that place, so
-    the enum is ordered from least to most round. Extreme places pool into
-    the two boundary buckets, leaving exactly eight categories.
-    """
-
-    THOUSANDTHS_OR_LESS = -3
-    HUNDREDTHS = -2
-    TENTHS = -1
-    ONES = 0
-    TENS = 1
-    HUNDREDS = 2
-    THOUSANDS = 3
-    TEN_THOUSANDS_OR_MORE = 4
-
-
-ROUNDNESS_LEVELS = tuple(sorted(RoundnessLevel, key=int))
-
-
-def to_base_units(subunits: int, spec: PairSpec) -> Fraction:
-    """Exact trade size in base units, as a rational number."""
-    if subunits <= 0:
-        raise AmountError("non-positive amount")
-    return Fraction(subunits, spec.subunits_per_base_unit)
-
-
-def is_round(subunits: int, spec: PairSpec) -> bool:
-    """True when the size is an exact integer multiple of 100 base units."""
-    if subunits <= 0:
-        raise AmountError("non-positive amount")
-    return subunits % spec.round_modulus == 0
-
-
-def roundness_level(subunits: int, spec: PairSpec) -> RoundnessLevel:
-    """Bucket the place value of the last non-zero digit, in base units."""
-    if subunits <= 0:
-        raise AmountError("non-positive amount")
-    place = decimal_trailing_zeros(subunits) - (AMOUNT_DECIMALS + spec.base_unit_exponent)
-    place = max(RoundnessLevel.THOUSANDTHS_OR_LESS, min(RoundnessLevel.TEN_THOUSANDS_OR_MORE, place))
-    return RoundnessLevel(place)
-
-
 def is_round_mask(subunits: np.ndarray, spec: PairSpec) -> np.ndarray:
-    """Vectorized is_round over an int64 amount array."""
+    """True where an int64 amount is an exact integer multiple of 100 base units."""
     x = np.asarray(subunits, dtype=np.int64)
     return x % spec.round_modulus == 0
 
@@ -274,43 +197,20 @@ def trailing_zero_counts(subunits: np.ndarray) -> np.ndarray:
 
 
 def roundness_level_indices(subunits: np.ndarray, spec: PairSpec) -> np.ndarray:
-    """Vectorized roundness buckets as indices 0..7 into ROUNDNESS_LEVELS."""
+    """Roundness bucket 0..7 of each positive int64 amount.
+
+    A size's place is the power of ten, in base units, of its last non-zero
+    digit. Bucket ``place + 3`` holds it, with the extreme places pooled into
+    the two boundary buckets, so the eight buckets run from least to most
+    round: 0 thousandths or less, 1 hundredths, 2 tenths, 3 ones, 4 tens,
+    5 hundreds, 6 thousands, 7 ten-thousands or more.
+    """
     place = trailing_zero_counts(subunits) - (AMOUNT_DECIMALS + spec.base_unit_exponent)
-    return np.clip(place, int(RoundnessLevel.THOUSANDTHS_OR_LESS), int(RoundnessLevel.TEN_THOUSANDS_OR_MORE)) + 3
+    return np.clip(place, -3, 4) + 3
 
 
 # ---------------------------------------------------------------------------
-# Trades and exchange metadata
-
-
-@dataclass(frozen=True, slots=True)
-class Trade:
-    """One executed transaction.
-
-    ``amount_subunits`` is the exact integer count of 1e-8 native units;
-    ``price`` (quote per native unit) is carried as metadata and takes part
-    in no detection test.
-    """
-
-    exchange_id: str
-    pair: str
-    timestamp_ms: int
-    price: float
-    amount_subunits: int
-
-    def __post_init__(self) -> None:
-        if self.amount_subunits <= 0:
-            raise AmountError(f"non-positive amount {self.amount_subunits}")
-        if not (self.price > 0 and math.isfinite(self.price)):
-            raise AmountError(f"non-positive price {self.price}")
-
-    @property
-    def amount(self) -> Fraction:
-        return Fraction(self.amount_subunits, SUBUNITS_PER_UNIT)
-
-    @property
-    def amount_str(self) -> str:
-        return format_amount(self.amount_subunits)
+# Exchange metadata
 
 
 class RegulatoryClass(enum.Enum):
@@ -361,9 +261,10 @@ def parse_regulatory_class(text: str) -> RegulatoryClass:
 
 def load_exchange_meta(path: str | Path) -> dict[str, ExchangeMeta]:
     """Load exchange metadata from a JSON file keyed by exchange id."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
     meta = {}
-    for exchange_id, fields in raw.items():
+    for exchange_id, fields in read_json_object(path).items():
+        if not isinstance(fields, dict) or not isinstance(fields.get("regulatory_class"), str):
+            raise ConfigError(f"{path}: exchange {exchange_id!r} needs a 'regulatory_class' string")
         meta[exchange_id] = ExchangeMeta(
             exchange_id=exchange_id,
             regulatory_class=parse_regulatory_class(fields["regulatory_class"]),

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .benford import ChiSquaredResult, chi_squared_gof
-from .errors import EstimationError, InsufficientDataError
+from .errors import ConfigError, EstimationError, InsufficientDataError
 from .ingest import WeeklyVolumeSplit
-from .trades import CONTROL_FIELDS, ExchangeMeta, PairSpec, roundness_level_indices
+from .trades import CONTROL_FIELDS, ExchangeMeta, PairSpec, read_json_object, roundness_level_indices
 
 MIN_BENCHMARK_OBS = 8
 
@@ -145,7 +146,6 @@ class BenchmarkModel:
         )
 
 
-
 def dump_models(models: dict[str, BenchmarkModel]) -> dict[str, dict]:
     """The benchmark-model file format: ``{scope: model.to_json()}``.
 
@@ -155,9 +155,15 @@ def dump_models(models: dict[str, BenchmarkModel]) -> dict[str, dict]:
     return {scope: m.to_json() for scope, m in sorted(models.items())}
 
 
-def load_models(payload: dict[str, dict]) -> dict[str, BenchmarkModel]:
-    """Inverse of :func:`dump_models`."""
-    return {scope: BenchmarkModel.from_json(obj) for scope, obj in payload.items()}
+def load_models(path: str | Path) -> dict[str, BenchmarkModel]:
+    """Read a benchmark-model file, the JSON of :func:`dump_models`."""
+    models = {}
+    for scope, obj in read_json_object(path).items():
+        try:
+            models[scope] = BenchmarkModel.from_json(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: model {scope!r}: missing or bad field: {exc}") from None
+    return models
 
 
 def _control_vector(meta: ExchangeMeta) -> list[float]:
@@ -360,7 +366,7 @@ def bootstrap_wash_sd(
     while len(replicates) < n_boot:
         attempts += 1
         if attempts > 10 * n_boot:
-            raise EstimationError("bootstrap failed: too many singular replicates")
+            raise EstimationError("too many singular replicates")
         idx = rng.integers(0, len(bench), len(bench))
         sample = [bench[i] for i in idx]
         try:

@@ -13,7 +13,7 @@ import pytest
 
 from washdetect.benford import benford_expected, chi_squared_benford, chi_squared_pvalue, digit_histogram
 from washdetect.clustering import run_cluster_test
-from washdetect.ingest import weekly_split
+from washdetect.ingest import parse_trades, weekly_split
 from washdetect.synth import (
     GeneratorConfig,
     STABLE_PANEL_PARAMS,
@@ -21,7 +21,7 @@ from washdetect.synth import (
     gen_exchange,
 )
 from washdetect.tailfit import fit_hill, fit_ols, fit_tail, power_law_ols, tail_cutoff
-from washdetect.trades import BUILTIN_PAIR_SPECS, PairRegistry, PairSpec, is_round, parse_amount
+from washdetect.trades import BUILTIN_PAIR_SPECS, PairRegistry, PairSpec, is_round_mask
 from washdetect.verdicts import counterfactual_rank, fisher_combine, spearman_rank_correlation
 from washdetect.washest import bootstrap_wash_sd, cross_validate_regulated, estimate_wash, fit_benchmark
 
@@ -226,22 +226,26 @@ def test_criterion_11_roundness_exactness():
     zero_pad = rng.integers(0, 9, size=n)
     spec_idx = rng.integers(0, len(specs), size=n)
 
-    checked = 0
+    texts = []
+    lines = ["exchange,pair,timestamp_ms,price,amount"]
     for i in range(n):
         k = int(frac_len[i])
         frac = str(int(frac_digits[i]) % (10**k)).rjust(k, "0") if k else ""
         # adversarial trailing zeros without exceeding 8 decimals
         pad = min(int(zero_pad[i]), 8 - len(frac))
         text = str(int(int_digits[i])) + (("." + frac + "0" * pad) if frac or pad else "")
-        try:
-            subunits = parse_amount(text)
-        except Exception:
-            continue
-        spec = specs[int(spec_idx[i])]
-        assert is_round(subunits, spec) == _string_reference_is_round(text, spec.base_unit_exponent), (
-            text,
-            spec.pair,
-        )
-        checked += 1
+        texts.append(text)
+        lines.append(f"X,{specs[int(spec_idx[i])].pair},{i},1,{text}")
+
+    # one tape, timestamp = index, read and classified by the battery's own code
+    registry = PairRegistry({spec.pair: spec for spec in specs})
+    dataset, _ = parse_trades("\n".join(lines).encode() + b"\n")
+    checked = 0
+    for (_, pair), group in dataset.groups.items():
+        spec = registry.get(pair)
+        rounds = is_round_mask(group.amounts, spec).tolist()
+        for i, rounded in zip(group.timestamps.tolist(), rounds):
+            assert rounded == _string_reference_is_round(texts[i], spec.base_unit_exponent), (texts[i], pair)
+        checked += group.n
     assert checked > 990_000
     _passed(11, f"{checked} adversarial strings classified identically to the string reference ({time.time()-t0:.0f}s)")

@@ -1,6 +1,5 @@
 """Benford expectations, digit histograms, chi-squared, counterfactual bound."""
 
-import io
 import math
 
 import numpy as np
@@ -15,7 +14,7 @@ from washdetect.benford import (
     chi_squared_pvalue,
     counterfactual_wash_benford,
     digit_histogram,
-    export_histogram_csv,
+    histogram_rows,
 )
 from washdetect.errors import EstimationError, InsufficientDataError
 
@@ -183,8 +182,6 @@ class TestCounterfactualWash:
 class TestExport:
     def test_csv_has_nine_rows(self):
         hist = digit_histogram(np.array([100, 200, 300], dtype=np.int64))
-        buf = io.StringIO()
-        export_histogram_csv(hist, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "digit,count,frequency,benford_expected"
-        assert len(lines) == 10
+        rows = histogram_rows(hist)
+        assert rows[0] == ["digit", "count", "frequency", "benford_expected"]
+        assert [row[:2] for row in rows[1:]] == [[1, 1], [2, 1], [3, 1]] + [[d, 0] for d in range(4, 10)]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from washdetect.cli import EXIT_FATAL, EXIT_FLAGGED, EXIT_OK, main
+from washdetect.cli import EXIT_FATAL, EXIT_FLAGGED, EXIT_OK, build_parser, main
 from washdetect.ingest import parse_trades, weekly_split
 from washdetect.trades import PairRegistry, load_exchange_meta
 from washdetect.washest import cross_validate_regulated
@@ -236,6 +236,22 @@ class TestViewsOfReport:
         assert main(["estimate-wash", *argv]) == EXIT_FLAGGED
         assert "[bootstrap skipped: no benchmark rows]" in capsys.readouterr().out
 
+    def test_failed_bootstrap_is_a_flag_on_the_estimate(self, workspace, tmp_path):
+        # R9 has 5 exchange-weeks, too few to refit the benchmark on any resample
+        root, tapes = workspace
+        model, r9, meta = tmp_path / "model.json", tmp_path / "r9.csv", tmp_path / "m2.json"
+        main(["fit-benchmark", *tapes[:3], "--meta", str(root / "meta.json"), "--out-model", str(model)])
+        argv = ["synth", "--seed", "9", "--n", "20000", "--weeks", "5", "--exchange-id", "R9"]
+        assert main(argv + ["--profile", "stable-panel", "--out-file", str(r9)]) == EXIT_OK
+        meta.write_text(json.dumps({"R9": {"regulatory_class": "regulated"}, "U1": {"regulatory_class": "tier2"}}))
+        argv = ["report", str(r9), tapes[3], "--meta", str(meta), "--model", str(model), "--bootstrap", "100"]
+        assert main(argv + ["--out", str(tmp_path / "r")]) == EXIT_FLAGGED
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        u1 = next(ex for ex in report["exchanges"] if ex["exchange_id"] == "U1")
+        (est,) = u1["wash_by_pair"]
+        assert est["bootstrap_sd"] is None
+        assert est["flags"] == ["bootstrap failed: too many singular replicates"]
+
 
 @pytest.fixture(scope="module")
 def two_pair_market(tmp_path_factory):
@@ -328,6 +344,65 @@ class TestPlotData:
         hill_slope = np.polyfit(data[:, 0], data[:, 3], 1)[0]
         assert ols_slope == pytest.approx(hill_slope, abs=1.0)
         assert -2.0 > ols_slope > -4.0
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--alpha", "0.01", "--out-file", "{tmp}/s.csv"],
+            ["synth", "--out", "{tmp}", "--out-file", "{tmp}/s.csv"],
+            ["cluster", "{tmp}/t.csv", "--out", "{tmp}"],
+            ["ingest-check", "{tmp}/t.csv", "--bootstrap", "500"],
+            ["fit-benchmark", "{tmp}/t.csv", "--meta", "{tmp}/m.json", "--out-model", "{tmp}/m", "--bootstrap", "100"],
+            ["tail", "{tmp}/t.csv", "--alpha", "0.01"],
+            ["plot-data", "{tmp}/t.csv", "--which", "benford", "--seed", "1"],
+        ],
+        ids=["synth-alpha", "synth-out", "cluster-out", "ingest-bootstrap", "fit-bootstrap", "tail-alpha", "plot-seed"],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(tmp=tmp_path) for a in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "report t.csv --meta m.json --bootstrap 100 --seed 1 --out o",
+            "synth --seed 1 --n 5 --exchange-id X --pair BTC/USD --profile stable-panel --wash 0.5 --labels --out-file t.csv",
+            "ingest-check --dedupe --out o t.csv",
+        ],
+        ids=["report", "synth", "ingest-check"],
+    )
+    def test_kept_flags_still_parse(self, argv):
+        build_parser().parse_args(argv.split())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "{tape}", "--model", "{tmp}/bad_model.json"],
+            ["benford", "{tape}", "--effective-n", "abc"],
+            ["report", "{tape}", "--meta", "{tmp}/no_class.json"],
+            ["benford", "{tape}", "--pairs", "{tmp}/not_json.json"],
+            ["report", "{tape}", "--meta", "{tmp}/not_json.json"],
+            ["report", "{tape}", "--meta", "{tmp}/missing.json"],
+            ["synth", "--wash", "2", "--out-file", "{tmp}/s.csv"],
+            ["synth", "--n", "0", "--out-file", "{tmp}/s.csv"],
+        ],
+        ids=["model-key", "effective-n", "meta-key", "pairs-json", "meta-json", "meta-missing", "synth-wash", "synth-n"],
+    )
+    def test_bad_side_files_and_values_are_errors(self, argv, tmp_path, capsys):
+        tape = tmp_path / "u1.csv"
+        tape.write_text("exchange,pair,timestamp_ms,price,amount\nU1,BTC/USD,1,1.0,0.0213\n")
+        (tmp_path / "bad_model.json").write_text('{"BTC/USD": {}}')
+        (tmp_path / "no_class.json").write_text('{"U1": {"name": "U1"}}')
+        (tmp_path / "not_json.json").write_text("{not json")
+        assert main([a.format(tmp=tmp_path, tape=tape) for a in argv]) == EXIT_FATAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestRank:

@@ -1,6 +1,5 @@
 """Window frequencies, round-vs-unrounded pairs, and the clustering t-test."""
 
-import io
 import math
 
 import numpy as np
@@ -11,9 +10,8 @@ from washdetect.clustering import (
     WindowPair,
     cluster_pairs,
     clustering_t_test,
-    export_size_histogram_csv,
     run_cluster_test,
-    window_frequencies,
+    size_histogram_rows,
 )
 from washdetect.errors import InsufficientDataError
 from washdetect.trades import BUILTIN_PAIR_SPECS
@@ -23,18 +21,24 @@ UNIT = BTC.subunits_per_base_unit
 
 
 def subs(units_values):
-    """Trade amounts (sub-units) from base-unit sizes, exact for grid/10."""
+    """Amounts in sub-units from base-unit sizes, exact for grid/10."""
     return np.array([int(round(v * 10)) * (UNIT // 10) for v in units_values], dtype=np.int64)
+
+
+def windows(sizes):
+    """Every window that holds a trade: cluster_pairs with no support or size cap."""
+    return {p.center: p for p in cluster_pairs(subs(sizes), BTC, 100, min_support=1, cap_percentile=100.0)}
 
 
 class TestWindowFrequencies:
     def test_direct_ratio(self):
         # 1000 trades in the window, 164 exactly at the 200-unit center.
         sizes = [200] * 164 + [170.5] * 500 + [231] * 336
-        freqs = window_frequencies(subs(sizes), BTC, center=200, radius=50)
-        assert freqs[200] == pytest.approx(0.164)
-        assert freqs[231] == pytest.approx(0.336)
-        assert 170 not in freqs  # 170.5 is not an integer size
+        w = windows(sizes)[200]
+        assert w.window_count == 1000
+        assert w.round_freq == pytest.approx(0.164)
+        # 231 is the best competitor: 170.5 (the most frequent size) is not an integer size
+        assert w.max_unrounded_freq == pytest.approx(0.336)
 
     def test_reference_window_scenario(self):
         # Window [150, 250) around 0.02 BTC: 16.42% at the center, best
@@ -45,27 +49,28 @@ class TestWindowFrequencies:
         sizes = [200] * n_center + [160] * n_best
         filler = n - n_center - n_best
         sizes += [150.5 + (k % 99) for k in range(filler)]  # never an integer size
-        freqs = window_frequencies(subs(sizes), BTC, 200, 50)
-        assert freqs[200] == pytest.approx(0.1642, abs=1e-4)
-        assert freqs[160] == pytest.approx(0.0254, abs=1e-4)
+        w = windows(sizes)[200]
+        assert w.round_freq == pytest.approx(0.1642, abs=1e-4)
+        assert w.max_unrounded_freq == pytest.approx(0.0254, abs=1e-4)
 
     def test_window_containing_only_center(self):
-        freqs = window_frequencies(subs([300] * 10), BTC, 300, 50)
-        assert freqs == {300: 1.0}
+        assert list(windows([300] * 10).values()) == [WindowPair(300, 1.0, 0.0, 10)]
 
     def test_half_open_window(self):
-        sizes = subs([150, 249, 250])
-        freqs = window_frequencies(sizes, BTC, 200, 50)
-        assert freqs == {150: 0.5, 249: 0.5}  # 250 excluded on the right
+        # 150 and 249 fall in [150, 250), 250 in the next window [250, 350)
+        by_center = windows([150, 249, 250, 320, 320, 320])
+        assert by_center[200] == WindowPair(200, 0.0, 0.5, 2)
+        assert by_center[300] == WindowPair(300, 0.0, 0.75, 4)
 
     def test_empty_window(self):
-        assert window_frequencies(subs([1000]), BTC, 200, 50) == {}
+        # no window is reported around 200 when no trade falls in [150, 250)
+        assert list(windows([1000])) == [1000]
 
     def test_frequencies_form_subprobability(self):
         rng = np.random.default_rng(3)
         sizes = rng.uniform(150, 250, size=2000)
-        freqs = window_frequencies(subs(sizes), BTC, 200, 50)
-        assert sum(freqs.values()) <= 1.0 + 1e-12
+        w = windows(sizes)[200]
+        assert w.round_freq + w.max_unrounded_freq <= 1.0 + 1e-12
 
 
 class TestClusterPairs:
@@ -173,11 +178,9 @@ class TestRunClusterTest:
 class TestExport:
     def test_size_histogram_csv(self):
         sizes = subs([1.5, 2, 2, 500, 999])
-        buf = io.StringIO()
-        export_size_histogram_csv(sizes, BTC, buf, lo_units=1, hi_units=1000, step=100)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "size_base_units,count,is_round_bin"
-        rows = {int(l.split(",")[0]): l for l in lines[1:]}
-        assert rows[1].endswith(",1,0")  # 1.5 floors to 1
-        assert rows[2].endswith(",2,0")
-        assert rows[500].endswith(",1,1")  # multiple of 5*step highlighted
+        header, *lines = size_histogram_rows(sizes, BTC, lo_units=1, hi_units=1000, step=100)
+        assert header == ["size_base_units", "count", "is_round_bin"]
+        rows = {row[0]: row for row in lines}
+        assert rows[1] == [1, 1, 0]  # 1.5 floors to 1
+        assert rows[2] == [2, 2, 0]
+        assert rows[500] == [500, 1, 1]  # multiple of 5*step highlighted

@@ -16,15 +16,13 @@ from washdetect.ingest import (
     CSV_HEADER,
     ParseReport,
     TradeDataset,
-    dataset_from_trades,
+    make_group,
     parse_trades,
     unrounded_subset,
     week_index,
-    week_start_ms,
     weekly_split,
-    write_trades_csv,
 )
-from washdetect.trades import PairRegistry, Trade, parse_amount
+from washdetect.trades import PairRegistry, parse_amount
 
 REG = PairRegistry()
 
@@ -44,6 +42,12 @@ def oracle_week_index(timestamp_ms):
     """Independent calendar computation: days since Monday 1969-12-29, over 7."""
     day = datetime.fromtimestamp(timestamp_ms / 1000.0, tz=timezone.utc).date()
     return (day - date(1969, 12, 29)).days // 7
+
+
+def one_group(timestamps, amounts, pair="BTC/USD", exchange="X"):
+    """A dataset of one group, with price 1.0 on every row."""
+    group = make_group(exchange, pair, timestamps, amounts, np.ones(len(amounts)))
+    return TradeDataset({(exchange, pair): group})
 
 
 class TestParse:
@@ -102,28 +106,10 @@ class TestParse:
         assert ds2.group("R2", "BTC/USD").n == 3
 
     def test_groups_sorted_by_timestamp(self):
-        rows = [
-            Trade("X", "BTC/USD", 30, 1.0, 100),
-            Trade("X", "BTC/USD", 10, 1.0, 200),
-            Trade("X", "BTC/USD", 20, 1.0, 300),
-        ]
-        g = dataset_from_trades(rows).group("X", "BTC/USD")
+        g = make_group("X", "BTC/USD", [30, 10, 20], [100, 200, 300], [1.0, 2.0, 3.0])
         assert g.timestamps.tolist() == [10, 20, 30]
         assert g.amounts.tolist() == [200, 300, 100]
-
-    def test_parse_serialize_parse_idempotent(self):
-        ds, _ = parse_trades(io.StringIO(CSV_SAMPLE), "csv")
-        buf = io.StringIO()
-        write_trades_csv(ds, buf)
-        ds2, report2 = parse_trades(io.StringIO(buf.getvalue()), "csv")
-        assert report2.n_rejected == 0
-        assert sorted(ds2.groups) == sorted(ds.groups)
-        for key in ds.groups:
-            assert ds2.groups[key].amounts.tolist() == ds.groups[key].amounts.tolist()
-            assert ds2.groups[key].timestamps.tolist() == ds.groups[key].timestamps.tolist()
-        buf2 = io.StringIO()
-        write_trades_csv(ds2, buf2)
-        assert buf2.getvalue() == buf.getvalue()
+        assert g.prices.tolist() == [2.0, 3.0, 1.0]
 
 
 class TestInputBoundary:
@@ -402,29 +388,23 @@ class TestWeekIndex:
             ms(2019, 7, 15, 0, 0, 0, 0),  # Monday midnight
             ms(2019, 7, 15, 0, 0, 0, 1),  # just after
         ]
-        indices = [week_index(t) for t in stamps]
+        indices = week_index(np.array(stamps, dtype=np.int64)).tolist()
         assert indices == [oracle_week_index(t) for t in stamps]
         assert indices[0] + 1 == indices[1] == indices[2]
 
-    @given(st.integers(min_value=0, max_value=4_000_000_000_000))
-    def test_matches_calendar_oracle(self, t):
-        assert week_index(t) == oracle_week_index(t)
-
-    def test_week_start_round_trips(self):
-        idx = week_index(ms(2019, 7, 15))
-        start = week_start_ms(idx)
-        assert week_index(start) == idx
-        assert week_index(start - 1) == idx - 1
-        assert datetime.fromtimestamp(start / 1000, tz=timezone.utc).weekday() == 0
+    @given(st.lists(st.integers(min_value=0, max_value=4_000_000_000_000), min_size=1, max_size=50))
+    def test_matches_calendar_oracle(self, stamps):
+        expected = [oracle_week_index(t) for t in stamps]
+        assert week_index(np.array(stamps, dtype=np.int64)).tolist() == expected
+        # weekly_split reports each occupied week once, in order
+        splits = weekly_split(one_group(stamps, [1] * len(stamps)), REG)
+        assert [s.week for s in splits] == sorted(set(expected))
 
 
 class TestWeeklySplit:
     def test_round_unrounded_sums(self):
-        rows = [
-            Trade("R2", "BTC/USD", ms(2019, 7, 9), 8000.0, parse_amount("0.0200")),
-            Trade("R2", "BTC/USD", ms(2019, 7, 10), 8000.0, parse_amount("0.0213")),
-        ]
-        splits = weekly_split(dataset_from_trades(rows), REG)
+        amounts = [parse_amount("0.0200"), parse_amount("0.0213")]
+        splits = weekly_split(one_group([ms(2019, 7, 9), ms(2019, 7, 10)], amounts), REG)
         assert len(splits) == 1
         s = splits[0]
         assert s.round_subunits == parse_amount("0.0200")
@@ -432,19 +412,13 @@ class TestWeeklySplit:
         assert s.round_volume == pytest.approx(0.02)
 
     def test_all_round_gives_zero_unrounded(self):
-        rows = [
-            Trade("R2", "BTC/USD", ms(2019, 7, 9), 8000.0, parse_amount("0.0100")),
-            Trade("R2", "BTC/USD", ms(2019, 7, 10), 8000.0, parse_amount("0.0500")),
-        ]
-        splits = weekly_split(dataset_from_trades(rows), REG)
+        amounts = [parse_amount("0.0100"), parse_amount("0.0500")]
+        splits = weekly_split(one_group([ms(2019, 7, 9), ms(2019, 7, 10)], amounts), REG)
         assert all(s.unrounded_subunits == 0 for s in splits)
 
     def test_week_boundary_splits_rows(self):
-        rows = [
-            Trade("R2", "BTC/USD", ms(2019, 7, 14, 23, 59), 8000.0, parse_amount("0.01")),
-            Trade("R2", "BTC/USD", ms(2019, 7, 15, 0, 0), 8000.0, parse_amount("0.01")),
-        ]
-        splits = weekly_split(dataset_from_trades(rows), REG)
+        stamps = [ms(2019, 7, 14, 23, 59), ms(2019, 7, 15, 0, 0)]
+        splits = weekly_split(one_group(stamps, [parse_amount("0.01")] * 2), REG)
         assert len(splits) == 2
         assert splits[0].week + 1 == splits[1].week
 
@@ -459,40 +433,30 @@ class TestWeeklySplit:
         )
     )
     def test_partition_is_exact(self, rows):
-        trades = [Trade("X", "BTC/USD", t, 1.0, a) for t, a in rows]
-        ds = dataset_from_trades(trades)
+        ds = one_group([t for t, _ in rows], [a for _, a in rows])
         splits = weekly_split(ds, REG)
         total = sum(s.round_subunits + s.unrounded_subunits for s in splits)
         assert total == sum(a for _, a in rows)
 
     def test_missing_pair_spec_raises(self):
-        rows = [Trade("X", "DOGE/USD", 0, 1.0, 100)]
         with pytest.raises(Exception, match="DOGE/USD"):
-            weekly_split(dataset_from_trades(rows), REG)
+            weekly_split(one_group([0], [100], pair="DOGE/USD"), REG)
 
 
 class TestUnroundedSubset:
     def test_partition_counts(self):
-        rows = [
-            Trade("X", "BTC/USD", 1, 1.0, parse_amount("0.0200")),
-            Trade("X", "BTC/USD", 2, 1.0, parse_amount("0.0213")),
-            Trade("X", "BTC/USD", 3, 1.0, parse_amount("0.05")),
-        ]
-        ds = dataset_from_trades(rows)
+        ds = one_group([1, 2, 3], [parse_amount(a) for a in ("0.0200", "0.0213", "0.05")])
         sub = unrounded_subset(ds, REG)
         assert sub.group("X", "BTC/USD").n == 1
         assert ds.group("X", "BTC/USD").n == 3
 
     def test_all_round_group_dropped(self):
-        rows = [Trade("X", "BTC/USD", 1, 1.0, parse_amount("0.0200"))]
-        sub = unrounded_subset(dataset_from_trades(rows), REG)
+        sub = unrounded_subset(one_group([1], [parse_amount("0.0200")]), REG)
         assert sub.groups == {}
 
     @given(st.lists(st.integers(min_value=1, max_value=10**10), min_size=1, max_size=80))
     def test_subset_plus_round_is_total(self, amounts):
-        trades = [Trade("X", "BTC/USD", i, 1.0, a) for i, a in enumerate(amounts)]
-        ds = dataset_from_trades(trades)
-        sub = unrounded_subset(ds, REG)
+        sub = unrounded_subset(one_group(range(len(amounts)), amounts), REG)
         n_unrounded = sub.group("X", "BTC/USD").n if sub.groups else 0
         spec = REG.get("BTC/USD")
         n_round = sum(1 for a in amounts if a % spec.round_modulus == 0)
@@ -503,6 +467,4 @@ class TestParseReportCsv:
     def test_writes_rejections(self):
         report = ParseReport()
         report.record_rejection(6, "precision overflow")
-        buf = io.StringIO()
-        report.write_csv(buf)
-        assert buf.getvalue().splitlines() == ["line,reason", "6,precision overflow"]
+        assert report.rejected_rows() == [["line", "reason"], [6, "precision overflow"]]

@@ -12,9 +12,7 @@ from washdetect.synth import (
     AuthenticParams,
     GeneratorConfig,
     STABLE_PANEL_PARAMS,
-    gen_authentic,
     gen_exchange,
-    gen_wash,
     write_tape,
 )
 from washdetect.tailfit import fit_tail
@@ -57,18 +55,18 @@ class TestAuthenticFlow:
             tail_weight=0.0,
         )
         cfg = GeneratorConfig(seed=1, n_trades=20_000, authentic=params)
-        tape = gen_authentic(cfg)
+        tape = gen_exchange(cfg)
         assert is_round_mask(tape.group.amounts, cfg.spec).all()
 
     def test_benford_self_test(self):
         cfg = GeneratorConfig(seed=11, n_trades=1_000_000)
-        tape = gen_authentic(cfg)
+        tape = gen_exchange(cfg)
         res = chi_squared_benford(digit_histogram(tape.group.amounts), effective_n=10_000)
         assert res.p_value > 0.05
 
     def test_tail_recovers_configured_alpha(self):
         cfg = GeneratorConfig(seed=12, n_trades=1_000_000)
-        tape = gen_authentic(cfg)
+        tape = gen_exchange(cfg)
         fit = fit_tail(tape.group.amounts / cfg.spec.subunits_per_base_unit)
         assert fit.alpha_hill == pytest.approx(1.5, abs=0.05)
         assert fit.alpha_ols == pytest.approx(1.5, abs=0.1)
@@ -76,7 +74,7 @@ class TestAuthenticFlow:
 
     def test_clustering_present(self):
         cfg = GeneratorConfig(seed=13, n_trades=400_000)
-        tape = gen_authentic(cfg)
+        tape = gen_exchange(cfg)
         res = run_cluster_test(tape.group.amounts, cfg.spec, 100)
         assert res.mean_difference > 0
         assert res.p_value < 0.01
@@ -87,7 +85,7 @@ class TestAuthenticFlow:
             hits = 0
             for seed in range(20):
                 cfg = GeneratorConfig(seed=100 + seed, n_trades=150_000)
-                tape = gen_authentic(cfg)
+                tape = gen_exchange(cfg)
                 res = run_cluster_test(tape.group.amounts, cfg.spec, step, alpha=0.01)
                 if not res.insufficient and res.mean_difference > 0 and res.p_value < 0.01:
                     hits += 1
@@ -95,7 +93,7 @@ class TestAuthenticFlow:
 
     def test_timestamps_inside_window_and_sorted(self):
         cfg = GeneratorConfig(seed=14, n_trades=5_000)
-        g = gen_authentic(cfg).group
+        g = gen_exchange(cfg).group
         assert (np.diff(g.timestamps) >= 0).all()
         assert g.timestamps[0] >= cfg.start_ms
         assert g.timestamps[-1] < cfg.start_ms + cfg.n_weeks * 7 * 86_400_000 + 101
@@ -103,20 +101,20 @@ class TestAuthenticFlow:
 
 class TestWashFlow:
     def test_digit_concentration(self):
-        cfg = GeneratorConfig(seed=21, n_trades=100_000)
-        tape = gen_wash(cfg)
+        cfg = GeneratorConfig(seed=21, n_trades=100_000, wash_fraction=1.0)
+        tape = gen_exchange(cfg)
         digits = np.unique(first_significant_digits(tape.group.amounts))
         assert set(digits.tolist()) <= {4, 5, 6, 7, 8}
 
     def test_wash_trades_essentially_never_round(self):
-        cfg = GeneratorConfig(seed=22, n_trades=200_000)
-        tape = gen_wash(cfg)
+        cfg = GeneratorConfig(seed=22, n_trades=200_000, wash_fraction=1.0)
+        tape = gen_exchange(cfg)
         round_share = is_round_mask(tape.group.amounts, cfg.spec).mean()
         assert round_share < 0.001
 
     def test_burst_pairs_share_size_and_timing(self):
-        cfg = GeneratorConfig(seed=23, n_trades=10_000)
-        tape = gen_wash(cfg)
+        cfg = GeneratorConfig(seed=23, n_trades=10_000, wash_fraction=1.0)
+        tape = gen_exchange(cfg)
         g = tape.group
         # every size appears an even number of times (paired legs)
         _, counts = np.unique(g.amounts, return_counts=True)
@@ -126,8 +124,8 @@ class TestWashFlow:
         from washdetect.synth import WashParams
 
         params = WashParams(size_low_units=4e5, size_high_units=9e5, law="lognormal")
-        cfg = GeneratorConfig(seed=24, n_trades=100_000, wash=params)
-        tape = gen_wash(cfg)
+        cfg = GeneratorConfig(seed=24, n_trades=100_000, wash=params, wash_fraction=1.0)
+        tape = gen_exchange(cfg)
         units = tape.group.amounts / cfg.spec.subunits_per_base_unit
         assert units.min() >= 4e5
         assert units.max() < 9e5

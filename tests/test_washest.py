@@ -147,7 +147,7 @@ class TestFitBenchmark:
         model = fit_benchmark(identity_panel("R1"))
         path = tmp_path / "model.json"
         path.write_text(json.dumps(dump_models({"BTC/USD": model})))
-        assert load_models(json.loads(path.read_text())) == {"BTC/USD": model}
+        assert load_models(path) == {"BTC/USD": model}
 
 
 class TestEstimateWash:
