@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import EstimationError, InsufficientDataError
 from .trades import exact_sum, first_significant_digits
@@ -78,8 +78,14 @@ class ChiSquaredResult:
 
 
 def chi_squared_pvalue(statistic: float, df: int) -> float:
-    """Upper-tail chi-squared probability (regularized incomplete gamma)."""
-    return float(stats.chi2.sf(statistic, df))
+    """Upper-tail chi-squared probability (regularized incomplete gamma).
+
+    A negative statistic lies below the support and gets 1.0, where the
+    ``chdtrc`` kernel alone would give nan.
+    """
+    if statistic < 0:
+        return 1.0
+    return float(special.chdtrc(df, statistic))
 
 
 def chi_squared_gof(

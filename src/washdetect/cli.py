@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -275,7 +274,7 @@ def cmd_fit_benchmark(args) -> int:
     models = report.benchmark_models
     if not models:
         raise WashdetectError("no benchmark model could be fitted")
-    Path(args.out_model).write_text(json.dumps(we.dump_models(models), indent=2, sort_keys=True) + "\n")
+    Path(args.out_model).write_text(rp.json_text(we.dump_models(models)))
     for scope, m in sorted(models.items()):
         print(
             f"{scope}: intercept={m.intercept:.4f} slope={m.slope:.4f} "
@@ -404,20 +403,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "roundness", cmd_roundness, "roundness distribution vs regulated benchmark", battery)
     p.add_argument("--meta", required=True, help="exchange metadata JSON")
 
-    p = _subcommand(sub, "fit-benchmark", cmd_fit_benchmark, "fit the round/unrounded volume relation", battery)
+    p = _subcommand(sub, "fit-benchmark", cmd_fit_benchmark, "fit the round/unrounded volume relation", "--pairs")
     p.add_argument("--meta", required=True)
     p.add_argument("--pooled", action="store_true", help="pool pairs with indicator terms")
     p.add_argument("--controls", action="store_true", help="include exchange covariates")
     p.add_argument("--out-model", required=True, help="where to write the model JSON")
 
-    wash = f"{battery} --bootstrap --seed --out"
-    p = _subcommand(sub, "estimate-wash", cmd_estimate_wash, "estimate wash volume per exchange", wash)
+    wash = "--bootstrap --seed --out"
+    p = _subcommand(sub, "estimate-wash", cmd_estimate_wash, "estimate wash volume per exchange", f"--pairs {wash}")
     p.add_argument("--meta")
     p.add_argument("--model", help="benchmark model JSON from fit-benchmark")
 
     _subcommand(sub, "fisher", cmd_fisher, "combined test per exchange-pair", battery)
 
-    p = _subcommand(sub, "report", cmd_report, "full battery plus wash estimation", wash)
+    p = _subcommand(sub, "report", cmd_report, "full battery plus wash estimation", f"{battery} {wash}")
     p.add_argument("--meta")
     p.add_argument("--model", help="benchmark model JSON (skip refitting)")
     p.add_argument("--no-wash", action="store_true", help="battery only")

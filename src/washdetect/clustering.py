@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import InsufficientDataError
 from .trades import PairSpec
@@ -157,9 +157,8 @@ def clustering_t_test(pairs: list[WindowPair], step: int = 100, alpha: float = 0
             t_stat, p_value, anomaly_p = 0.0, 1.0, 1.0
     else:
         t_stat = mean / (sd / math.sqrt(n))
-        p_value = float(stats.t.sf(t_stat, n - 1))
-        anomaly_p = max(P_FLOOR, float(stats.t.cdf(t_stat, n - 1)))
-        p_value = max(P_FLOOR, p_value)
+        p_value = max(P_FLOOR, float(special.stdtr(n - 1, -t_stat)))
+        anomaly_p = max(P_FLOOR, float(special.stdtr(n - 1, t_stat)))
     return ClusterTestResult(
         mean_difference=mean,
         t_statistic=t_stat,

@@ -9,8 +9,9 @@ class AmountError(WashdetectError, ValueError):
     """A trade amount is malformed, non-positive, or too precise to represent."""
 
 
-class PairConfigError(WashdetectError, KeyError):
-    """A currency pair has no base-unit configuration."""
+class PairConfigError(WashdetectError):
+    """A pair's base-unit configuration or an exchange's regulatory class is
+    unknown or out of range."""
 
 
 class InsufficientDataError(WashdetectError, ValueError):

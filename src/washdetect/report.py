@@ -542,8 +542,14 @@ def report_to_json(report: BatteryReport) -> dict[str, Any]:
     }
 
 
+def json_text(obj: Any) -> str:
+    """The one JSON layout the toolkit writes: sorted keys, two-space indent,
+    a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def dump_report_json(report: BatteryReport) -> str:
-    return json.dumps(report_to_json(report), indent=2, sort_keys=True) + "\n"
+    return json_text(report_to_json(report))
 
 
 def report_test_rows(report: BatteryReport) -> list[list]:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import EstimationError, InsufficientDataError
 from .verdicts import P_FLOOR
@@ -230,8 +230,8 @@ class ParetoLevyVerdict:
 
 def pareto_levy_verdict(fit: TailFit) -> ParetoLevyVerdict:
     inside = float(
-        stats.norm.cdf((2.0 - fit.alpha_hill) / fit.hill_se)
-        - stats.norm.cdf((1.0 - fit.alpha_hill) / fit.hill_se)
+        special.ndtr((2.0 - fit.alpha_hill) / fit.hill_se)
+        - special.ndtr((1.0 - fit.alpha_hill) / fit.hill_se)
     )
     p_outside = max(P_FLOOR, 1.0 - inside)
     anomaly_p = max(P_FLOOR, inside)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import EstimationError, InsufficientDataError
 
@@ -48,7 +48,7 @@ def fisher_combine(p_values: Sequence[float], alpha: float = 0.05) -> FisherResu
         floored.append(max(P_FLOOR, p))
     chi2 = -2.0 * sum(math.log(p) for p in floored)
     df = 2 * len(floored)
-    critical = float(stats.chi2.isf(alpha, df))
+    critical = float(special.chdtri(df, alpha))
     return FisherResult(chi2, df, critical, alpha, chi2 > critical)
 
 
@@ -101,7 +101,7 @@ def wash_failure_regression(
             slope_p = 1.0
     else:
         slope_t = slope / slope_se
-        slope_p = 2.0 * float(stats.t.sf(abs(slope_t), n - 2))
+        slope_p = 2.0 * float(special.stdtr(n - 2, -abs(slope_t)))
     return WashFailureFit(slope, intercept, adj_r2, slope_se, slope_t, slope_p, n)
 
 
@@ -115,9 +115,22 @@ def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
         raise InsufficientDataError(f"need at least 3 observations, got {xa.size}")
     if np.all(xa == xa[0]) or np.all(ya == ya[0]):
         raise EstimationError("spearman correlation undefined for a constant list")
-    rx = stats.rankdata(xa)
-    ry = stats.rankdata(ya)
-    return float(np.corrcoef(rx, ry)[0, 1])
+    return float(np.corrcoef(_average_ranks(xa), _average_ranks(ya))[0, 1])
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties sharing their mean rank, bit for bit scipy's
+    ``rankdata(a)``; any nan makes every rank nan."""
+    if np.isnan(a).any():
+        return np.full(a.size, np.nan)
+    order = np.argsort(a, kind="stable")
+    sorted_a = a[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_a[1:] != sorted_a[:-1])))
+    counts = np.diff(starts, append=a.size)
+    group_ranks = (starts + 1).astype(np.float64) + (counts - 1) / 2
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(group_ranks, counts)
+    return ranks
 
 
 @dataclass(frozen=True)

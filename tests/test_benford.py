@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from washdetect.benford import (
     DigitHistogram,
@@ -97,6 +98,22 @@ class TestChiSquared:
                     mpmath.gammainc(df / 2, x / 2, mpmath.inf, regularized=True)
                 )
                 assert chi_squared_pvalue(x, df) == pytest.approx(reference, rel=1e-10)
+
+    def test_survival_equals_scipy_stats_chi2_sf(self):
+        xs = [1e-300, 1e-8, 0.01, 0.5, 1.0, 2.5, 7.0, 12.592, 15.507, 40.0, 80.0, 300.0, 1500.0]
+        for df in range(1, 41):
+            for x in xs + [df - 0.5, float(df), 2.0 * df]:
+                assert chi_squared_pvalue(x, df) == float(stats.chi2.sf(x, df)), (x, df)
+
+    @pytest.mark.parametrize(
+        "statistic,expected", [(-1.0, 1.0), (-math.inf, 1.0), (0.0, 1.0), (math.inf, 0.0)]
+    )
+    def test_survival_edges(self, statistic, expected):
+        for df in (1, 8, 40):
+            assert chi_squared_pvalue(statistic, df) == expected == float(stats.chi2.sf(statistic, df))
+
+    def test_survival_of_nan_is_nan(self):
+        assert math.isnan(chi_squared_pvalue(math.nan, 8))
 
     def test_uniform_digits_statistic(self):
         freqs = np.full(9, 1 / 9)

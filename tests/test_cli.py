@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, output files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import washdetect
 from washdetect.cli import EXIT_FATAL, EXIT_FLAGGED, EXIT_OK, build_parser, main
 from washdetect.ingest import parse_trades, weekly_split
 from washdetect.trades import PairRegistry, load_exchange_meta
@@ -212,6 +217,8 @@ class TestViewsOfReport:
         assert main(["report", *tapes, "--meta", meta, "--out", str(tmp_path / "r")]) == EXIT_OK
         report = json.loads((tmp_path / "r" / "report.json").read_text())
         assert json.loads(model.read_text()) == report["benchmark_models"]
+        layout = json.dumps(report["benchmark_models"], indent=2, sort_keys=True) + "\n"
+        assert model.read_bytes() == layout.encode()
 
     def test_estimate_wash_writes_the_report_estimates(self, workspace, tmp_path):
         root, tapes = workspace
@@ -357,8 +364,20 @@ class TestFlags:
             ["fit-benchmark", "{tmp}/t.csv", "--meta", "{tmp}/m.json", "--out-model", "{tmp}/m", "--bootstrap", "100"],
             ["tail", "{tmp}/t.csv", "--alpha", "0.01"],
             ["plot-data", "{tmp}/t.csv", "--which", "benford", "--seed", "1"],
+            ["fit-benchmark", "{tmp}/t.csv", "--meta", "{tmp}/m.json", "--out-model", "{tmp}/m", "--alpha", "0.01"],
+            ["estimate-wash", "{tmp}/t.csv", "--effective-n", "raw"],
         ],
-        ids=["synth-alpha", "synth-out", "cluster-out", "ingest-bootstrap", "fit-bootstrap", "tail-alpha", "plot-seed"],
+        ids=[
+            "synth-alpha",
+            "synth-out",
+            "cluster-out",
+            "ingest-bootstrap",
+            "fit-bootstrap",
+            "tail-alpha",
+            "plot-seed",
+            "fit-alpha",
+            "estimate-effective-n",
+        ],
     )
     def test_removed_flags_are_usage_errors(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -403,6 +422,37 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,side,line",
+        [
+            (
+                ["report", "{tape}", "--meta", "{side}"],
+                '{"U1": {"regulatory_class": "bogus"}}',
+                "error: unknown regulatory class 'bogus'",
+            ),
+            (
+                ["benford", "{tape}", "--pairs", "{side}"],
+                '{"DOGE/USD": 9}',
+                "error: base unit exponent 9 for DOGE/USD outside [-8, 4]",
+            ),
+        ],
+        ids=["regulatory-class", "pair-exponent"],
+    )
+    def test_pair_config_errors_print_unquoted(self, argv, side, line, tmp_path, capsys):
+        tape = tmp_path / "u1.csv"
+        tape.write_text("exchange,pair,timestamp_ms,price,amount\nU1,BTC/USD,1,1.0,0.0213\n")
+        (tmp_path / "side.json").write_text(side)
+        assert main([a.format(tape=tape, side=tmp_path / "side.json") for a in argv]) == EXIT_FATAL
+        assert capsys.readouterr().err == line + "\n"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = Path(washdetect.__file__).resolve().parents[1]
+    code = "import sys, washdetect.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 class TestRank:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from washdetect.clustering import (
     WindowPair,
@@ -15,6 +15,7 @@ from washdetect.clustering import (
 )
 from washdetect.errors import InsufficientDataError
 from washdetect.trades import BUILTIN_PAIR_SPECS
+from washdetect.verdicts import P_FLOOR
 
 BTC = BUILTIN_PAIR_SPECS["BTC/USD"]
 UNIT = BTC.subunits_per_base_unit
@@ -145,6 +146,22 @@ class TestClusteringTTest:
         pairs = [WindowPair(100 * (i + 1), max(0.0, x), max(0.0, -x), 100) for i, x in enumerate(d)]
         res = clustering_t_test(pairs)
         assert res.anomaly_p == pytest.approx(1.0 - res.p_value, abs=1e-9)
+
+    def test_p_values_equal_scipy_stats_t(self):
+        rng = np.random.default_rng(17)
+        for df in range(1, 41):
+            for shift in (-0.3, -0.05, -0.01, 0.0, 0.002, 0.01, 0.05, 0.3):
+                d = rng.normal(shift, 0.02, size=df + 1)
+                pairs = [WindowPair(100 * (i + 1), max(0.0, x), max(0.0, -x), 100) for i, x in enumerate(d)]
+                res = clustering_t_test(pairs)
+                assert res.p_value == max(P_FLOOR, float(stats.t.sf(res.t_statistic, df))), (df, shift)
+                assert res.anomaly_p == max(P_FLOOR, float(stats.t.cdf(res.t_statistic, df))), (df, shift)
+
+    def test_t_kernel_keeps_scipy_stats_values_at_infinity(self):
+        for df in range(1, 41):
+            for t in (-math.inf, math.inf):
+                assert special.stdtr(df, -t) == stats.t.sf(t, df)
+                assert special.stdtr(df, t) == stats.t.cdf(t, df)
 
 
 class TestRunClusterTest:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from washdetect.errors import EstimationError, InsufficientDataError
 from washdetect.tailfit import (
@@ -193,6 +194,18 @@ class TestVerdict:
         v2 = pareto_levy_verdict(far_outside)
         assert v2.anomaly_p < 1e-9
         assert v2.p_outside == pytest.approx(1.0)
+
+    def test_inside_probability_equals_scipy_stats_norm(self):
+        for a_hill in np.linspace(0.2, 3.5, 34):
+            for n_tail in (50, 1_000, 10**6):
+                fit = self._fit(1.5, float(a_hill), n_tail=n_tail)
+                inside = float(
+                    stats.norm.cdf((2.0 - fit.alpha_hill) / fit.hill_se)
+                    - stats.norm.cdf((1.0 - fit.alpha_hill) / fit.hill_se)
+                )
+                v = pareto_levy_verdict(fit)
+                assert v.anomaly_p == max(1e-300, inside)
+                assert v.p_outside == max(1e-300, 1.0 - inside)
 
     def test_p_floor(self):
         v = pareto_levy_verdict(self._fit(1.5, 1.5, n_tail=10**8))

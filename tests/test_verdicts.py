@@ -13,6 +13,7 @@ from washdetect.verdicts import (
     counterfactual_rank,
     failure_rate,
     fisher_combine,
+    _average_ranks,
     spearman_rank_correlation,
     wash_failure_regression,
 )
@@ -34,6 +35,13 @@ class TestFisher:
         assert res.chi2 == pytest.approx(-6 * math.log(0.05), rel=1e-12)
         assert res.chi2 == pytest.approx(17.97, abs=0.01)
         assert res.reject
+
+    def test_critical_value_equals_scipy_stats_chi2_isf(self):
+        # Fisher's df is 2k, so k = 1..20 covers every even df up to 40.
+        for k in range(1, 21):
+            for alpha in (1e-12, 1e-4, 0.001, 0.01, 0.05, 0.1, 0.25, 0.5):
+                res = fisher_combine([0.5] * k, alpha)
+                assert res.critical_value == float(stats.chi2.isf(alpha, 2 * k)), (k, alpha)
 
     def test_tiny_pvalues_floored_not_infinite(self):
         res = fisher_combine([1e-320, 0.5])
@@ -119,6 +127,15 @@ class TestWashFailureRegression:
         assert fit.slope_t == pytest.approx(oracle_t)
         assert fit.slope_p == pytest.approx(2 * float(stats.t.sf(abs(oracle_t), 18)), rel=1e-9)
 
+    def test_slope_p_equals_scipy_stats_t(self):
+        rng = np.random.default_rng(5)
+        for n in range(3, 43):
+            rates = np.linspace(0.0, 0.9, n)
+            for slope in (0.0, 0.05, 0.6, -2.0):
+                wash = 0.4 + slope * rates + rng.normal(0, 0.05, size=n)
+                fit = wash_failure_regression(rates, wash)
+                assert fit.slope_p == 2.0 * float(stats.t.sf(abs(fit.slope_t), n - 2)), (n, slope)
+
 
 class TestSpearman:
     def test_perfectly_inverse(self):
@@ -164,6 +181,15 @@ class TestSpearman:
     def test_constant_list_undefined(self):
         with pytest.raises(EstimationError):
             spearman_rank_correlation([1.0, 1.0, 1.0], [1, 2, 3])
+
+    @given(
+        st.lists(st.floats(width=64), min_size=1, max_size=6).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=0, max_size=40)
+        )
+    )
+    def test_average_ranks_equal_scipy_stats_rankdata(self, xs):
+        a = np.array(xs, dtype=np.float64)
+        assert np.array_equal(_average_ranks(a), stats.rankdata(a), equal_nan=True)
 
     @given(st.lists(st.integers(min_value=0, max_value=100), min_size=3, max_size=30))
     def test_invariant_under_monotone_transform(self, xs):
