@@ -14,12 +14,11 @@ import argparse
 import time
 
 from washdetect.ingest import weekly_split
-from washdetect.synth import GeneratorConfig, STABLE_PANEL_PARAMS, WashParams, gen_exchange
+from washdetect.synth import GeneratorConfig, STABLE_PANEL_PARAMS, STABLE_PANEL_WASH, gen_exchange
 from washdetect.trades import PairRegistry
 from washdetect.washest import cross_validate_regulated, estimate_wash, fit_benchmark
 
 REG = PairRegistry()
-PANEL_WASH = WashParams(size_low_units=4e4, size_high_units=9e4)
 BENCH_SIZES = (400_000, 250_000, 150_000)
 LADDER = (0.0, 0.25, 0.5, 0.75, 0.9)
 
@@ -31,7 +30,7 @@ def panel(exchange_id, seed, n, wash=0.0):
         n_trades=n,
         wash_fraction=wash,
         authentic=STABLE_PANEL_PARAMS,
-        wash=PANEL_WASH,
+        wash=STABLE_PANEL_WASH,
     )
     return weekly_split(gen_exchange(cfg).dataset, REG)
 

@@ -47,7 +47,7 @@ from .tailfit import (
     fit_hill,
     fit_ols,
     fit_tail,
-    pareto_levy_verdict,
+    pareto_levy_p,
     tail_cutoff,
 )
 from .trades import (
@@ -74,6 +74,7 @@ from .synth import (
     GeneratorConfig,
     LabeledTape,
     STABLE_PANEL_PARAMS,
+    STABLE_PANEL_WASH,
     WashParams,
     gen_exchange,
     write_tape,

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special
 
 from .errors import EstimationError, InsufficientDataError
-from .trades import exact_sum, first_significant_digits
+from .trades import SUBUNITS_PER_UNIT, exact_sum, first_significant_digits
 
 DIGITS = tuple(range(1, 10))
 
@@ -43,7 +43,7 @@ class DigitHistogram:
     def mean_sizes(self) -> np.ndarray:
         """Per-digit mean trade size in native units (nan where count is 0)."""
         counts = np.array(self.counts, dtype=np.float64)
-        vols = np.array([v / 10**8 for v in self.volume_subunits])
+        vols = np.array([v / SUBUNITS_PER_UNIT for v in self.volume_subunits])
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(counts > 0, vols / counts, np.nan)
 

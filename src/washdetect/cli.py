@@ -330,20 +330,16 @@ def cmd_report(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    profile = synth.STABLE_PANEL_PARAMS if args.profile == "stable-panel" else synth.AuthenticParams()
-    wash_params = synth.WashParams()
-    if args.profile == "stable-panel":
-        wash_params = synth.WashParams(size_low_units=4e4, size_high_units=9e4)
+    stable = args.profile == "stable-panel"
     cfg = synth.GeneratorConfig(
         seed=args.seed,
         exchange_id=args.exchange_id,
         pair=args.pair,
-        spec=PairRegistry().get(args.pair),
         n_trades=args.n,
         wash_fraction=args.wash,
         n_weeks=args.weeks,
-        authentic=profile,
-        wash=wash_params,
+        authentic=synth.STABLE_PANEL_PARAMS if stable else synth.AuthenticParams(),
+        wash=synth.STABLE_PANEL_WASH if stable else synth.WashParams(),
     )
     tape = synth.gen_exchange(cfg)
     if tape.flags:
@@ -357,10 +353,25 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _size_range(text: str | None) -> tuple[int, int]:
+    """``--range lo:hi`` as two integers with lo < hi; (1, 1000) when absent."""
+    if text is None:
+        return 1, 1000
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise ConfigError(f"--range must be lo:hi with integer bounds, got {text!r}") from None
+    if lo >= hi:
+        raise ConfigError(f"--range needs lo < hi, got {text!r}")
+    return lo, hi
+
+
 def cmd_plot_data(args) -> int:
+    lo, hi = _size_range(args.range)
+    if args.step < 1:
+        raise ConfigError(f"--step must be positive, got {args.step}")
     ds, registry = _load(args)
     out = _outdir(args) or Path(".")
-    lo, hi = (int(x) for x in args.range.split(":")) if args.range else (1, 1000)
     _export_csvs(out, ds, registry, args.which, ds.sorted_keys(), args.step, lo, hi)
     print(f"plot data written to {out}")
     return EXIT_OK
@@ -396,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "cluster", cmd_cluster, "round-size clustering t-test per group", "--pairs --alpha")
     p.add_argument("--step", type=int, choices=[100, 500], default=100)
-    p.add_argument("--min-support", type=int, default=50)
+    p.add_argument("--min-support", type=int, default=rp.RunConfig.min_window_support)
 
     _subcommand(sub, "tail", cmd_tail, "power-law tail fit per group", "--pairs --out", unrounded=True)
 

@@ -26,6 +26,10 @@ from .verdicts import P_FLOOR
 
 STEP_RADIUS = {100: 50, 500: 100}
 MIN_WINDOWS = 10
+# Trades a window needs to be tested, and the size percentile that caps the
+# window centers (the sparse top percent holds no testable windows).
+MIN_WINDOW_SUPPORT = 50
+CAP_PERCENTILE = 99.0
 
 
 @dataclass(frozen=True)
@@ -86,13 +90,12 @@ def cluster_pairs(
     spec: PairSpec,
     step: int = 100,
     *,
-    min_support: int = 50,
-    cap_percentile: float = 99.0,
+    min_support: int = MIN_WINDOW_SUPPORT,
 ) -> list[WindowPair]:
     """Round-vs-unrounded frequency pairs for every supported window.
 
     Centers run over multiples of ``step`` (100 or 500) up to the
-    ``cap_percentile`` of trade size; windows with fewer than ``min_support``
+    ``CAP_PERCENTILE`` of trade size; windows with fewer than ``min_support``
     trades are skipped. The unrounded competitor is the most frequent integer
     size in the window that is not a multiple of 100 base units, so the
     500-step test never compares round against round.
@@ -105,7 +108,7 @@ def cluster_pairs(
     if x.size == 0:
         return []
 
-    cap_units = _percentile_nearest_rank(x, cap_percentile) // unit
+    cap_units = _percentile_nearest_rank(x, CAP_PERCENTILE) // unit
     q, r = np.divmod(x, unit)
     int_sizes = q[r == 0]
     int_vals, int_counts = np.unique(int_sizes, return_counts=True)
@@ -177,17 +180,14 @@ def run_cluster_test(
     step: int = 100,
     *,
     alpha: float = 0.05,
-    min_support: int = 50,
-    cap_percentile: float = 99.0,
+    min_support: int = MIN_WINDOW_SUPPORT,
 ) -> ClusterTestResult:
     """Full clustering test; flags insufficiency instead of raising.
 
     Fewer than MIN_WINDOWS supported windows means frequency comparisons are
     noise, so the result is flagged and the test is not run.
     """
-    pairs = cluster_pairs(
-        amounts_subunits, spec, step, min_support=min_support, cap_percentile=cap_percentile
-    )
+    pairs = cluster_pairs(amounts_subunits, spec, step, min_support=min_support)
     if len(pairs) < MIN_WINDOWS:
         return ClusterTestResult(
             mean_difference=math.nan,

@@ -37,7 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import AmountError, ParseError
-from .trades import PairRegistry, exact_sum, is_round_mask, parse_amount
+from .trades import SUBUNITS_PER_UNIT, PairRegistry, exact_sum, is_round_mask, parse_amount
 
 CSV_HEADER = ("exchange", "pair", "timestamp_ms", "price", "amount")
 
@@ -584,11 +584,11 @@ class WeeklyVolumeSplit:
 
     @property
     def round_volume(self) -> float:
-        return self.round_subunits / 10**8
+        return self.round_subunits / SUBUNITS_PER_UNIT
 
     @property
     def unrounded_volume(self) -> float:
-        return self.unrounded_subunits / 10**8
+        return self.unrounded_subunits / SUBUNITS_PER_UNIT
 
 
 def weekly_split(dataset: TradeDataset, registry: PairRegistry) -> list[WeeklyVolumeSplit]:

@@ -44,7 +44,7 @@ class RunConfig:
     estimate_wash: bool = True
     pool_pairs: bool = False
     use_controls: bool = False
-    min_window_support: int = 50
+    min_window_support: int = cl.MIN_WINDOW_SUPPORT
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 0.5:
@@ -53,6 +53,8 @@ class RunConfig:
             raise ConfigError(f"effective_n must be positive or None (raw), got {self.effective_n}")
         if self.bootstrap and self.bootstrap < 100:
             raise ConfigError(f"bootstrap must be 0 or >= 100, got {self.bootstrap}")
+        if self.min_window_support < 1:
+            raise ConfigError(f"min_window_support must be at least 1, got {self.min_window_support}")
 
 
 @dataclass
@@ -66,7 +68,6 @@ class PairReport:
     cluster_100: cl.ClusterTestResult | None = None
     cluster_500: cl.ClusterTestResult | None = None
     tail: tf.TailFit | None = None
-    tail_verdict: tf.ParetoLevyVerdict | None = None
     roundness: bf.ChiSquaredResult | None = None
     fisher: vd.FisherResult | None = None
     flags: list[str] = field(default_factory=list)
@@ -147,7 +148,6 @@ def _pair_battery(group, spec, config: RunConfig) -> PairReport:
     sizes = group.amounts / spec.subunits_per_base_unit
     try:
         rep.tail = tf.fit_tail(sizes)
-        rep.tail_verdict = tf.pareto_levy_verdict(rep.tail)
         if rep.tail.flags:
             rep.flags.extend(f"tail: {f}" for f in rep.tail.flags)
     except (InsufficientDataError, EstimationError) as exc:
@@ -157,10 +157,10 @@ def _pair_battery(group, spec, config: RunConfig) -> PairReport:
         rep.benford is not None
         and rep.cluster_100 is not None
         and not rep.cluster_100.insufficient
-        and rep.tail_verdict is not None
+        and rep.tail is not None
     ):
         rep.fisher = vd.fisher_combine(
-            [rep.benford.p_value, rep.cluster_100.anomaly_p, rep.tail_verdict.anomaly_p],
+            [rep.benford.p_value, rep.cluster_100.anomaly_p, rep.tail.anomaly_p],
             config.alpha,
         )
     return rep
@@ -447,8 +447,7 @@ def _cluster_json(r: cl.ClusterTestResult | None) -> dict | None:
     }
 
 
-def _tail_json(rep: PairReport) -> dict | None:
-    t = rep.tail
+def _tail_json(t: tf.TailFit | None) -> dict | None:
     if t is None:
         return None
     return {
@@ -460,7 +459,7 @@ def _tail_json(rep: PairReport) -> dict | None:
         "alpha_ols": t.alpha_ols,
         "ols_r_squared": t.ols_r_squared,
         "pass": t.in_pareto_levy,
-        "p_outside_range": rep.tail_verdict.p_outside if rep.tail_verdict else None,
+        "p_outside_range": t.p_outside,
     }
 
 
@@ -504,7 +503,7 @@ def report_to_json(report: BatteryReport) -> dict[str, Any]:
                         "benford_counterfactual_wash": p.benford_counterfactual_wash,
                         "clustering_100": _cluster_json(p.cluster_100),
                         "clustering_500": _cluster_json(p.cluster_500),
-                        "tail": _tail_json(p),
+                        "tail": _tail_json(p.tail),
                         "roundness": _chi_json(p.roundness),
                         "fisher": (
                             None
@@ -568,8 +567,7 @@ def report_test_rows(report: BatteryReport) -> list[list]:
                     )
             if p.tail is not None:
                 rows.append(
-                    [ex.exchange_id, p.pair, "pareto_levy", p.tail.alpha_hill,
-                     p.tail_verdict.p_outside if p.tail_verdict else None, p.tail.in_pareto_levy]
+                    [ex.exchange_id, p.pair, "pareto_levy", p.tail.alpha_hill, p.tail.p_outside, p.tail.in_pareto_levy]
                 )
             if p.roundness is not None:
                 rows.append(

@@ -23,17 +23,16 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import MS_PER_DAY, TradeDataset, make_group, CSV_HEADER
-from .trades import (
-    BUILTIN_PAIR_SPECS,
-    MAX_AMOUNT_SUBUNITS,
-    PairSpec,
-    exact_sum,
-    format_amount,
-)
+from .trades import MAX_AMOUNT_SUBUNITS, PairRegistry, PairSpec, exact_sum, format_amount
 
 MS_PER_WEEK = 7 * MS_PER_DAY
 # Monday 2019-07-08 00:00:00 UTC
-DEFAULT_START_MS = 1_562_544_000_000
+START_MS = 1_562_544_000_000
+BASE_PRICE = 9000.0
+# sd of the log weekly activity level: some weeks are busier than others
+WEEKLY_VOLUME_SD = 0.5
+# the two legs of a wash burst are this many milliseconds apart, inclusive
+BURST_GAP_MS = (1, 100)
 
 
 @dataclass(frozen=True)
@@ -109,31 +108,24 @@ STABLE_PANEL_PARAMS = AuthenticParams(
 class WashParams:
     """Size law of wash-bot flow, in base units.
 
-    ``law`` is either "uniform" (the default: uniform over the band at full
-    8-decimal precision) or "lognormal" (a lognormal truncated to the band,
-    for robustness studies). Both stay inside [size_low_units,
-    size_high_units), so when the band spans less than a decade the first
+    Sizes are uniform over [size_low_units, size_high_units) at full
+    8-decimal precision, so when the band spans less than a decade the first
     digits remain concentrated.
     """
 
     size_low_units: float = 4e5
     size_high_units: float = 9e5
-    law: str = "uniform"
-    lognormal_sigma: float = 0.5  # natural-log sd before truncation
-    burst_gap_ms: tuple[int, int] = (1, 100)
 
     def __post_init__(self) -> None:
-        if self.law not in ("uniform", "lognormal"):
-            raise ConfigError(f"unknown wash size law {self.law!r}")
         if not 0 < self.size_low_units < self.size_high_units:
             raise ConfigError("wash size band must satisfy 0 < low < high")
 
     def mean_size_units(self) -> float:
-        if self.law == "lognormal":
-            # truncation keeps the law near its median; the band midpoint is
-            # accurate enough for the count-allocation heuristic
-            return math.sqrt(self.size_low_units * self.size_high_units)
         return (self.size_low_units + self.size_high_units) / 2.0
+
+
+# The wash band of the stable-panel profile (``synth --profile stable-panel``).
+STABLE_PANEL_WASH = WashParams(size_low_units=4e4, size_high_units=9e4)
 
 
 @dataclass(frozen=True)
@@ -141,15 +133,16 @@ class GeneratorConfig:
     seed: int = 0
     exchange_id: str = "X1"
     pair: str = "BTC/USD"
-    spec: PairSpec = BUILTIN_PAIR_SPECS["BTC/USD"]
     n_trades: int = 100_000
     wash_fraction: float = 0.0
-    start_ms: int = DEFAULT_START_MS
     n_weeks: int = 12
-    base_price: float = 9000.0
-    weekly_volume_sd: float = 0.5
     authentic: AuthenticParams = AuthenticParams()
     wash: WashParams = WashParams()
+
+    @property
+    def spec(self) -> PairSpec:
+        """The built-in base unit of ``pair``; PairConfigError for another pair."""
+        return PairRegistry().get(self.pair)
 
 
 @dataclass
@@ -170,7 +163,7 @@ class LabeledTape:
 
 
 def _weekly_weights(rng: np.random.Generator, cfg: GeneratorConfig) -> np.ndarray:
-    w = np.exp(rng.normal(0.0, cfg.weekly_volume_sd, cfg.n_weeks))
+    w = np.exp(rng.normal(0.0, WEEKLY_VOLUME_SD, cfg.n_weeks))
     return w / w.sum()
 
 
@@ -179,7 +172,7 @@ def _draw_timestamps(
 ) -> np.ndarray:
     weeks = rng.choice(cfg.n_weeks, size=n, p=weights)
     offsets = rng.integers(0, MS_PER_WEEK, size=n)
-    return cfg.start_ms + weeks.astype(np.int64) * MS_PER_WEEK + offsets
+    return START_MS + weeks.astype(np.int64) * MS_PER_WEEK + offsets
 
 
 def _authentic_size_log10(
@@ -234,28 +227,18 @@ def _snap_round(
 def _wash_subunits(rng: np.random.Generator, p: WashParams, unit: int, n: int) -> np.ndarray:
     lo = int(p.size_low_units * unit)
     hi = int(p.size_high_units * unit)
-    if p.law == "lognormal":
-        mu = math.log(math.sqrt(p.size_low_units * p.size_high_units))
-        sizes = rng.lognormal(mu, p.lognormal_sigma, size=n)
-        for _ in range(64):
-            out = (sizes < p.size_low_units) | (sizes >= p.size_high_units)
-            if not out.any():
-                break
-            sizes[out] = rng.lognormal(mu, p.lognormal_sigma, size=int(out.sum()))
-        np.clip(sizes, p.size_low_units, np.nextafter(p.size_high_units, 0.0), out=sizes)
-        return np.rint(sizes * unit).astype(np.int64)
     return rng.integers(lo, hi, size=n, dtype=np.int64)
 
 
-def _price_path(rng: np.random.Generator, base_price: float, n: int) -> np.ndarray:
+def _price_path(rng: np.random.Generator, n: int) -> np.ndarray:
     walk = np.clip(np.cumsum(rng.normal(0.0, 0.002, size=n)), -0.15, 0.15)
-    return base_price * np.exp(walk)
+    return BASE_PRICE * np.exp(walk)
 
 
 def _finish_group(cfg, timestamps, subunits, labels, rng):
     order = np.argsort(timestamps, kind="stable")
     ts, subs, lab = timestamps[order], subunits[order], labels[order]
-    prices = _price_path(rng, cfg.base_price, ts.size)
+    prices = _price_path(rng, ts.size)
     ds = TradeDataset()
     ds.groups[(cfg.exchange_id, cfg.pair)] = make_group(cfg.exchange_id, cfg.pair, ts, subs, prices)
     return ds, lab
@@ -273,7 +256,7 @@ def _gen_wash_arrays(rng, cfg, weights, n):
     n_bursts = (n + 1) // 2
     sizes = _wash_subunits(rng, cfg.wash, cfg.spec.subunits_per_base_unit, n_bursts)
     anchor_ts = _draw_timestamps(rng, cfg, weights, n_bursts)
-    lo, hi = cfg.wash.burst_gap_ms
+    lo, hi = BURST_GAP_MS
     gaps = rng.integers(lo, hi + 1, size=n_bursts)
     ts = np.empty(2 * n_bursts, dtype=np.int64)
     subs = np.empty(2 * n_bursts, dtype=np.int64)

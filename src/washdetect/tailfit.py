@@ -29,14 +29,17 @@ BINS_PER_DECADE = 10
 # noise plus a survivor bias that flattens the fitted slope; the fit stops at
 # the last bin holding this many points.
 TAIL_BIN_MIN_COUNT = 30
+# Fewer bins or a narrower span than this cannot pin an OLS slope.
+MIN_TAIL_BINS = 5
+MIN_TAIL_DECADES = 1.0
 
 
-def tail_cutoff(sizes: np.ndarray, *, min_tail: int = MIN_TAIL_SIZE) -> float:
+def tail_cutoff(sizes: np.ndarray) -> float:
     """Nearest-rank 90th percentile; the tail is everything >= the cutoff."""
     x = np.asarray(sizes, dtype=np.float64)
-    if x.size < 10 * min_tail:
+    if x.size < 10 * MIN_TAIL_SIZE:
         raise InsufficientDataError(
-            f"insufficient data: {x.size} sizes, need at least {10 * min_tail}"
+            f"insufficient data: {x.size} sizes, need at least {10 * MIN_TAIL_SIZE}"
         )
     s = np.sort(x)
     rank = max(1, math.ceil(0.9 * s.size))
@@ -94,25 +97,21 @@ def power_law_ols(log_x: np.ndarray, log_y: np.ndarray) -> OlsFit:
 
 
 def log_binned_density(
-    tail_sizes: np.ndarray,
-    x_min: float,
-    *,
-    bins_per_decade: int = BINS_PER_DECADE,
-    last_bin_min_count: int = 1,
+    tail_sizes: np.ndarray, x_min: float, *, last_bin_min_count: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Empirical PDF of the tail on logarithmically spaced bins.
 
-    Bin centers are geometric means of the edges; density is count over
-    (n_tail * linear bin width). Empty bins are dropped, and with
-    ``last_bin_min_count`` > 1 the binning stops at the last bin holding
-    that many points.
+    There are ``BINS_PER_DECADE`` bins per decade. Bin centers are geometric
+    means of the edges; density is count over (n_tail * linear bin width).
+    Empty bins are dropped, and with ``last_bin_min_count`` > 1 the binning
+    stops at the last bin holding that many points.
     """
     x = np.asarray(tail_sizes, dtype=np.float64)
     x_max = float(x.max())
     if x_max <= x_min:
         raise EstimationError("degenerate tail: no spread above x_min")
     decades = math.log10(x_max / x_min)
-    n_bins = max(1, math.ceil(decades * bins_per_decade))
+    n_bins = max(1, math.ceil(decades * BINS_PER_DECADE))
     edges = np.geomspace(x_min, x_max, n_bins + 1)
     counts, _ = np.histogram(x, bins=edges)
     widths = np.diff(edges)
@@ -136,34 +135,38 @@ class OlsTailFit:
     n_bins: int
 
 
-def fit_ols(
-    tail_sizes: np.ndarray,
-    x_min: float,
-    *,
-    bins_per_decade: int = BINS_PER_DECADE,
-    min_bins: int = 5,
-    min_decades: float = 1.0,
-    last_bin_min_count: int = TAIL_BIN_MIN_COUNT,
-) -> OlsTailFit:
+def fit_ols(tail_sizes: np.ndarray, x_min: float) -> OlsTailFit:
     """OLS power-law fit of the log-binned tail PDF.
 
     The PDF of a tail with survival exponent alpha falls as x**-(alpha + 1),
     so alpha = -slope - 1. Requires the tail to span at least one decade and
-    populate at least ``min_bins`` bins; otherwise the span cannot pin a
+    populate at least ``MIN_TAIL_BINS`` bins; otherwise the span cannot pin a
     slope and InsufficientDataError is raised.
     """
     x = np.asarray(tail_sizes, dtype=np.float64)
     if x.size == 0:
         raise InsufficientDataError("empty tail")
-    if math.log10(float(x.max()) / x_min) < min_decades:
+    if math.log10(float(x.max()) / x_min) < MIN_TAIL_DECADES:
         raise InsufficientDataError("insufficient tail span: less than one decade")
-    centers, density = log_binned_density(
-        x, x_min, bins_per_decade=bins_per_decade, last_bin_min_count=last_bin_min_count
-    )
-    if centers.size < min_bins:
+    centers, density = log_binned_density(x, x_min, last_bin_min_count=TAIL_BIN_MIN_COUNT)
+    if centers.size < MIN_TAIL_BINS:
         raise InsufficientDataError(f"insufficient tail span: only {centers.size} non-empty bins")
     line = power_law_ols(np.log(centers), np.log(density))
     return OlsTailFit(-line.slope - 1.0, line.slope, line.intercept, line.r_squared, line.n_points)
+
+
+def pareto_levy_p(alpha_hill: float, hill_se: float) -> tuple[float, float]:
+    """``(p_outside, anomaly_p)`` of a Hill exponent against (1, 2).
+
+    ``p_outside`` is the probability, under Normal(alpha_hill, hill_se), that
+    the exponent lies outside the interval: near 0 when safely inside, near 1
+    when far outside. ``anomaly_p`` = 1 - p_outside is the orientation used
+    for combined testing (large when the tail looks authentic).
+    """
+    inside = float(
+        special.ndtr((2.0 - alpha_hill) / hill_se) - special.ndtr((1.0 - alpha_hill) / hill_se)
+    )
+    return max(P_FLOOR, 1.0 - inside), max(P_FLOOR, inside)
 
 
 @dataclass(frozen=True)
@@ -180,11 +183,17 @@ class TailFit:
     ols_intercept: float | None
     ols_r_squared: float | None
     n_bins: int
-    in_pareto_levy: bool
+    p_outside: float
+    anomaly_p: float
     flags: tuple[str, ...] = ()
 
+    @property
+    def in_pareto_levy(self) -> bool:
+        """Both exponents inside the Pareto-Levy interval (1, 2)."""
+        return 1.0 < self.alpha_hill < 2.0 and self.alpha_ols is not None and 1.0 < self.alpha_ols < 2.0
 
-def fit_tail(sizes: np.ndarray, *, bins_per_decade: int = BINS_PER_DECADE) -> TailFit:
+
+def fit_tail(sizes: np.ndarray) -> TailFit:
     """Cut the top decile and fit both tail-exponent estimators."""
     x = np.asarray(sizes, dtype=np.float64)
     x_min = tail_cutoff(x)
@@ -192,11 +201,11 @@ def fit_tail(sizes: np.ndarray, *, bins_per_decade: int = BINS_PER_DECADE) -> Ta
     hill = fit_hill(tail, x_min)
     flags: list[str] = []
     try:
-        ols = fit_ols(tail, x_min, bins_per_decade=bins_per_decade)
+        ols = fit_ols(tail, x_min)
     except InsufficientDataError as exc:
         ols = None
         flags.append(str(exc))
-    in_range = 1.0 < hill.alpha < 2.0 and ols is not None and 1.0 < ols.alpha < 2.0
+    p_outside, anomaly_p = pareto_levy_p(hill.alpha, hill.stderr)
     return TailFit(
         x_min=x_min,
         n_tail=hill.n_tail,
@@ -208,34 +217,10 @@ def fit_tail(sizes: np.ndarray, *, bins_per_decade: int = BINS_PER_DECADE) -> Ta
         ols_intercept=None if ols is None else ols.intercept,
         ols_r_squared=None if ols is None else ols.r_squared,
         n_bins=0 if ols is None else ols.n_bins,
-        in_pareto_levy=in_range,
+        p_outside=p_outside,
+        anomaly_p=anomaly_p,
         flags=tuple(flags),
     )
-
-
-@dataclass(frozen=True)
-class ParetoLevyVerdict:
-    """Interval check of both exponents against (1, 2).
-
-    ``p_outside`` is the probability, under Normal(alpha_hill, se), that the
-    exponent lies outside the interval: near 0 when safely inside, near 1
-    when far outside. ``anomaly_p`` = 1 - p_outside is the orientation used
-    for combined testing (large when the tail looks authentic).
-    """
-
-    passed: bool
-    p_outside: float
-    anomaly_p: float
-
-
-def pareto_levy_verdict(fit: TailFit) -> ParetoLevyVerdict:
-    inside = float(
-        special.ndtr((2.0 - fit.alpha_hill) / fit.hill_se)
-        - special.ndtr((1.0 - fit.alpha_hill) / fit.hill_se)
-    )
-    p_outside = max(P_FLOOR, 1.0 - inside)
-    anomaly_p = max(P_FLOOR, inside)
-    return ParetoLevyVerdict(fit.in_pareto_levy, p_outside, anomaly_p)
 
 
 def tail_rows(fit: TailFit, tail_sizes: np.ndarray) -> list[list]:

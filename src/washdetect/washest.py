@@ -216,7 +216,6 @@ def fit_benchmark(
     meta: dict[str, ExchangeMeta] | None = None,
     use_controls: bool = False,
     pool_pairs: bool = False,
-    min_obs: int = MIN_BENCHMARK_OBS,
 ) -> BenchmarkModel:
     """Fit ln(unrounded volume) on ln(round volume) over exchange-weeks.
 
@@ -228,9 +227,9 @@ def fit_benchmark(
     all_rows = list(rows)
     usable = [r for r in all_rows if r.round_subunits > 0 and r.unrounded_subunits > 0]
     n_dropped = len(all_rows) - len(usable)
-    if len(usable) < min_obs:
+    if len(usable) < MIN_BENCHMARK_OBS:
         raise InsufficientDataError(
-            f"insufficient benchmark data: {len(usable)} usable exchange-weeks, need {min_obs}"
+            f"insufficient benchmark data: {len(usable)} usable exchange-weeks, need {MIN_BENCHMARK_OBS}"
         )
     pairs = sorted({r.pair for r in usable})
     if not pool_pairs and len(pairs) > 1:
@@ -299,7 +298,6 @@ def estimate_wash(
     model: BenchmarkModel,
     *,
     meta: dict[str, ExchangeMeta] | None = None,
-    scope: str | None = None,
 ) -> WashEstimate:
     """Excess unrounded volume of one exchange over the benchmark prediction.
 
@@ -330,7 +328,7 @@ def estimate_wash(
     pairs = sorted({r.pair for r in panel})
     return WashEstimate(
         exchange_id=next(iter(exchanges)),
-        scope=scope or (pairs[0] if len(pairs) == 1 else "aggregate"),
+        scope=pairs[0] if len(pairs) == 1 else "aggregate",
         wash_volume=wash_volume,
         wash_percent=100.0 * wash_volume / total,
         total_volume=total,

@@ -17,7 +17,7 @@ from washdetect.ingest import parse_trades, weekly_split
 from washdetect.synth import (
     GeneratorConfig,
     STABLE_PANEL_PARAMS,
-    WashParams,
+    STABLE_PANEL_WASH,
     gen_exchange,
 )
 from washdetect.tailfit import fit_hill, fit_ols, fit_tail, power_law_ols, tail_cutoff
@@ -26,7 +26,6 @@ from washdetect.verdicts import counterfactual_rank, fisher_combine, spearman_ra
 from washdetect.washest import bootstrap_wash_sd, cross_validate_regulated, estimate_wash, fit_benchmark
 
 REG = PairRegistry()
-PANEL_WASH = WashParams(size_low_units=4e4, size_high_units=9e4)
 
 
 def _passed(n, detail):
@@ -127,7 +126,7 @@ def _panel(exchange_id, seed, n, wash=0.0):
         n_trades=n,
         wash_fraction=wash,
         authentic=STABLE_PANEL_PARAMS,
-        wash=PANEL_WASH,
+        wash=STABLE_PANEL_WASH,
     )
     return weekly_split(gen_exchange(cfg).dataset, REG)
 

@@ -409,8 +409,29 @@ class TestFlags:
             ["report", "{tape}", "--meta", "{tmp}/missing.json"],
             ["synth", "--wash", "2", "--out-file", "{tmp}/s.csv"],
             ["synth", "--n", "0", "--out-file", "{tmp}/s.csv"],
+            ["synth", "--pair", "DOGE/USD", "--out-file", "{tmp}/s.csv"],
+            ["plot-data", "{tape}", "--which", "sizes", "--range", "abc", "--out", "{tmp}/o"],
+            ["plot-data", "{tape}", "--which", "sizes", "--range", "1:2:3", "--out", "{tmp}/o"],
+            ["plot-data", "{tape}", "--which", "sizes", "--range", "50:10", "--out", "{tmp}/o"],
+            ["plot-data", "{tape}", "--which", "sizes", "--step", "0", "--out", "{tmp}/o"],
+            ["cluster", "{tape}", "--min-support", "-5"],
         ],
-        ids=["model-key", "effective-n", "meta-key", "pairs-json", "meta-json", "meta-missing", "synth-wash", "synth-n"],
+        ids=[
+            "model-key",
+            "effective-n",
+            "meta-key",
+            "pairs-json",
+            "meta-json",
+            "meta-missing",
+            "synth-wash",
+            "synth-n",
+            "synth-pair",
+            "plot-range-text",
+            "plot-range-parts",
+            "plot-range-order",
+            "plot-step",
+            "cluster-min-support",
+        ],
     )
     def test_bad_side_files_and_values_are_errors(self, argv, tmp_path, capsys):
         tape = tmp_path / "u1.csv"

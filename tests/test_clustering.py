@@ -26,9 +26,21 @@ def subs(units_values):
     return np.array([int(round(v * 10)) * (UNIT // 10) for v in units_values], dtype=np.int64)
 
 
+# Off every tested window, and below the center of its own windows at both
+# steps (460 mod 500, 60 mod 100), so padding with it adds no window.
+PAD_UNITS = 1_000_460.5
+
+
+def padded(sizes):
+    """``subs(sizes)`` plus a bit over 1% of PAD_UNITS, which lifts the
+    99th-percentile cap on window centers above every size in ``sizes``."""
+    sizes = list(sizes)
+    return subs(sizes + [PAD_UNITS] * (len(sizes) // 99 + 1))
+
+
 def windows(sizes):
-    """Every window that holds a trade: cluster_pairs with no support or size cap."""
-    return {p.center: p for p in cluster_pairs(subs(sizes), BTC, 100, min_support=1, cap_percentile=100.0)}
+    """Every window that holds a trade: cluster_pairs with no support floor or size cap."""
+    return {p.center: p for p in cluster_pairs(padded(sizes), BTC, 100, min_support=1)}
 
 
 class TestWindowFrequencies:
@@ -79,14 +91,14 @@ class TestClusterPairs:
         sizes = []
         for c in range(100, 2100, 100):
             sizes += [c] * 60
-        pairs = cluster_pairs(subs(sizes), BTC, 100, min_support=50, cap_percentile=100.0)
+        pairs = cluster_pairs(padded(sizes), BTC, 100, min_support=50)
         assert len(pairs) >= 10
         assert all(p.max_unrounded_freq == 0.0 for p in pairs)
         assert all(p.round_freq == 1.0 for p in pairs)
 
     def test_min_support_skips_thin_windows(self):
         sizes = [200] * 60 + [300] * 10
-        pairs = cluster_pairs(subs(sizes), BTC, 100, min_support=50, cap_percentile=100.0)
+        pairs = cluster_pairs(padded(sizes), BTC, 100, min_support=50)
         centers = [p.center for p in pairs]
         assert 200 in centers and 300 not in centers
 
@@ -94,7 +106,7 @@ class TestClusterPairs:
         # Window [400, 600): competitor candidates are integers that are not
         # multiples of 100; 400 and 450 present, only 450 may compete.
         sizes = [500] * 100 + [400] * 80 + [450] * 30 + [433.5] * 40
-        pairs = cluster_pairs(subs(sizes), BTC, 500, min_support=50, cap_percentile=100.0)
+        pairs = cluster_pairs(padded(sizes), BTC, 500, min_support=50)
         w = [p for p in pairs if p.center == 500][0]
         assert w.round_freq == pytest.approx(100 / 250)
         assert w.max_unrounded_freq == pytest.approx(30 / 250)
@@ -102,14 +114,14 @@ class TestClusterPairs:
     def test_uniform_fine_precision_has_no_integer_mass(self):
         rng = np.random.default_rng(5)
         amounts = rng.integers(1 * UNIT, 3000 * UNIT, size=200_000).astype(np.int64)
-        pairs = cluster_pairs(amounts, BTC, 100, cap_percentile=99.0)
+        pairs = cluster_pairs(amounts, BTC, 100)
         assert len(pairs) >= 10
         diffs = [p.difference for p in pairs]
         assert abs(float(np.mean(diffs))) < 1e-3  # analytic expectation is 0
 
     def test_cap_percentile_bounds_centers(self):
         sizes = [100] * 1000 + [200] * 1000 + [100000] * 5
-        pairs = cluster_pairs(subs(sizes), BTC, 100, cap_percentile=99.0)
+        pairs = cluster_pairs(subs(sizes), BTC, 100)
         assert max(p.center for p in pairs) <= 200
 
 
@@ -167,7 +179,7 @@ class TestClusteringTTest:
 class TestRunClusterTest:
     def test_insufficient_windows_flagged(self):
         sizes = [200] * 60 + [300] * 60
-        res = run_cluster_test(subs(sizes), BTC, 100, cap_percentile=100.0)
+        res = run_cluster_test(padded(sizes), BTC, 100)
         assert res.insufficient
         assert res.n_pairs == 2
         assert not res.reject

@@ -17,11 +17,10 @@ from washdetect.report import (
     run_battery,
     wash_estimate_rows,
 )
-from washdetect.synth import GeneratorConfig, STABLE_PANEL_PARAMS, WashParams, gen_exchange
+from washdetect.synth import GeneratorConfig, STABLE_PANEL_PARAMS, STABLE_PANEL_WASH, gen_exchange
 from washdetect.trades import ExchangeMeta, PairRegistry, RegulatoryClass
 
 REG = PairRegistry()
-PANEL_WASH = WashParams(size_low_units=4e4, size_high_units=9e4)
 
 
 def make_dataset(specs):
@@ -34,7 +33,7 @@ def make_dataset(specs):
             n_trades=n,
             wash_fraction=w,
             authentic=STABLE_PANEL_PARAMS,
-            wash=PANEL_WASH,
+            wash=STABLE_PANEL_WASH,
         )
         tape = gen_exchange(cfg)
         ds.groups.update(tape.dataset.groups)

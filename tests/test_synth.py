@@ -9,6 +9,7 @@ from washdetect.benford import chi_squared_benford, digit_histogram
 from washdetect.clustering import run_cluster_test
 from washdetect.ingest import parse_trades
 from washdetect.synth import (
+    START_MS,
     AuthenticParams,
     GeneratorConfig,
     STABLE_PANEL_PARAMS,
@@ -16,7 +17,7 @@ from washdetect.synth import (
     write_tape,
 )
 from washdetect.tailfit import fit_tail
-from washdetect.trades import first_significant_digits, is_round_mask
+from washdetect.trades import PairRegistry, first_significant_digits, is_round_mask
 
 
 def tape_csv(cfg, include_labels=False):
@@ -95,8 +96,16 @@ class TestAuthenticFlow:
         cfg = GeneratorConfig(seed=14, n_trades=5_000)
         g = gen_exchange(cfg).group
         assert (np.diff(g.timestamps) >= 0).all()
-        assert g.timestamps[0] >= cfg.start_ms
-        assert g.timestamps[-1] < cfg.start_ms + cfg.n_weeks * 7 * 86_400_000 + 101
+        assert g.timestamps[0] >= START_MS
+        assert g.timestamps[-1] < START_MS + cfg.n_weeks * 7 * 86_400_000 + 101
+
+    def test_round_sizes_follow_the_pair_base_unit(self):
+        # ETH/USD counts base units of 0.001, not BTC's 0.0001: the tape is as
+        # round under its own pair's rule as a BTC/USD tape is under BTC's.
+        eth = PairRegistry().get("ETH/USD")
+        cfg = GeneratorConfig(seed=1, pair="ETH/USD", n_trades=50_000)
+        assert cfg.spec == eth
+        assert is_round_mask(gen_exchange(cfg).group.amounts, eth).mean() == pytest.approx(0.20, abs=0.01)
 
 
 class TestWashFlow:
@@ -119,25 +128,6 @@ class TestWashFlow:
         # every size appears an even number of times (paired legs)
         _, counts = np.unique(g.amounts, return_counts=True)
         assert (counts % 2 == 0).mean() > 0.99
-
-    def test_lognormal_law_stays_in_band_and_unrounded(self):
-        from washdetect.synth import WashParams
-
-        params = WashParams(size_low_units=4e5, size_high_units=9e5, law="lognormal")
-        cfg = GeneratorConfig(seed=24, n_trades=100_000, wash=params, wash_fraction=1.0)
-        tape = gen_exchange(cfg)
-        units = tape.group.amounts / cfg.spec.subunits_per_base_unit
-        assert units.min() >= 4e5
-        assert units.max() < 9e5
-        digits = np.unique(first_significant_digits(tape.group.amounts))
-        assert set(digits.tolist()) <= {4, 5, 6, 7, 8}
-        assert is_round_mask(tape.group.amounts, cfg.spec).mean() < 0.001
-
-    def test_unknown_law_rejected(self):
-        from washdetect.synth import WashParams
-
-        with pytest.raises(ValueError, match="law"):
-            WashParams(law="cauchy")
 
     def test_wash_only_tape_shows_no_clustering(self):
         for seed in (31, 32, 33):

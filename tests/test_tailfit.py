@@ -12,8 +12,9 @@ from washdetect.tailfit import (
     fit_hill,
     fit_ols,
     fit_tail,
+    TAIL_BIN_MIN_COUNT,
     log_binned_density,
-    pareto_levy_verdict,
+    pareto_levy_p,
     power_law_ols,
     tail_cutoff,
 )
@@ -26,10 +27,10 @@ def pareto_sample(rng, alpha, n, x_min=1.0):
 
 class TestTailCutoff:
     def test_nearest_rank_on_uniform_ranks(self):
-        sizes = np.arange(1, 101, dtype=float)
-        x_min = tail_cutoff(sizes, min_tail=10)
-        assert x_min == 90.0
-        assert (sizes >= x_min).sum() == 11
+        sizes = np.arange(1, 501, dtype=float)
+        x_min = tail_cutoff(sizes)
+        assert x_min == 450.0
+        assert (sizes >= x_min).sum() == 51
 
     def test_pareto_quantile(self):
         rng = np.random.default_rng(101)
@@ -43,7 +44,7 @@ class TestTailCutoff:
 
     def test_degenerate_tail_rejected_by_hill(self):
         sizes = np.full(1000, 7.0)
-        x_min = tail_cutoff(sizes, min_tail=10)
+        x_min = tail_cutoff(sizes)
         assert x_min == 7.0
         with pytest.raises(EstimationError, match="degenerate"):
             fit_hill(sizes, x_min)
@@ -145,7 +146,8 @@ class TestOls:
         # Forcing a fit from the median (1.2 decades) still shows the
         # curvature: R^2 below any straight power law's, frozen at this seed.
         med = float(np.median(x))
-        forced = fit_ols(x[x >= med], med, min_decades=0.9)
+        centers, density = log_binned_density(x[x >= med], med, last_bin_min_count=TAIL_BIN_MIN_COUNT)
+        forced = power_law_ols(np.log(centers), np.log(density))
         assert forced.r_squared == pytest.approx(0.9163, abs=0.001)
         assert forced.r_squared < 0.92
 
@@ -160,56 +162,55 @@ class TestOls:
 
 class TestVerdict:
     def _fit(self, alpha_ols, alpha_hill, n_tail=10_000):
+        hill_se = alpha_hill / math.sqrt(n_tail)
+        p_outside, anomaly_p = pareto_levy_p(alpha_hill, hill_se)
         return TailFit(
             x_min=1.0,
             n_tail=n_tail,
             alpha_hill=alpha_hill,
             hill_pdf_exponent=alpha_hill + 1,
-            hill_se=alpha_hill / math.sqrt(n_tail),
+            hill_se=hill_se,
             alpha_ols=alpha_ols,
             ols_slope=-(alpha_ols + 1),
             ols_intercept=0.0,
             ols_r_squared=0.99,
             n_bins=20,
-            in_pareto_levy=(1 < alpha_ols < 2) and (1 < alpha_hill < 2),
+            p_outside=p_outside,
+            anomaly_p=anomaly_p,
         )
 
     def test_reference_pass_and_fail_rows(self):
-        assert pareto_levy_verdict(self._fit(1.763, 1.191)).passed
-        assert not pareto_levy_verdict(self._fit(0.620, 0.663)).passed
+        assert self._fit(1.763, 1.191).in_pareto_levy
+        assert not self._fit(0.620, 0.663).in_pareto_levy
 
     def test_verdict_equals_interval_check(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             a_ols, a_hill = rng.uniform(0.3, 3.0, size=2)
             fit = self._fit(float(a_ols), float(a_hill))
-            assert pareto_levy_verdict(fit).passed == ((1 < a_ols < 2) and (1 < a_hill < 2))
+            assert fit.in_pareto_levy == ((1 < a_ols < 2) and (1 < a_hill < 2))
 
     def test_p_outside_limits(self):
-        deep_inside = self._fit(1.5, 1.5, n_tail=10**6)
-        v = pareto_levy_verdict(deep_inside)
-        assert v.p_outside < 1e-9
-        assert v.anomaly_p == pytest.approx(1.0)
-        far_outside = self._fit(1.5, 0.5, n_tail=10**6)
-        v2 = pareto_levy_verdict(far_outside)
-        assert v2.anomaly_p < 1e-9
-        assert v2.p_outside == pytest.approx(1.0)
+        p_outside, anomaly_p = pareto_levy_p(1.5, 1.5 / math.sqrt(10**6))
+        assert p_outside < 1e-9
+        assert anomaly_p == pytest.approx(1.0)
+        p_outside, anomaly_p = pareto_levy_p(0.5, 0.5 / math.sqrt(10**6))
+        assert anomaly_p < 1e-9
+        assert p_outside == pytest.approx(1.0)
 
     def test_inside_probability_equals_scipy_stats_norm(self):
         for a_hill in np.linspace(0.2, 3.5, 34):
             for n_tail in (50, 1_000, 10**6):
-                fit = self._fit(1.5, float(a_hill), n_tail=n_tail)
-                inside = float(
-                    stats.norm.cdf((2.0 - fit.alpha_hill) / fit.hill_se)
-                    - stats.norm.cdf((1.0 - fit.alpha_hill) / fit.hill_se)
-                )
-                v = pareto_levy_verdict(fit)
-                assert v.anomaly_p == max(1e-300, inside)
-                assert v.p_outside == max(1e-300, 1.0 - inside)
+                a_hill = float(a_hill)
+                se = a_hill / math.sqrt(n_tail)
+                inside = float(stats.norm.cdf((2.0 - a_hill) / se) - stats.norm.cdf((1.0 - a_hill) / se))
+                p_outside, anomaly_p = pareto_levy_p(a_hill, se)
+                assert anomaly_p == max(1e-300, inside)
+                assert p_outside == max(1e-300, 1.0 - inside)
 
     def test_p_floor(self):
-        v = pareto_levy_verdict(self._fit(1.5, 1.5, n_tail=10**8))
-        assert v.p_outside >= 1e-300
+        p_outside, _ = pareto_levy_p(1.5, 1.5 / math.sqrt(10**8))
+        assert p_outside >= 1e-300
 
 
 class TestFitTail:
@@ -221,6 +222,7 @@ class TestFitTail:
         assert fit.alpha_hill == pytest.approx(1.5, abs=0.05)
         assert fit.alpha_ols == pytest.approx(1.5, abs=0.1)
         assert fit.n_tail >= 11_000
+        assert (fit.p_outside, fit.anomaly_p) == pareto_levy_p(fit.alpha_hill, fit.hill_se)
 
     def test_bounded_sizes_fail_the_range_check(self):
         rng = np.random.default_rng(61)
