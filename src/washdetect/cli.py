@@ -159,21 +159,31 @@ def _write_rows(path: Path, rows: list[list]) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def _export_csvs(out, ds, registry, which: str, keys, step=100, lo=1, hi=1000) -> None:
-    """Write ``{which}_{exchange}_{pair}.csv`` for each group key: the digit
-    histogram, the 1-unit size histogram or the log-log tail."""
-    for key in keys:
-        g = ds.groups[key]
-        spec = registry.get(g.pair)
-        if which == "benford":
-            rows = bf.histogram_rows(bf.digit_histogram(g.amounts))
-        elif which == "sizes":
-            rows = cl.size_histogram_rows(g.amounts, spec, lo_units=lo, hi_units=hi, step=step)
-        else:
-            sizes = g.amounts / spec.subunits_per_base_unit
-            fit = tf.fit_tail(sizes)
-            rows = tf.tail_rows(fit, sizes[sizes >= fit.x_min])
-        _write_rows(out / f"{which}_{g.exchange_id}_{g.pair}.csv".replace("/", "-"), rows)
+def _plot_path(out: Path, which: str, exchange_id: str, pair: str) -> Path:
+    return out / f"{which}_{exchange_id}_{pair}.csv".replace("/", "-")
+
+
+def _export_fits(out: Path, ds: TradeDataset, registry: PairRegistry, report: rp.BatteryReport, which: str) -> list[str]:
+    """Write ``{which}_{exchange}_{pair}.csv`` for each group the battery
+    fitted: the digit histogram (``benford``) or the log-log tail (``tail``).
+
+    Returns an ``exchange pair: reason`` line for each group it skipped.
+    """
+    skipped = []
+    for ex in report.exchanges:
+        for p in ex.pairs:
+            fit = getattr(p, which)
+            if fit is None:
+                skipped.append(f"{ex.exchange_id} {p.pair}: {_flags(p, which + ' skipped')}")
+                continue
+            g = ds.groups[(ex.exchange_id, p.pair)]
+            if which == "benford":
+                rows = bf.histogram_rows(bf.digit_histogram(g.amounts))
+            else:
+                sizes = g.amounts / registry.get(p.pair).subunits_per_base_unit
+                rows = tf.tail_rows(fit, sizes[sizes >= fit.x_min])
+            _write_rows(_plot_path(out, which, ex.exchange_id, p.pair), rows)
+    return skipped
 
 
 def cmd_ingest_check(args) -> int:
@@ -207,8 +217,7 @@ def cmd_benford(args) -> int:
         ), False
 
     if args.out:
-        keys = [(ex.exchange_id, p.pair) for ex in report.exchanges for p in ex.pairs if p.benford is not None]
-        _export_csvs(_outdir(args), ds, registry, "benford", keys)
+        _export_fits(_outdir(args), ds, registry, report, "benford")
     return _print_pairs(report, line)
 
 
@@ -239,8 +248,7 @@ def cmd_tail(args) -> int:
         ), bool(_flags(p, "tail"))
 
     if args.out:
-        keys = [(ex.exchange_id, p.pair) for ex in report.exchanges for p in ex.pairs if p.tail is not None]
-        _export_csvs(_outdir(args), ds, registry, "tail", keys)
+        _export_fits(_outdir(args), ds, registry, report, "tail")
     return _print_pairs(report, line)
 
 
@@ -372,9 +380,18 @@ def cmd_plot_data(args) -> int:
         raise ConfigError(f"--step must be positive, got {args.step}")
     ds, registry = _load(args)
     out = _outdir(args) or Path(".")
-    _export_csvs(out, ds, registry, args.which, ds.sorted_keys(), args.step, lo, hi)
+    skipped = []
+    if args.which == "sizes":
+        for key in ds.sorted_keys():
+            g = ds.groups[key]
+            rows = cl.size_histogram_rows(g.amounts, registry.get(g.pair), lo_units=lo, hi_units=hi, step=args.step)
+            _write_rows(_plot_path(out, "sizes", g.exchange_id, g.pair), rows)
+    else:
+        skipped = _export_fits(out, ds, registry, _battery(args, ds, registry), args.which)
+        for line in skipped:
+            print(line, file=sys.stderr)
     print(f"plot data written to {out}")
-    return EXIT_OK
+    return EXIT_FLAGGED if skipped else EXIT_OK
 
 
 def cmd_rank(args) -> int:

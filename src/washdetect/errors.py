@@ -27,4 +27,4 @@ class ConfigError(WashdetectError, ValueError):
 
 
 class ParseError(WashdetectError, ValueError):
-    """A trade file could not be parsed in strict mode."""
+    """A trade file could not be read, or not parsed in strict mode."""

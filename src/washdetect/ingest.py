@@ -333,12 +333,11 @@ def _validate_row(exchange: str, pair: str, ts_text: str, price_text: str, amoun
         price = float(price_text)
     except ValueError:
         raise AmountError(f"bad price {price_text!r}") from None
+    if not math.isfinite(price):
+        raise AmountError(f"non-finite price {price_text!r}")
     if not price > 0:
         raise AmountError(f"non-positive price {price_text!r}")
-    subunits = parse_amount(amount_text)
-    if not math.isfinite(price):
-        raise AmountError(f"non-positive price {price}")
-    return ts, price, subunits
+    return ts, price, parse_amount(amount_text)
 
 
 def _csv_record(data: bytes, starts: np.ndarray, nexts: np.ndarray, i: int, eof: bool):
@@ -551,8 +550,9 @@ def parse_trades(
     """Parse a CSV or JSONL trade file into a dataset plus a parse report.
 
     ``source`` is a path, a bytes object, or a binary or text stream.
-    ``strict`` aborts on the first malformed row; otherwise bad rows are
-    logged with their line number and skipped. ``dedupe`` drops exact
+    ``strict`` aborts on the first malformed row with a ParseError, which
+    names the file when ``source`` is a path; otherwise bad rows are logged
+    with their line number and skipped. ``dedupe`` drops exact
     duplicate rows (duplicates are legitimate in clean feeds, so this is off
     by default).
     """
@@ -563,6 +563,10 @@ def parse_trades(
     chunks = _chunks(source)
     try:
         _feed(chunks, parser.csv_block if fmt == "csv" else parser.jsonl_block)
+    except (ParseError, OSError) as exc:
+        if not isinstance(source, (str, Path)):
+            raise
+        raise ParseError(f"{source}: {exc.strerror if isinstance(exc, OSError) else exc}") from None
     finally:
         chunks.close()
     return parser.columns.dataset(report, dedupe), report

@@ -53,6 +53,8 @@ class RunConfig:
             raise ConfigError(f"effective_n must be positive or None (raw), got {self.effective_n}")
         if self.bootstrap and self.bootstrap < 100:
             raise ConfigError(f"bootstrap must be 0 or >= 100, got {self.bootstrap}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.min_window_support < 1:
             raise ConfigError(f"min_window_support must be at least 1, got {self.min_window_support}")
 
@@ -214,9 +216,7 @@ def _wash_section(
             panels = dict(sorted(bench_rows_by_pair.items()))
         for scope, rows in panels.items():
             try:
-                models[scope] = we.fit_benchmark(
-                    rows, meta=meta, use_controls=use_controls, pool_pairs=config.pool_pairs
-                )
+                models[scope] = we.fit_benchmark(rows, meta=meta, use_controls=use_controls)
             except (InsufficientDataError, EstimationError) as exc:
                 report.warnings.append(f"benchmark for {scope} not fitted: {exc}")
     report.benchmark_models = models
@@ -255,7 +255,6 @@ def _wash_section(
                         seed=config.seed,
                         meta=meta,
                         use_controls=model.controls_used,
-                        pool_pairs=scope == "pooled",
                     )
                 except EstimationError as exc:
                     est = replace(est, flags=est.flags + (f"bootstrap failed: {exc}",))
@@ -286,15 +285,8 @@ def _wash_section(
         for row in bench_rows:
             rows_by_ex.setdefault(row.exchange_id, []).append(row)
         try:
-            cv = we.cross_validate_regulated(
-                rows_by_ex,
-                meta=meta,
-                use_controls=use_controls,
-                pool_pairs=config.pool_pairs or len(by_pair) > 1,
-            )
-            report.cross_validation = {
-                ex: est.wash_percent for ex, est in cv.estimates.items()
-            }
+            cv = we.cross_validate_regulated(rows_by_ex, meta=meta, use_controls=use_controls)
+            report.cross_validation = {ex: est.wash_percent for ex, est in cv.items()}
         except (InsufficientDataError, EstimationError) as exc:
             report.warnings.append(f"regulated cross-validation failed: {exc}")
 

@@ -139,6 +139,10 @@ class GeneratorConfig:
     authentic: AuthenticParams = AuthenticParams()
     wash: WashParams = WashParams()
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+
     @property
     def spec(self) -> PairSpec:
         """The built-in base unit of ``pair``; PairConfigError for another pair."""

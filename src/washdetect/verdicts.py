@@ -168,14 +168,18 @@ def counterfactual_rank(
     which reduces to b * log(1 - wash/100). The log base defaults to natural
     log and is configurable.
     """
-    if not reported_volume > 0:
-        raise EstimationError(f"volume must be positive, got {reported_volume}")
+    if not 0 < reported_volume < math.inf:
+        raise EstimationError(f"volume must be positive and finite, got {reported_volume}")
+    if not (log_base > 0 and log_base != 1):
+        raise EstimationError(f"log base must be positive and not 1, got {log_base}")
     if not 0.0 <= wash_percent < 100.0:
         raise EstimationError(f"wash percent must be in [0, 100), got {wash_percent}")
     log = lambda v: math.log(v) / math.log(log_base)
     model_rank = coeffs.a + coeffs.b * log(reported_volume)
     counter_rank = coeffs.a + coeffs.b * log(reported_volume * (1.0 - wash_percent / 100.0))
     raw = counter_rank - model_rank
+    if not math.isfinite(raw):
+        raise EstimationError(f"rank improvement is not finite under coefficients a={coeffs.a}, b={coeffs.b}")
     improvement = int(math.floor(raw + 0.5))
     return RankResult(
         improvement=improvement,

@@ -15,7 +15,7 @@ regulated benchmark) give a complementary distribution-shape test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -166,13 +166,6 @@ def load_models(path: str | Path) -> dict[str, BenchmarkModel]:
     return models
 
 
-def _control_vector(meta: ExchangeMeta) -> list[float]:
-    missing = [f for f in CONTROL_FIELDS if getattr(meta, f) is None]
-    if missing:
-        raise EstimationError(f"exchange {meta.exchange_id} missing controls: {', '.join(missing)}")
-    return [float(getattr(meta, f)) for f in CONTROL_FIELDS]
-
-
 def _design_row(
     row: WeeklyVolumeSplit,
     feature_names: Sequence[str],
@@ -215,13 +208,12 @@ def fit_benchmark(
     *,
     meta: dict[str, ExchangeMeta] | None = None,
     use_controls: bool = False,
-    pool_pairs: bool = False,
 ) -> BenchmarkModel:
     """Fit ln(unrounded volume) on ln(round volume) over exchange-weeks.
 
     Rows with a zero on either side are dropped (their logs are undefined)
-    and counted. With ``pool_pairs`` the panel may span pairs and gets pair
-    indicator terms; otherwise all rows must share one pair. Controls add the
+    and counted. A panel whose usable rows span more than one pair is pooled:
+    it gets an indicator term for each pair after the first. Controls add the
     four exchange covariates and require metadata for every exchange.
     """
     all_rows = list(rows)
@@ -232,14 +224,12 @@ def fit_benchmark(
             f"insufficient benchmark data: {len(usable)} usable exchange-weeks, need {MIN_BENCHMARK_OBS}"
         )
     pairs = sorted({r.pair for r in usable})
-    if not pool_pairs and len(pairs) > 1:
-        raise EstimationError(f"panel spans pairs {pairs}; fit per pair or set pool_pairs")
 
     feature_names: list[str] = ["const", "ln_round"]
     if use_controls:
         feature_names.extend(CONTROL_FIELDS)
     pair_levels: tuple[str, ...] = ()
-    if pool_pairs and len(pairs) > 1:
+    if len(pairs) > 1:
         pair_levels = tuple(pairs)
         feature_names.extend(f"pair={p}" for p in pairs[1:])
 
@@ -346,7 +336,6 @@ def bootstrap_wash_sd(
     seed: int = 0,
     meta: dict[str, ExchangeMeta] | None = None,
     use_controls: bool = False,
-    pool_pairs: bool = False,
 ) -> float:
     """Bootstrap standard deviation of the wash percentage.
 
@@ -368,9 +357,7 @@ def bootstrap_wash_sd(
         idx = rng.integers(0, len(bench), len(bench))
         sample = [bench[i] for i in idx]
         try:
-            model = fit_benchmark(
-                sample, meta=meta, use_controls=use_controls, pool_pairs=pool_pairs
-            )
+            model = fit_benchmark(sample, meta=meta, use_controls=use_controls)
             est = estimate_wash(target_rows, model, meta=meta)
         except (EstimationError, InsufficientDataError):
             continue
@@ -378,26 +365,12 @@ def bootstrap_wash_sd(
     return float(np.std(replicates, ddof=1))
 
 
-@dataclass(frozen=True)
-class CrossValidationResult:
-    estimates: dict[str, WashEstimate] = field(default_factory=dict)
-
-    @property
-    def mean_percent(self) -> float:
-        return float(np.mean([e.wash_percent for e in self.estimates.values()]))
-
-    @property
-    def max_percent(self) -> float:
-        return float(np.max([e.wash_percent for e in self.estimates.values()]))
-
-
 def cross_validate_regulated(
     rows_by_exchange: dict[str, Sequence[WeeklyVolumeSplit]],
     *,
     meta: dict[str, ExchangeMeta] | None = None,
     use_controls: bool = False,
-    pool_pairs: bool = False,
-) -> CrossValidationResult:
+) -> dict[str, WashEstimate]:
     """Leave-one-out wash estimates across regulated exchanges.
 
     Each exchange is scored against a benchmark fitted on the others; on
@@ -407,12 +380,12 @@ def cross_validate_regulated(
         raise InsufficientDataError(
             f"cross-validation needs at least 3 regulated exchanges, got {len(rows_by_exchange)}"
         )
-    result = CrossValidationResult()
+    estimates = {}
     for held_out in sorted(rows_by_exchange):
         train: list[WeeklyVolumeSplit] = []
         for ex, rows in rows_by_exchange.items():
             if ex != held_out:
                 train.extend(rows)
-        model = fit_benchmark(train, meta=meta, use_controls=use_controls, pool_pairs=pool_pairs)
-        result.estimates[held_out] = estimate_wash(rows_by_exchange[held_out], model, meta=meta)
-    return result
+        model = fit_benchmark(train, meta=meta, use_controls=use_controls)
+        estimates[held_out] = estimate_wash(rows_by_exchange[held_out], model, meta=meta)
+    return estimates

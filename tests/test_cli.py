@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output files."""
 
+import ast
 import json
 import os
 import subprocess
@@ -313,7 +314,7 @@ def test_report_cross_validates_the_controls_model(tmp_path):
     exchange_meta = load_exchange_meta(tmp_path / "meta.json")
     for controls in (True, False):
         cv = cross_validate_regulated(rows, meta=exchange_meta, use_controls=controls)
-        direct = {ex: est.wash_percent for ex, est in cv.estimates.items()}
+        direct = {ex: est.wash_percent for ex, est in cv.items()}
         assert (report["regulated_cross_validation"] == direct) == controls
 
 
@@ -351,6 +352,15 @@ class TestPlotData:
         hill_slope = np.polyfit(data[:, 0], data[:, 3], 1)[0]
         assert ols_slope == pytest.approx(hill_slope, abs=1.0)
         assert -2.0 > ols_slope > -4.0
+
+    def test_tail_skips_a_group_too_small_to_fit(self, tmp_path, capsys):
+        big, tiny, out = tmp_path / "big.csv", tmp_path / "tiny.csv", tmp_path / "pd"
+        assert main(["synth", "--n", "20000", "--out-file", str(big)]) == EXIT_OK
+        tiny.write_text("exchange,pair,timestamp_ms,price,amount\nT1,BTC/USD,1,1.0,0.0213\n")
+        capsys.readouterr()
+        assert main(["plot-data", str(big), str(tiny), "--which", "tail", "--out", str(out)]) == EXIT_FLAGGED
+        assert sorted(p.name for p in out.iterdir()) == ["tail_X1_BTC-USD.csv"]
+        assert capsys.readouterr().err.startswith("T1 BTC/USD: tail skipped: insufficient data")
 
 
 class TestFlags:
@@ -415,6 +425,13 @@ class TestFlags:
             ["plot-data", "{tape}", "--which", "sizes", "--range", "50:10", "--out", "{tmp}/o"],
             ["plot-data", "{tape}", "--which", "sizes", "--step", "0", "--out", "{tmp}/o"],
             ["cluster", "{tape}", "--min-support", "-5"],
+            ["rank", "--volume", "1e9", "--wash-percent", "70", "--log-base", "1"],
+            ["rank", "--volume", "1e9", "--wash-percent", "70", "--log-base", "0"],
+            ["rank", "--volume", "inf", "--wash-percent", "70"],
+            ["rank", "--volume", "1e9", "--wash-percent", "70", "--coeff-a", "inf"],
+            ["synth", "--seed", "-1", "--out-file", "{tmp}/s.csv"],
+            ["report", "{tape}", "--no-wash", "--bootstrap", "100", "--seed", "-1"],
+            ["ingest-check", "{tmp}/missing.csv"],
         ],
         ids=[
             "model-key",
@@ -431,6 +448,13 @@ class TestFlags:
             "plot-range-order",
             "plot-step",
             "cluster-min-support",
+            "rank-log-base-1",
+            "rank-log-base-0",
+            "rank-volume-inf",
+            "rank-coeff-inf",
+            "synth-seed",
+            "report-seed",
+            "input-missing",
         ],
     )
     def test_bad_side_files_and_values_are_errors(self, argv, tmp_path, capsys):
@@ -467,6 +491,13 @@ class TestFlags:
         assert main([a.format(tape=tape, side=tmp_path / "side.json") for a in argv]) == EXIT_FATAL
         assert capsys.readouterr().err == line + "\n"
 
+    def test_strict_error_names_the_file(self, tmp_path, capsys):
+        ok, bad = tmp_path / "ok.csv", tmp_path / "bad.csv"
+        ok.write_text("exchange,pair,timestamp_ms,price,amount\nU1,BTC/USD,1,1.0,0.0213\n")
+        bad.write_text("exchange,pair,timestamp_ms,price,amount\nU1,BTC/USD,1,1.0,-1\n")
+        assert main(["ingest-check", str(ok), str(bad), "--strict"]) == EXIT_FATAL
+        assert capsys.readouterr().err == f"error: {bad}: line 2: malformed amount '-1'\n"
+
 
 def test_cli_import_leaves_out_scipy_stats():
     src = Path(washdetect.__file__).resolve().parents[1]
@@ -474,6 +505,32 @@ def test_cli_import_leaves_out_scipy_stats():
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_cli_and_scripts_leave_the_detectors_to_the_battery():
+    """The subcommands and experiment scripts read ``report.run_battery``;
+    none of them runs a detector or estimator of its own."""
+    detectors = {
+        "fit_tail",
+        "chi_squared_benford",
+        "run_cluster_test",
+        "fit_benchmark",
+        "estimate_wash",
+        "bootstrap_wash_sd",
+        "cross_validate_regulated",
+    }
+    root = Path(__file__).resolve().parents[1]
+    files = [Path(washdetect.__file__).with_name("cli.py"), *sorted((root / "scripts").glob("*.py"))]
+    calls = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name in detectors:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert len(files) > 1
+    assert calls == []
 
 
 class TestRank:

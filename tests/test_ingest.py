@@ -140,6 +140,12 @@ class TestInputBoundary:
         assert ds.groups == {}
         assert report.rejected == [(2, reason)]
 
+    @pytest.mark.parametrize("price", ["inf", "nan", "1e999"])
+    def test_non_finite_price_is_rejected_before_the_amount(self, price):
+        ds, report = parse_trades(io.StringIO(f"{','.join(CSV_HEADER)}\nX,BTC/USD,1,{price},x\n"))
+        assert ds.groups == {}
+        assert report.rejected == [(2, f"non-finite price '{price}'")]
+
     def test_timestamp_outside_int64_is_rejected(self):
         text = f"{','.join(CSV_HEADER)}\nX,BTC/USD,9223372036854775807,1.0,1\nX,BTC/USD,9223372036854775808,1.0,1\n"
         ds, report = parse_trades(io.StringIO(text))
@@ -207,12 +213,11 @@ def _oracle_fields(row):
         price = float(price_text.encode("ascii"))
     except ValueError:
         raise AmountError(f"bad price {price_text!r}") from None
+    if not math.isfinite(price):
+        raise AmountError(f"non-finite price {price_text!r}")
     if not price > 0:
         raise AmountError(f"non-positive price {price_text!r}")
-    amount = parse_amount(amount_text)
-    if not math.isfinite(price):
-        raise AmountError(f"non-positive price {price}")
-    return (exchange, pair), ts, price, amount
+    return (exchange, pair), ts, price, parse_amount(amount_text)
 
 
 def oracle_parse(text, dedupe):

@@ -119,13 +119,14 @@ class TestFitBenchmark:
         with pytest.raises(InsufficientDataError, match="insufficient benchmark data"):
             fit_benchmark(identity_panel("R1", weeks=5))
 
-    def test_mixed_pairs_require_pooling(self):
+    def test_mixed_pairs_get_pair_terms(self):
         rows = identity_panel("R1") + [split("R1", w, 1.0, 1.0, pair="ETH/USD") for w in range(9)]
-        with pytest.raises(EstimationError, match="pool"):
-            fit_benchmark(rows)
-        model = fit_benchmark(rows, pool_pairs=True)
+        model = fit_benchmark(rows)
         assert model.scope == "pooled"
-        assert "pair=ETH/USD" in model.feature_names
+        assert model.pair_levels == ("BTC/USD", "ETH/USD")
+        assert model.feature_names == ("const", "ln_round", "pair=ETH/USD")
+        single = fit_benchmark(identity_panel("R1"))
+        assert single.scope == "per-pair" and single.feature_names == ("const", "ln_round")
 
     def test_singular_design_names_columns(self):
         meta = {
@@ -239,10 +240,9 @@ class TestBootstrap:
 class TestCrossValidation:
     def test_identical_exchanges_read_near_zero(self):
         panels = {ex: identity_panel(ex) for ex in ("R1", "R2", "R3")}
-        result = cross_validate_regulated(panels)
-        assert set(result.estimates) == {"R1", "R2", "R3"}
-        assert result.mean_percent == pytest.approx(0.0, abs=1e-9)
-        assert result.max_percent == pytest.approx(0.0, abs=1e-9)
+        estimates = cross_validate_regulated(panels)
+        assert set(estimates) == {"R1", "R2", "R3"}
+        assert all(e.wash_percent == pytest.approx(0.0, abs=1e-9) for e in estimates.values())
 
     def test_requires_three_exchanges(self):
         with pytest.raises(InsufficientDataError):
@@ -262,6 +262,7 @@ class TestCrossValidation:
                     v_unr = 2.2 * v_round * float(np.exp(rng.normal(0.0, 0.15)))
                     rows.append(split(ex, w, v_round, v_unr))
                 panels[ex] = rows
-            means.append(cross_validate_regulated(panels).mean_percent)
+            estimates = cross_validate_regulated(panels).values()
+            means.append(np.mean([e.wash_percent for e in estimates]))
         assert float(np.mean(means)) < 10.0
         assert sum(m < 10.0 for m in means) >= 19
