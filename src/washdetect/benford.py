@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from .distributions import chi2_sf
 from .errors import EstimationError, InsufficientDataError
 from .trades import SUBUNITS_PER_UNIT, exact_sum, first_significant_digits
 
@@ -80,12 +80,9 @@ class ChiSquaredResult:
 def chi_squared_pvalue(statistic: float, df: int) -> float:
     """Upper-tail chi-squared probability (regularized incomplete gamma).
 
-    A negative statistic lies below the support and gets 1.0, where the
-    ``chdtrc`` kernel alone would give nan.
+    A negative statistic lies below the support and gets 1.0.
     """
-    if statistic < 0:
-        return 1.0
-    return float(special.chdtrc(df, statistic))
+    return chi2_sf(df, statistic)
 
 
 def chi_squared_gof(
@@ -105,6 +102,8 @@ def chi_squared_gof(
     p = np.asarray(expected_prob, dtype=np.float64)
     if f.shape != p.shape:
         raise EstimationError("observed and expected shapes differ")
+    if f.size < 2:
+        raise EstimationError("need at least 2 cells")
     if (p <= 0).any():
         raise EstimationError("expected probabilities must all be positive")
     statistic = float(effective_n * np.sum((f - p) ** 2 / p))

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from .distributions import t_cdf
 from .errors import InsufficientDataError
 from .trades import PairSpec
 from .verdicts import P_FLOOR
@@ -160,8 +160,8 @@ def clustering_t_test(pairs: list[WindowPair], step: int = 100, alpha: float = 0
             t_stat, p_value, anomaly_p = 0.0, 1.0, 1.0
     else:
         t_stat = mean / (sd / math.sqrt(n))
-        p_value = max(P_FLOOR, float(special.stdtr(n - 1, -t_stat)))
-        anomaly_p = max(P_FLOOR, float(special.stdtr(n - 1, t_stat)))
+        p_value = max(P_FLOOR, t_cdf(n - 1, -t_stat))
+        anomaly_p = max(P_FLOOR, t_cdf(n - 1, t_stat))
     return ClusterTestResult(
         mean_difference=mean,
         t_statistic=t_stat,

@@ -15,6 +15,8 @@ Everything is driven by one numpy Generator seeded from the config, so a
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import TextIO
@@ -142,6 +144,8 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not self.exchange_id:
+            raise ConfigError("exchange id must not be empty")
 
     @property
     def spec(self) -> PairSpec:
@@ -340,6 +344,15 @@ def _column_chunks(tape: LabeledTape):
         yield g.timestamps[rows].tolist(), g.prices[rows].tolist(), g.amounts[rows].tolist(), tape.labels[rows].tolist()
 
 
+def _csv_fields(*fields: str) -> str:
+    """Fields as one CSV line holds them, each quoted only if it must be."""
+    buf = io.StringIO()
+    # The writer quotes a field holding any character of the terminator, so
+    # "\r\n" makes it quote both kinds of line break.
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2]
+
+
 def write_tape(tape: LabeledTape, out: TextIO, fmt: str = "csv", include_labels: bool = False) -> None:
     """Emit a tape in the ingestion schema, optionally with a label column.
 
@@ -350,7 +363,7 @@ def write_tape(tape: LabeledTape, out: TextIO, fmt: str = "csv", include_labels:
     if fmt == "csv":
         header = ",".join(CSV_HEADER) + (",label" if include_labels else "")
         out.write(header + "\n")
-        prefix = f"{g.exchange_id},{g.pair},"
+        prefix = _csv_fields(g.exchange_id, g.pair) + ","
         ends = (",authentic\n", ",wash\n") if include_labels else ("\n", "\n")
         for ts, prices, amounts, labels in _column_chunks(tape):
             out.write(

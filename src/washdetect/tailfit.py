@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from .distributions import norm_cdf
 from .errors import EstimationError, InsufficientDataError
 from .verdicts import P_FLOOR
 
@@ -163,9 +163,7 @@ def pareto_levy_p(alpha_hill: float, hill_se: float) -> tuple[float, float]:
     when far outside. ``anomaly_p`` = 1 - p_outside is the orientation used
     for combined testing (large when the tail looks authentic).
     """
-    inside = float(
-        special.ndtr((2.0 - alpha_hill) / hill_se) - special.ndtr((1.0 - alpha_hill) / hill_se)
-    )
+    inside = norm_cdf((2.0 - alpha_hill) / hill_se) - norm_cdf((1.0 - alpha_hill) / hill_se)
     return max(P_FLOOR, 1.0 - inside), max(P_FLOOR, inside)
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import special
 
+from .distributions import chi2_isf, t_cdf
 from .errors import EstimationError, InsufficientDataError
 
 P_FLOOR = 1e-300
@@ -48,7 +48,7 @@ def fisher_combine(p_values: Sequence[float], alpha: float = 0.05) -> FisherResu
         floored.append(max(P_FLOOR, p))
     chi2 = -2.0 * sum(math.log(p) for p in floored)
     df = 2 * len(floored)
-    critical = float(special.chdtri(df, alpha))
+    critical = chi2_isf(df, alpha)
     return FisherResult(chi2, df, critical, alpha, chi2 > critical)
 
 
@@ -101,7 +101,7 @@ def wash_failure_regression(
             slope_p = 1.0
     else:
         slope_t = slope / slope_se
-        slope_p = 2.0 * float(special.stdtr(n - 2, -abs(slope_t)))
+        slope_p = 2.0 * t_cdf(n - 2, -abs(slope_t))
     return WashFailureFit(slope, intercept, adj_r2, slope_se, slope_t, slope_p, n)
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from washdetect.benford import benford_expected, chi_squared_benford, chi_squared_pvalue, digit_histogram
 from washdetect.clustering import run_cluster_test
+from washdetect.distributions import chi2_isf, chi2_sf, norm_cdf, t_cdf
 from washdetect.ingest import parse_trades, weekly_split
 from washdetect.synth import (
     GeneratorConfig,
@@ -22,7 +23,7 @@ from washdetect.synth import (
 )
 from washdetect.tailfit import fit_hill, fit_ols, fit_tail, power_law_ols, tail_cutoff
 from washdetect.trades import BUILTIN_PAIR_SPECS, PairRegistry, PairSpec, is_round_mask
-from washdetect.verdicts import counterfactual_rank, fisher_combine, spearman_rank_correlation
+from washdetect.verdicts import P_FLOOR, counterfactual_rank, fisher_combine, spearman_rank_correlation
 from washdetect.washest import bootstrap_wash_sd, cross_validate_regulated, estimate_wash, fit_benchmark
 
 REG = PairRegistry()
@@ -40,10 +41,51 @@ def test_criterion_01_benford_constants():
     _passed(1, "benford expectations match log10(1 + 1/d) to 1e-12; P(1) = 0.30103")
 
 
+def _last_above(f, lo, hi, level):
+    """The largest x in [lo, hi], to double precision, with f(x) > level
+    (f decreasing, above level at lo and not at hi)."""
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) > level else (lo, mid)
+    return lo
+
+
 def test_criterion_02_chi_squared_survival():
+    import mpmath
+
     assert chi_squared_pvalue(12.592, 6) == pytest.approx(0.05, abs=1e-4)
     assert chi_squared_pvalue(15.507, 8) == pytest.approx(0.05, abs=1e-4)
-    _passed(2, "chi-squared survival gives p = 0.05 at (12.592, df 6) and (15.507, df 8)")
+    # Every kernel against 40-digit mpmath at 1e-12, down to P_FLOOR tails.
+    half = mpmath.mpf(1) / 2
+    with mpmath.workdps(40):
+        for df in range(1, 41):
+            def q(x):
+                return mpmath.gammainc(df * half, x * half, mpmath.inf, regularized=True)
+
+            x_floor = _last_above(q, 0.0, 3000.0, P_FLOOR)
+            for x in (1e-8, 0.5, df / 2, float(df), 2.0 * df, x_floor / 4, x_floor / 2, x_floor):
+                assert chi2_sf(df, x) == pytest.approx(float(q(x)), rel=1e-12, abs=0), (df, x)
+            if df % 2 == 0:
+                for alpha in (1e-6, 0.01, 0.05, 0.5):
+                    x = chi2_isf(df, alpha)
+                    root = mpmath.findroot(lambda z: q(z) - alpha, x)
+                    assert x == pytest.approx(float(root), rel=1e-12, abs=0), (df, alpha)
+        for nu in (*range(1, 41), 100, 515, 2000):
+            def tail(t):  # P(T <= -|t|)
+                return mpmath.betainc(nu * half, half, 0, nu / (nu + mpmath.mpf(t) ** 2), regularized=True) / 2
+
+            t_floor = math.exp(_last_above(lambda s: tail(math.exp(s)), -5.0, 700.0, P_FLOOR))
+            for t in (1e-3, 0.3, 1.0, 2.0, 4.0, math.sqrt(t_floor), t_floor / 4, t_floor / 2, t_floor):
+                lower = tail(t)
+                assert t_cdf(nu, -t) == pytest.approx(float(lower), rel=1e-12, abs=0), (nu, -t)
+                assert t_cdf(nu, t) == pytest.approx(float(1 - lower), rel=1e-12, abs=0), (nu, t)
+        for x in np.linspace(-37.0, 37.0, 297):
+            assert norm_cdf(float(x)) == pytest.approx(float(mpmath.ncdf(float(x))), rel=1e-12, abs=0), x
+    _passed(
+        2,
+        "chi-squared survival gives p = 0.05 at (12.592, df 6) and (15.507, df 8); chi2_sf, chi2_isf, "
+        "t_cdf and norm_cdf agree with 40-digit mpmath to 1e-12 down to P_FLOOR tails",
+    )
 
 
 def test_criterion_03_hill_exactness_and_recovery():

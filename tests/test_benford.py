@@ -18,6 +18,7 @@ from washdetect.benford import (
     histogram_rows,
 )
 from washdetect.errors import EstimationError, InsufficientDataError
+from washdetect.verdicts import P_FLOOR
 
 
 def pearson_oracle(freqs, probs, n_eff):
@@ -88,22 +89,29 @@ class TestChiSquared:
 
     def test_survival_matches_incomplete_gamma_to_1e10(self):
         # The upper-tail probability is the regularized upper incomplete
-        # gamma Q(df/2, x/2); cross-check against arbitrary-precision mpmath.
+        # gamma Q(df/2, x/2); cross-check against arbitrary-precision mpmath
+        # at 1e-12, down to the statistic whose tail is P_FLOOR.
         import mpmath
 
-        mpmath.mp.dps = 40
-        for df in (2, 6, 8, 16):
-            for x in (0.5, 3.0, 12.592, 15.507, 40.0, 80.0):
-                reference = float(
-                    mpmath.gammainc(df / 2, x / 2, mpmath.inf, regularized=True)
-                )
-                assert chi_squared_pvalue(x, df) == pytest.approx(reference, rel=1e-10)
+        with mpmath.workdps(40):
+            for df in range(1, 41):
+                def q(x):
+                    return mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+
+                lo, hi = 0.0, 3000.0  # bisect for the x with q(x) = P_FLOOR
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if q(mid) > P_FLOOR else (lo, mid)
+                for x in (0.5, 3.0, 12.592, 15.507, 40.0, 80.0, df / 2, float(df), 2.0 * df, lo / 2, lo):
+                    assert chi_squared_pvalue(x, df) == pytest.approx(float(q(x)), rel=1e-12, abs=0), (df, x)
 
     def test_survival_equals_scipy_stats_chi2_sf(self):
         xs = [1e-300, 1e-8, 0.01, 0.5, 1.0, 2.5, 7.0, 12.592, 15.507, 40.0, 80.0, 300.0, 1500.0]
         for df in range(1, 41):
             for x in xs + [df - 0.5, float(df), 2.0 * df]:
-                assert chi_squared_pvalue(x, df) == float(stats.chi2.sf(x, df)), (x, df)
+                # abs: tails below the normal doubles (x = 1500) keep no relative precision
+                oracle = pytest.approx(float(stats.chi2.sf(x, df)), rel=1e-12, abs=1e-307)
+                assert chi_squared_pvalue(x, df) == oracle, (x, df)
 
     @pytest.mark.parametrize(
         "statistic,expected", [(-1.0, 1.0), (-math.inf, 1.0), (0.0, 1.0), (math.inf, 0.0)]
@@ -111,6 +119,12 @@ class TestChiSquared:
     def test_survival_edges(self, statistic, expected):
         for df in (1, 8, 40):
             assert chi_squared_pvalue(statistic, df) == expected == float(stats.chi2.sf(statistic, df))
+
+    @pytest.mark.parametrize("observed", [1.0, 0.5])
+    def test_single_cell_is_an_error(self, observed):
+        # One cell leaves no degree of freedom: no p-value exists.
+        with pytest.raises(EstimationError, match="need at least 2 cells"):
+            chi_squared_gof(np.array([observed]), np.array([1.0]), 100)
 
     def test_survival_of_nan_is_nan(self):
         assert math.isnan(chi_squared_pvalue(math.nan, 8))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import washdetect
@@ -430,6 +431,7 @@ class TestFlags:
             ["rank", "--volume", "inf", "--wash-percent", "70"],
             ["rank", "--volume", "1e9", "--wash-percent", "70", "--coeff-a", "inf"],
             ["synth", "--seed", "-1", "--out-file", "{tmp}/s.csv"],
+            ["synth", "--exchange-id", "", "--out-file", "{tmp}/s.csv"],
             ["report", "{tape}", "--no-wash", "--bootstrap", "100", "--seed", "-1"],
             ["ingest-check", "{tmp}/missing.csv"],
         ],
@@ -453,6 +455,7 @@ class TestFlags:
             "rank-volume-inf",
             "rank-coeff-inf",
             "synth-seed",
+            "synth-exchange-id",
             "report-seed",
             "input-missing",
         ],
@@ -500,11 +503,50 @@ class TestFlags:
 
 
 def test_cli_import_leaves_out_scipy_stats():
+    """No scipy module at all: the runtime needs numpy alone."""
     src = Path(washdetect.__file__).resolve().parents[1]
-    code = "import sys, washdetect.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code = "import sys, washdetect.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+# Runs the CLI with an import hook that refuses every scipy module.
+_WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from washdetect.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_synth_and_report_run_without_scipy(tmp_path):
+    src = Path(washdetect.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *argv], env=env, capture_output=True, text=True)
+
+    meta = {"R1": {"regulatory_class": "regulated"}, "U1": {"regulatory_class": "tier2"}}
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    tapes = []
+    for ex, seed, wash in (("R1", 1, "0.0"), ("U1", 2, "0.8")):
+        tapes.append(str(tmp_path / f"{ex}.csv"))
+        argv = ["--seed", str(seed), "--n", "20000", "--wash", wash, "--exchange-id", ex, "--profile", "stable-panel"]
+        done = cli("synth", *argv, "--out-file", tapes[-1])
+        assert done.returncode == EXIT_OK, done.stderr
+    out = tmp_path / "out"
+    done = cli("report", *tapes, "--meta", str(tmp_path / "meta.json"), "--bootstrap", "100", "--out", str(out))
+    assert done.returncode in (EXIT_OK, EXIT_FLAGGED), done.stderr
+    schema = json.loads(Path(washdetect.__file__).with_name("report_schema.json").read_text())
+    jsonschema.validate(json.loads((out / "report.json").read_text()), schema)
 
 
 def test_cli_and_scripts_leave_the_detectors_to_the_battery():

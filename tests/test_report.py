@@ -1,10 +1,12 @@
 """Battery assembly, report JSON schema, and determinism."""
 
 import json
+import math
 from importlib import resources
 
 import jsonschema
 import pytest
+from scipy import stats
 
 from washdetect.errors import EstimationError
 from washdetect.ingest import TradeDataset
@@ -19,6 +21,7 @@ from washdetect.report import (
 )
 from washdetect.synth import GeneratorConfig, STABLE_PANEL_PARAMS, STABLE_PANEL_WASH, gen_exchange
 from washdetect.trades import ExchangeMeta, PairRegistry, RegulatoryClass
+from washdetect.verdicts import P_FLOOR
 
 REG = PairRegistry()
 
@@ -134,6 +137,54 @@ class TestBattery:
         assert [ex.failure_rate for ex in rep.exchanges[3:]] == [1.0, 1.0, 1.0]
         assert rep.wash_failure_fit is None
         assert "wash-failure fit skipped: singular regression: all failure rates equal" in rep.warnings
+
+
+class TestAgainstScipy:
+    def test_probabilities_match_scipy_stats(self, battery):
+        """Every p-value and critical value of the report, recomputed with
+        scipy.stats from the statistic and df it stores, agrees to 1e-12 and
+        gives the same verdict."""
+        alpha = battery.config.alpha
+        checked = dict.fromkeys(("chi2", "t", "tail", "fisher"), 0)
+        for ex in battery.exchanges:
+            for p in ex.pairs:
+                oriented = {}  # scipy's values of the p-values Fisher combines
+                for name, chi in (("benford", p.benford), ("raw", p.benford_raw), ("roundness", p.roundness)):
+                    if chi is not None:
+                        oriented[name] = sf = float(stats.chi2.sf(chi.statistic, chi.df))
+                        assert chi.p_value == pytest.approx(sf, rel=1e-12, abs=0)
+                        assert chi.reject == (sf < alpha)
+                        checked["chi2"] += 1
+                for name, c in (("cluster_100", p.cluster_100), ("cluster_500", p.cluster_500)):
+                    if c is not None and not c.insufficient:
+                        sf = max(P_FLOOR, float(stats.t.sf(c.t_statistic, c.n_pairs - 1)))
+                        oriented[name] = cdf = max(P_FLOOR, float(stats.t.cdf(c.t_statistic, c.n_pairs - 1)))
+                        assert c.p_value == pytest.approx(sf, rel=1e-12, abs=0)
+                        assert c.anomaly_p == pytest.approx(cdf, rel=1e-12, abs=0)
+                        assert c.reject == (sf >= alpha)
+                        checked["t"] += 1
+                t = p.tail
+                if t is not None:
+                    inside = float(
+                        stats.norm.cdf((2.0 - t.alpha_hill) / t.hill_se)
+                        - stats.norm.cdf((1.0 - t.alpha_hill) / t.hill_se)
+                    )
+                    oriented["tail"] = max(P_FLOOR, inside)
+                    assert t.anomaly_p == pytest.approx(oriented["tail"], rel=1e-12, abs=0)
+                    assert t.p_outside == pytest.approx(max(P_FLOOR, 1.0 - inside), rel=1e-12, abs=0)
+                    checked["tail"] += 1
+                if p.fisher is not None:
+                    combined = (oriented["benford"], oriented["cluster_100"], oriented["tail"])
+                    chi2 = -2.0 * sum(math.log(max(P_FLOOR, q)) for q in combined)
+                    critical = float(stats.chi2.isf(alpha, p.fisher.df))
+                    assert p.fisher.chi2 == pytest.approx(chi2, rel=1e-12, abs=0)
+                    assert p.fisher.critical_value == pytest.approx(critical, rel=1e-12, abs=0)
+                    assert p.fisher.reject == (chi2 > critical)
+                    checked["fisher"] += 1
+        fit = battery.wash_failure_fit
+        if fit is not None:
+            assert fit.slope_p == pytest.approx(2.0 * float(stats.t.sf(abs(fit.slope_t), fit.n - 2)), rel=1e-12, abs=0)
+        assert min(checked.values()) > 0, checked
 
 
 class TestSerialization:

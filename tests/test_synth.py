@@ -7,6 +7,7 @@ import pytest
 
 from washdetect.benford import chi_squared_benford, digit_histogram
 from washdetect.clustering import run_cluster_test
+from washdetect.errors import ConfigError
 from washdetect.ingest import parse_trades
 from washdetect.synth import (
     START_MS,
@@ -44,6 +45,22 @@ class TestDeterminism:
         g = ds.group(cfg.exchange_id, cfg.pair)
         assert g.n == cfg.n_trades
         assert g.amounts.tolist() == gen_exchange(cfg).group.amounts.tolist()
+
+    @pytest.mark.parametrize("exchange_id", ["A,B", 'A"B', "A\nB", "A\r\nB", '"', " A "])
+    def test_ids_that_need_quoting_round_trip(self, exchange_id):
+        cfg = GeneratorConfig(seed=3, n_trades=500, exchange_id=exchange_id)
+        ds, report = parse_trades(io.StringIO(tape_csv(cfg)), "csv")
+        assert report.n_rejected == 0
+        assert list(ds.groups) == [(exchange_id, cfg.pair)]
+        assert ds.group(exchange_id, cfg.pair).n == cfg.n_trades
+
+    def test_plain_ids_are_written_unquoted(self):
+        text = tape_csv(GeneratorConfig(seed=3, n_trades=10, exchange_id="R1"))
+        assert text.splitlines()[1].startswith("R1,BTC/USD,")
+
+    def test_empty_id_is_rejected(self):
+        with pytest.raises(ConfigError, match="exchange id"):
+            GeneratorConfig(exchange_id="")
 
 
 class TestAuthenticFlow:

@@ -205,8 +205,8 @@ class TestVerdict:
                 se = a_hill / math.sqrt(n_tail)
                 inside = float(stats.norm.cdf((2.0 - a_hill) / se) - stats.norm.cdf((1.0 - a_hill) / se))
                 p_outside, anomaly_p = pareto_levy_p(a_hill, se)
-                assert anomaly_p == max(1e-300, inside)
-                assert p_outside == max(1e-300, 1.0 - inside)
+                assert anomaly_p == pytest.approx(max(1e-300, inside), rel=1e-12, abs=0)
+                assert p_outside == pytest.approx(max(1e-300, 1.0 - inside), rel=1e-12, abs=0)
 
     def test_p_floor(self):
         p_outside, _ = pareto_levy_p(1.5, 1.5 / math.sqrt(10**8))

@@ -41,7 +41,8 @@ class TestFisher:
         for k in range(1, 21):
             for alpha in (1e-12, 1e-4, 0.001, 0.01, 0.05, 0.1, 0.25, 0.5):
                 res = fisher_combine([0.5] * k, alpha)
-                assert res.critical_value == float(stats.chi2.isf(alpha, 2 * k)), (k, alpha)
+                oracle = float(stats.chi2.isf(alpha, 2 * k))
+                assert res.critical_value == pytest.approx(oracle, rel=1e-12, abs=0), (k, alpha)
 
     def test_tiny_pvalues_floored_not_infinite(self):
         res = fisher_combine([1e-320, 0.5])
@@ -125,7 +126,7 @@ class TestWashFailureRegression:
         assert fit.slope_p < 0.05
         oracle_t = fit.slope / fit.slope_se
         assert fit.slope_t == pytest.approx(oracle_t)
-        assert fit.slope_p == pytest.approx(2 * float(stats.t.sf(abs(oracle_t), 18)), rel=1e-9)
+        assert fit.slope_p == pytest.approx(2 * float(stats.t.sf(abs(oracle_t), 18)), rel=1e-9, abs=0)
 
     def test_slope_p_equals_scipy_stats_t(self):
         rng = np.random.default_rng(5)
@@ -134,7 +135,8 @@ class TestWashFailureRegression:
             for slope in (0.0, 0.05, 0.6, -2.0):
                 wash = 0.4 + slope * rates + rng.normal(0, 0.05, size=n)
                 fit = wash_failure_regression(rates, wash)
-                assert fit.slope_p == 2.0 * float(stats.t.sf(abs(fit.slope_t), n - 2)), (n, slope)
+                oracle = 2.0 * float(stats.t.sf(abs(fit.slope_t), n - 2))
+                assert fit.slope_p == pytest.approx(oracle, rel=1e-12, abs=0), (n, slope)
 
 
 class TestSpearman:
