@@ -56,7 +56,6 @@ from .trades import (
     PairRegistry,
     PairSpec,
     RegulatoryClass,
-    format_amount,
     parse_amount,
 )
 from .verdicts import (

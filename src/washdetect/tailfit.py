@@ -162,9 +162,12 @@ def pareto_levy_p(alpha_hill: float, hill_se: float) -> tuple[float, float]:
     the exponent lies outside the interval: near 0 when safely inside, near 1
     when far outside. ``anomaly_p`` = 1 - p_outside is the orientation used
     for combined testing (large when the tail looks authentic).
+    ``p_outside`` sums the two tails directly, because 1 - inside cancels to 0
+    below about 1e-16.
     """
     inside = norm_cdf((2.0 - alpha_hill) / hill_se) - norm_cdf((1.0 - alpha_hill) / hill_se)
-    return max(P_FLOOR, 1.0 - inside), max(P_FLOOR, inside)
+    outside = norm_cdf((1.0 - alpha_hill) / hill_se) + norm_cdf((alpha_hill - 2.0) / hill_se)
+    return max(P_FLOOR, outside), max(P_FLOOR, inside)
 
 
 @dataclass(frozen=True)

@@ -56,19 +56,6 @@ def parse_amount(text: str) -> int:
     return subunits
 
 
-def format_amount(subunits: int) -> str:
-    """Serialize a sub-unit count to its canonical decimal string.
-
-    Canonical means no trailing fractional zeros and no exponent notation,
-    so parse(format(x)) == x and format(parse(s)) is idempotent.
-    """
-    if subunits <= 0:
-        raise AmountError(f"non-positive amount {subunits}")
-    units, rem = divmod(subunits, SUBUNITS_PER_UNIT)
-    frac = str(rem).rjust(AMOUNT_DECIMALS, "0").rstrip("0")
-    return f"{units}.{frac}" if frac else str(units)
-
-
 def first_significant_digits(subunits: np.ndarray) -> np.ndarray:
     """Leading non-zero decimal digit (1..9) of each positive int64 amount.
 

@@ -342,11 +342,37 @@ class TestColumnarEquivalence:
             assert g.amounts.tobytes() == amounts.tobytes()
             assert g.prices.tobytes() == prices.tobytes()
 
+    @pytest.mark.parametrize("block_bytes", [1, 7, 64, 1 << 16])
+    def test_digit_decoder_edges_match_reference_parse(self, block_bytes):
+        # timestamps around 2**53, where a float sum of digits stops being
+        # exact; amounts at the widest, narrowest and odd columnar forms, and
+        # one with 11 integer digits, which only the scalar path reads
+        timestamps = [2**53 - 1, 2**53, 2**53 + 1, 10**17, 999999999999999999]
+        amounts = ["9999999999.99999999", "0.00000001", "1.", "0001.50", "10000000000"]
+        lines = [",".join(CSV_HEADER)] + [f"R1,BTC/USD,{t},9000.5,{a}" for t in timestamps for a in amounts]
+        text = "\n".join(lines) + "\n"
+        calls = []
+
+        def counting(amount_text):
+            calls.append(amount_text)
+            return parse_amount(amount_text)
+
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), mock.patch.object(ingest, "parse_amount", counting):
+            ds, report = parse_trades(text.encode())
+        groups, rejects, _ = oracle_parse(text, False)
+        assert report.rejected == rejects == []
+        assert calls == ["10000000000"] * len(timestamps)
+        ts, amounts_, prices = groups[("R1", "BTC/USD")]
+        g = ds.group("R1", "BTC/USD")
+        assert g.timestamps.tobytes() == ts.tobytes()
+        assert g.amounts.tobytes() == amounts_.tobytes()
+        assert g.prices.tobytes() == prices.tobytes()
+
     def test_multi_block_tape_matches_reference_parse(self):
         rng = np.random.default_rng(7)
         lines = [",".join(CSV_HEADER)]
         edge = ['R1,BTC/USD,5,"1.5",2', "R1,BTC/USD,6,1.5, 3 ", 'R1,BTC/USD,7,1.5,"4\n"', "R1,BTC/USD,x,1,1", ""]
-        for i in range(6000):
+        for i in range(12_000):
             lines.append(f"R1,BTC/USD,{rng.integers(10**12)},{rng.random() * 9000 + 1!r},{rng.integers(1, 10**9)}.{i % 97}")
             if i % 50 == 0:
                 lines.append(edge[i // 50 % len(edge)])

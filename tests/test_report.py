@@ -171,7 +171,10 @@ class TestAgainstScipy:
                     )
                     oriented["tail"] = max(P_FLOOR, inside)
                     assert t.anomaly_p == pytest.approx(oriented["tail"], rel=1e-12, abs=0)
-                    assert t.p_outside == pytest.approx(max(P_FLOOR, 1.0 - inside), rel=1e-12, abs=0)
+                    outside = float(
+                        stats.norm.cdf((1.0 - t.alpha_hill) / t.hill_se) + stats.norm.sf((2.0 - t.alpha_hill) / t.hill_se)
+                    )
+                    assert t.p_outside == pytest.approx(max(P_FLOOR, outside), rel=1e-12, abs=0)
                     checked["tail"] += 1
                 if p.fisher is not None:
                     combined = (oriented["benford"], oriented["cluster_100"], oriented["tail"])

@@ -1,5 +1,6 @@
 """Generator contracts: determinism, labels, and statistical self-tests."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -9,11 +10,14 @@ from washdetect.benford import chi_squared_benford, digit_histogram
 from washdetect.clustering import run_cluster_test
 from washdetect.errors import ConfigError
 from washdetect.ingest import parse_trades
+from washdetect import synth
 from washdetect.synth import (
     START_MS,
     AuthenticParams,
     GeneratorConfig,
     STABLE_PANEL_PARAMS,
+    STABLE_PANEL_WASH,
+    WashParams,
     gen_exchange,
     write_tape,
 )
@@ -61,6 +65,50 @@ class TestDeterminism:
     def test_empty_id_is_rejected(self):
         with pytest.raises(ConfigError, match="exchange id"):
             GeneratorConfig(exchange_id="")
+
+
+# sha256 of tapes written by the row-by-row formatter that the column
+# assembler replaced: (seed, pair, exchange id, rows, wash, profile, format,
+# labels, digest). The last CSV tape is one row longer than 2**16 and the
+# last JSONL tape one row longer than 2**14, so each ends past a chunk
+# boundary of the writer.
+GOLDEN_TAPES = [
+    (3, "BTC/USD", "X1", 2000, 0.5, "default", "csv", False, "04cf7af3c436a8106f42c14034db826e44fdd8d526192d6f5c134fd3ab3ff1ab"),
+    (3, "BTC/USD", "X1", 2000, 0.5, "default", "csv", True, "8a8e014a1d3a8a398bf137dae085bdb6f65471812366d36cc1fc13ba1b799703"),
+    (3, "BTC/USD", "X1", 2000, 0.5, "default", "jsonl", False, "51114c3751cbb3b1964357ab4fb0f214a0c0baf1f91f7b0c2727e16a18b54773"),
+    (3, "BTC/USD", "X1", 2000, 0.5, "default", "jsonl", True, "8ba5edf28cd8b5b06f6f329592f894c1d7e306970561166bc74bd15efb902efb"),
+    (4, "ETH/USD", "R1", 2000, 0.3, "stable-panel", "csv", True, "57ea583c0fa1c7cc35789bae5df6e16e1feb50ca411117fadcf08339c970ca67"),
+    (4, "ETH/USD", "R1", 2000, 0.3, "stable-panel", "jsonl", False, "3b5e9d7397a1e4813450778574ae4c6a359329c458379f852a87204767a76c36"),
+    (5, "XRP/USD", "U1", 3000, 0.2, "default", "csv", False, "34608a31e2beb85f7f37baadc8d68d1a6139bc33f91a8499b4675c40f931a5b5"),
+    (6, "LTC/USD", "U2", 2000, 0.8, "stable-panel", "jsonl", True, "bc3064db8d8d2ee107d1c1fdeb7fd27135dd16553fef6d2322060e7d888be6e0"),
+    (7, "BTC/USD", "A,B", 500, 0.5, "default", "csv", True, "5d0dc7d86a498d012acb8854af146aef0b005eff86a54ab602703f7280007cd9"),
+    (7, "BTC/USD", "A,B", 500, 0.5, "default", "jsonl", True, "21ab4493573b796982d0bd029a8e9918cc4484a3d297e0d3b8164b73cdf2b38c"),
+    (8, "BTC/USD", 'Börse "1"', 500, 0.5, "default", "csv", False, "21c7268f8b853de8200033d6417638ba7e6e023ab190b87e4cd43a9350b667c7"),
+    (9, "BTC/USD", "X1", 65_537, 0.4, "default", "csv", True, "0a568e37d3b3ba9d211d128e2961b592215a39184eceabd7c9ad1366b197d32f"),
+    (10, "BTC/USD", "X1", 16_385, 0.4, "default", "jsonl", True, "f4bcce3e991aacf887b8e42a01cea72a22d3759d1a7c344fb08c60eb58e7a8fe"),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("seed,pair,exchange_id,n,wash,profile,fmt,labels,digest", GOLDEN_TAPES)
+    def test_tape_bytes_are_pinned(self, seed, pair, exchange_id, n, wash, profile, fmt, labels, digest):
+        stable = profile == "stable-panel"
+        cfg = GeneratorConfig(
+            seed=seed,
+            exchange_id=exchange_id,
+            pair=pair,
+            n_trades=n,
+            wash_fraction=wash,
+            authentic=STABLE_PANEL_PARAMS if stable else AuthenticParams(),
+            wash=STABLE_PANEL_WASH if stable else WashParams(),
+        )
+        buf = io.StringIO()
+        write_tape(gen_exchange(cfg), buf, fmt, labels)
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_tape_crosses_a_chunk(self, fmt):
+        assert max(n for _, _, _, n, _, _, f, _, _ in GOLDEN_TAPES if f == fmt) > synth._WRITE_ROWS[fmt]
 
 
 class TestAuthenticFlow:

@@ -204,9 +204,23 @@ class TestVerdict:
                 a_hill = float(a_hill)
                 se = a_hill / math.sqrt(n_tail)
                 inside = float(stats.norm.cdf((2.0 - a_hill) / se) - stats.norm.cdf((1.0 - a_hill) / se))
+                outside = float(stats.norm.cdf((1.0 - a_hill) / se) + stats.norm.sf((2.0 - a_hill) / se))
                 p_outside, anomaly_p = pareto_levy_p(a_hill, se)
                 assert anomaly_p == pytest.approx(max(1e-300, inside), rel=1e-12, abs=0)
-                assert p_outside == pytest.approx(max(1e-300, 1.0 - inside), rel=1e-12, abs=0)
+                assert p_outside == pytest.approx(max(1e-300, outside), rel=1e-12, abs=0)
+
+    def test_p_outside_far_inside_is_not_floored(self):
+        # R1 of the bench market at seed 0: 1 - inside cancels to 0 here
+        import mpmath
+
+        alpha_hill, hill_se = 1.2946, 0.01495
+        with mpmath.workdps(40):
+            a, se = mpmath.mpf(alpha_hill), mpmath.mpf(hill_se)
+            want = mpmath.ncdf((1 - a) / se) + mpmath.ncdf((a - 2) / se)
+        p_outside, anomaly_p = pareto_levy_p(alpha_hill, hill_se)
+        assert p_outside == pytest.approx(float(want), rel=1e-12, abs=0)
+        assert 9e-87 < p_outside < 1e-86
+        assert anomaly_p == 1.0
 
     def test_p_floor(self):
         p_outside, _ = pareto_levy_p(1.5, 1.5 / math.sqrt(10**8))

@@ -1,17 +1,21 @@
 """Fixed-point amounts, digits, base units, and roundness."""
 
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from washdetect.errors import AmountError, PairConfigError
+from washdetect.ingest import TradeDataset, TradeGroup, parse_trades
+from washdetect.synth import GeneratorConfig, LabeledTape, write_tape
 from washdetect.trades import (
     BUILTIN_PAIR_SPECS,
+    MAX_AMOUNT_SUBUNITS,
     PairRegistry,
     PairSpec,
     exact_sum,
     first_significant_digits,
-    format_amount,
     is_round_mask,
     parse_amount,
     roundness_level_indices,
@@ -22,6 +26,30 @@ BTC = BUILTIN_PAIR_SPECS["BTC/USD"]
 XRP = BUILTIN_PAIR_SPECS["XRP/USD"]
 
 amount_subunits = st.integers(min_value=1, max_value=2**62 - 1)
+
+
+def written_tape(subunits):
+    """The CSV text ``write_tape`` writes for a tape with these amounts."""
+    n = len(subunits)
+    ds = TradeDataset()
+    ds.groups[("X1", "BTC/USD")] = TradeGroup(
+        "X1", "BTC/USD", np.arange(n, dtype=np.int64), np.array(subunits, np.int64), np.ones(n)
+    )
+    buf = io.StringIO()
+    write_tape(LabeledTape(ds, np.zeros(n, bool), 0.0, n, 0, GeneratorConfig(exchange_id="X1")), buf)
+    return buf.getvalue()
+
+
+def written_amounts(subunits):
+    """The amount column ``write_tape`` writes for these sub-unit counts."""
+    return [line.rsplit(",", 1)[1] for line in written_tape(subunits).splitlines()[1:]]
+
+
+def canonical_amount(subunits):
+    """String oracle: integer part, then the fraction without trailing zeros."""
+    units, rem = divmod(subunits, 10**8)
+    frac = str(rem).rjust(8, "0").rstrip("0")
+    return f"{units}.{frac}" if frac else str(units)
 
 
 def lead_digit(subunits):
@@ -58,17 +86,22 @@ class TestAmountParsing:
         assert parse_amount("0" * 5000 + "1") == 10**8
 
     def test_format_canonical(self):
-        assert format_amount(2_000_000) == "0.02"
-        assert format_amount(10**8) == "1"
-        assert format_amount(12345678901) == "123.45678901"
+        assert written_amounts([2_000_000, 10**8, 12345678901]) == ["0.02", "1", "123.45678901"]
 
-    @given(amount_subunits)
-    def test_round_trip_is_exact(self, subunits):
-        assert parse_amount(format_amount(subunits)) == subunits
+    @given(st.lists(st.integers(min_value=1, max_value=MAX_AMOUNT_SUBUNITS), min_size=1, max_size=50))
+    @example([1, 10**8, 10**8 + 1, 10**18, MAX_AMOUNT_SUBUNITS - 1, MAX_AMOUNT_SUBUNITS])
+    def test_writer_matches_string_oracle(self, values):
+        assert written_amounts(values) == [canonical_amount(v) for v in values]
+
+    @given(st.lists(amount_subunits, min_size=1, max_size=50))
+    def test_round_trip_is_exact(self, values):
+        ds, report = parse_trades(io.StringIO(written_tape(values)))
+        assert report.n_rejected == 0
+        assert ds.group("X1", "BTC/USD").amounts.tolist() == values
 
     @given(amount_subunits, st.integers(min_value=0, max_value=8))
     def test_trailing_zero_input_parses_to_same_value(self, subunits, pad):
-        text = format_amount(subunits)
+        [text] = written_amounts([subunits])
         if "." in text:
             frac = text.split(".", 1)[1]
             padded = text + "0" * min(pad, 8 - len(frac))
