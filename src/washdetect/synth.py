@@ -378,7 +378,7 @@ def _float_text(values: np.ndarray, json_names: bool):
     if json_names and not np.isfinite(values).all():
         texts = list(map(json.dumps, values.tolist()))
     data = np.array(texts, "S")
-    return data.view(np.uint8).reshape(values.size, -1), 0, np.strings.str_len(data)
+    return data.view(np.uint8).reshape(values.size, -1), 0, np.char.str_len(data)
 
 
 def _rows_text(parts: list, n: int) -> str:
@@ -413,7 +413,7 @@ def _choice(texts: tuple[str, ...], index: np.ndarray):
     """Per row, the text ``texts[index]``."""
     table = np.array([t.encode() for t in texts])
     index = index.astype(np.intp)
-    return table.view(np.uint8).reshape(len(texts), -1)[index], 0, np.strings.str_len(table)[index]
+    return table.view(np.uint8).reshape(len(texts), -1)[index], 0, np.char.str_len(table)[index]
 
 
 def _csv_fields(*fields: str) -> str:
