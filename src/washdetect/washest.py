@@ -166,27 +166,48 @@ def load_models(path: str | Path) -> dict[str, BenchmarkModel]:
     return models
 
 
-def _design_row(
-    row: WeeklyVolumeSplit,
+def _feature_names(pairs: Sequence[str], use_controls: bool) -> list[str]:
+    """Regressors of a fit whose usable rows span the sorted ``pairs``."""
+    names = ["const", "ln_round"]
+    if use_controls:
+        names.extend(CONTROL_FIELDS)
+    if len(pairs) > 1:
+        names.extend(f"pair={p}" for p in pairs[1:])
+    return names
+
+
+def _design_matrix(
+    rows: Sequence[WeeklyVolumeSplit],
     feature_names: Sequence[str],
     meta: dict[str, ExchangeMeta] | None,
-) -> list[float]:
-    values = []
-    for name in feature_names:
+) -> np.ndarray:
+    """One design row per exchange-week; every row needs positive round volume.
+
+    ``const`` is 1, ``ln_round`` the log round volume, ``pair=<code>`` a 0/1
+    indicator, and any other name that covariate of the row's exchange.
+    """
+    covariates = [n for n in feature_names if n not in ("const", "ln_round") and not n.startswith("pair=")]
+    by_exchange: dict[str, dict[str, float]] = {}
+    if covariates:
+        for ex in dict.fromkeys(r.exchange_id for r in rows):
+            if meta is None or ex not in meta:
+                raise EstimationError(f"no covariates for exchange {ex}")
+            values = {name: getattr(meta[ex], name) for name in covariates}
+            missing = [name for name, value in values.items() if value is None]
+            if missing:
+                raise EstimationError(f"exchange {ex} missing control {missing[0]}")
+            by_exchange[ex] = {name: float(value) for name, value in values.items()}
+    x = np.empty((len(rows), len(feature_names)))
+    for j, name in enumerate(feature_names):
         if name == "const":
-            values.append(1.0)
+            x[:, j] = 1.0
         elif name == "ln_round":
-            values.append(math.log(row.round_volume))
+            x[:, j] = [math.log(r.round_volume) for r in rows]
         elif name.startswith("pair="):
-            values.append(1.0 if row.pair == name[5:] else 0.0)
+            x[:, j] = [r.pair == name[5:] for r in rows]
         else:
-            if meta is None or row.exchange_id not in meta:
-                raise EstimationError(f"no covariates for exchange {row.exchange_id}")
-            value = getattr(meta[row.exchange_id], name)
-            if value is None:
-                raise EstimationError(f"exchange {row.exchange_id} missing control {name}")
-            values.append(float(value))
-    return values
+            x[:, j] = [by_exchange[r.exchange_id][name] for r in rows]
+    return x
 
 
 def _find_collinear_columns(x: np.ndarray, names: Sequence[str]) -> list[str]:
@@ -224,16 +245,9 @@ def fit_benchmark(
             f"insufficient benchmark data: {len(usable)} usable exchange-weeks, need {MIN_BENCHMARK_OBS}"
         )
     pairs = sorted({r.pair for r in usable})
-
-    feature_names: list[str] = ["const", "ln_round"]
-    if use_controls:
-        feature_names.extend(CONTROL_FIELDS)
-    pair_levels: tuple[str, ...] = ()
-    if len(pairs) > 1:
-        pair_levels = tuple(pairs)
-        feature_names.extend(f"pair={p}" for p in pairs[1:])
-
-    x = np.array([_design_row(r, feature_names, meta) for r in usable])
+    pair_levels = tuple(pairs) if len(pairs) > 1 else ()
+    feature_names = _feature_names(pairs, use_controls)
+    x = _design_matrix(usable, feature_names, meta)
     y = np.array([math.log(r.unrounded_volume) for r in usable])
     if np.linalg.matrix_rank(x) < x.shape[1]:
         bad = _find_collinear_columns(x, feature_names)
@@ -252,16 +266,6 @@ def fit_benchmark(
         controls_used=use_controls,
         pair_levels=pair_levels,
     )
-
-
-def predict_unrounded(
-    model: BenchmarkModel, row: WeeklyVolumeSplit, meta: dict[str, ExchangeMeta] | None = None
-) -> float:
-    """Legitimate unrounded volume implied by the benchmark for one week."""
-    if row.round_subunits <= 0:
-        raise EstimationError("prediction undefined for a zero-round week")
-    x = np.array(_design_row(row, model.feature_names, meta))
-    return float(math.exp(float(x @ np.array(model.coefficients))))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +287,16 @@ class WashEstimate:
     flags: tuple[str, ...] = ()
 
 
+def _target_exchange(panel: Sequence[WeeklyVolumeSplit]) -> str:
+    """The one exchange of a target panel."""
+    if not panel:
+        raise InsufficientDataError("empty target panel")
+    exchanges = {r.exchange_id for r in panel}
+    if len(exchanges) != 1:
+        raise EstimationError(f"target panel spans exchanges {sorted(exchanges)}")
+    return next(iter(exchanges))
+
+
 def estimate_wash(
     rows: Iterable[WeeklyVolumeSplit],
     model: BenchmarkModel,
@@ -298,33 +312,30 @@ def estimate_wash(
     counts as excess and the estimate is flagged.
     """
     panel = list(rows)
-    if not panel:
-        raise InsufficientDataError("empty target panel")
-    exchanges = {r.exchange_id for r in panel}
-    if len(exchanges) != 1:
-        raise EstimationError(f"target panel spans exchanges {sorted(exchanges)}")
-    flags: list[str] = []
+    exchange_id = _target_exchange(panel)
+    x = iter(_design_matrix([r for r in panel if r.round_subunits > 0], model.feature_names, meta))
+    coefficients = np.array(model.coefficients)
+    flags: tuple[str, ...] = ()
     wash_volume = 0.0
     total = 0.0
     for row in panel:
         total += row.round_volume + row.unrounded_volume
-        if row.round_subunits == 0:
+        if row.round_subunits > 0:
+            predicted = math.exp(float(next(x) @ coefficients))
+            wash_volume += max(0.0, row.unrounded_volume - predicted)
+        else:
             wash_volume += row.unrounded_volume
-            if "zero_round_weeks" not in flags:
-                flags.append("zero_round_weeks")
-            continue
-        predicted = predict_unrounded(model, row, meta)
-        wash_volume += max(0.0, row.unrounded_volume - predicted)
+            flags = ("zero_round_weeks",)
     pairs = sorted({r.pair for r in panel})
     return WashEstimate(
-        exchange_id=next(iter(exchanges)),
+        exchange_id=exchange_id,
         scope=pairs[0] if len(pairs) == 1 else "aggregate",
         wash_volume=wash_volume,
         wash_percent=100.0 * wash_volume / total,
         total_volume=total,
         n_weeks=len(panel),
         controls_used=model.controls_used,
-        flags=tuple(flags),
+        flags=flags,
     )
 
 
@@ -342,27 +353,93 @@ def bootstrap_wash_sd(
     Benchmark exchange-week rows are resampled with replacement, the model
     refitted, and the target re-estimated. Replicates with a singular or
     underdetermined refit are redrawn (at most 10x the replicate budget).
-    Deterministic under a fixed seed.
+    A target panel that :func:`estimate_wash` rejects fails at once with the
+    same error. Deterministic under a fixed seed.
+    """
+    replicates, _ = _bootstrap_replicates(
+        target_rows, benchmark_rows, n_boot=n_boot, seed=seed, meta=meta, use_controls=use_controls
+    )
+    return float(np.std(replicates, ddof=1))
+
+
+BOOTSTRAP_GATHER_BYTES = 1 << 21  # cap on the design rows gathered for one chunk of replicates
+
+
+def _bootstrap_replicates(
+    target_rows: Sequence[WeeklyVolumeSplit],
+    benchmark_rows: Sequence[WeeklyVolumeSplit],
+    *,
+    n_boot: int = 1000,
+    seed: int = 0,
+    meta: dict[str, ExchangeMeta] | None = None,
+    use_controls: bool = False,
+) -> tuple[np.ndarray, int]:
+    """The kept replicate wash percentages in draw order, and the draws made.
+
+    Draw ``i`` is the ``i``-th ``integers(0, n, n)`` of the seeded stream,
+    and a replicate is kept exactly when :func:`fit_benchmark` on its rows
+    would succeed: at least ``MIN_BENCHMARK_OBS`` usable rows, regressors
+    chosen from the pairs among them, and full rank under ``matrix_rank``'s
+    default tolerance. Replicates are refitted a chunk at a time, one stacked
+    SVD per set of pairs present, with unusable draws as zero rows.
     """
     if n_boot < 100:
         raise EstimationError(f"need at least 100 bootstrap replicates, got {n_boot}")
+    panel = list(target_rows)
+    _target_exchange(panel)
     bench = list(benchmark_rows)
+    usable = np.array([r.round_subunits > 0 and r.unrounded_subunits > 0 for r in bench], dtype=bool)
+    rows = [r for r, ok in zip(bench, usable) if ok]
+    pairs = sorted({r.pair for r in rows})
+    base = _feature_names((), use_controls)
+    names = base + [f"pair={p}" for p in pairs]
+    x = np.zeros((len(bench), len(names)))
+    x[usable] = _design_matrix(rows, names, meta)
+    y = np.zeros(len(bench))
+    y[usable] = [math.log(r.unrounded_volume) for r in rows]
+    pair_of = x[:, len(base):] > 0
+
+    positive = [r for r in panel if r.round_subunits > 0]
+    target_x = _design_matrix(positive, names, meta)
+    target_unrounded = np.array([r.unrounded_volume for r in positive])
+    zero_round_volume = sum(r.unrounded_volume for r in panel if r.round_subunits <= 0)
+    total = sum(r.round_volume + r.unrounded_volume for r in panel)
+
+    def wash_percents(idx: np.ndarray) -> np.ndarray:
+        """Each draw's wash percentage, NaN where its refit fails."""
+        drawn = usable[idx]
+        n_usable = drawn.sum(axis=1)
+        pct = np.full(len(idx), np.nan)
+        fits = np.flatnonzero(n_usable >= MIN_BENCHMARK_OBS)
+        pair_sets, which = np.unique(pair_of[idx[fits]].any(axis=1), axis=0, return_inverse=True)
+        for s, pair_set in enumerate(pair_sets):
+            sel = fits[which.reshape(-1) == s]
+            cols = list(range(len(base))) + [len(base) + j for j in np.flatnonzero(pair_set)[1:]]
+            u, sv, vt = np.linalg.svd(x[:, cols][idx[sel]], full_matrices=False)
+            tol = sv.max(axis=1) * np.maximum(n_usable[sel], len(cols)) * np.finfo(np.float64).eps
+            ok = np.count_nonzero(sv > tol[:, None], axis=1) == len(cols)
+            u, sv, vt, sel = u[ok], sv[ok], vt[ok], sel[ok]
+            uty = np.einsum("rnk,rn->rk", u, y[idx[sel]])
+            beta = np.einsum("rkj,rk->rj", vt, uty / sv)
+            predicted = np.exp(target_x[:, cols] @ beta.T)
+            excess = np.maximum(0.0, target_unrounded[:, None] - predicted).sum(axis=0)
+            pct[sel] = 100.0 * (zero_round_volume + excess) / total
+        return pct
+
     rng = np.random.default_rng(seed)
-    replicates = []
-    attempts = 0
-    while len(replicates) < n_boot:
-        attempts += 1
-        if attempts > 10 * n_boot:
+    n = len(bench)
+    chunk = max(1, BOOTSTRAP_GATHER_BYTES // (8 * max(n, 1) * len(names)))
+    kept: list[np.ndarray] = []
+    n_kept = attempts = 0
+    while n_kept < n_boot:
+        m = min(chunk, n_boot - n_kept, 10 * n_boot - attempts)
+        if m == 0:
             raise EstimationError("too many singular replicates")
-        idx = rng.integers(0, len(bench), len(bench))
-        sample = [bench[i] for i in idx]
-        try:
-            model = fit_benchmark(sample, meta=meta, use_controls=use_controls)
-            est = estimate_wash(target_rows, model, meta=meta)
-        except (EstimationError, InsufficientDataError):
-            continue
-        replicates.append(est.wash_percent)
-    return float(np.std(replicates, ddof=1))
+        pct = wash_percents(rng.integers(0, n, (m, n)))
+        attempts += m
+        kept.append(pct[~np.isnan(pct)])
+        n_kept += kept[-1].size
+    return np.concatenate(kept), attempts
 
 
 def cross_validate_regulated(

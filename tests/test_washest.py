@@ -10,13 +10,13 @@ from washdetect.errors import EstimationError, InsufficientDataError
 from washdetect.ingest import WeeklyVolumeSplit
 from washdetect.trades import BUILTIN_PAIR_SPECS, ExchangeMeta, RegulatoryClass, parse_amount
 from washdetect.washest import (
+    _bootstrap_replicates,
     bootstrap_wash_sd,
     cross_validate_regulated,
     dump_models,
     estimate_wash,
     fit_benchmark,
     load_models,
-    predict_unrounded,
     roundness_chi_squared,
     roundness_distribution,
 )
@@ -205,10 +205,12 @@ class TestEstimateWash:
         with pytest.raises(EstimationError):
             estimate_wash(identity_panel("U1") + identity_panel("U2"), model)
 
-    def test_predict_requires_positive_round(self):
+    def test_all_zero_round_weeks_count_in_full(self):
         model = fit_benchmark(identity_panel("R1"))
-        with pytest.raises(EstimationError):
-            predict_unrounded(model, split("U1", 0, 0.0, 1.0))
+        est = estimate_wash([split("U1", 0, 0.0, 1.0), split("U1", 1, 0.0, 2.0)], model)
+        assert est.flags == ("zero_round_weeks",)
+        assert est.wash_volume == pytest.approx(3.0, abs=1e-9)
+        assert est.wash_percent == 100.0
 
 
 class TestBootstrap:
@@ -235,6 +237,124 @@ class TestBootstrap:
     def test_minimum_replicates_enforced(self):
         with pytest.raises(EstimationError):
             bootstrap_wash_sd([], [], n_boot=50)
+
+    def test_bad_target_fails_before_any_refit(self):
+        bench = identity_panel("R1") + identity_panel("R2")
+        with pytest.raises(InsufficientDataError, match="empty target panel"):
+            bootstrap_wash_sd([], bench, n_boot=1000)
+        with pytest.raises(EstimationError, match="spans exchanges"):
+            bootstrap_wash_sd(identity_panel("U1") + identity_panel("U2"), bench, n_boot=1000)
+
+    def test_all_singular_panel_exhausts_the_budget(self):
+        # every round volume equal: ln_round is collinear with the constant
+        bench = [split(f"R{i}", w, 2.0, 1.0 + w) for i in (1, 2) for w in range(10)]
+        with pytest.raises(EstimationError, match="too many singular replicates"):
+            bootstrap_wash_sd(identity_panel("U1"), bench, n_boot=100)
+
+
+def loop_replicates(target, bench, n_boot, seed, meta=None, use_controls=False):
+    """The bootstrap as one fit_benchmark and estimate_wash per draw."""
+    rng = np.random.default_rng(seed)
+    replicates = []
+    attempts = 0
+    while len(replicates) < n_boot:
+        attempts += 1
+        if attempts > 10 * n_boot:
+            raise EstimationError("too many singular replicates")
+        sample = [bench[i] for i in rng.integers(0, len(bench), len(bench))]
+        try:
+            model = fit_benchmark(sample, meta=meta, use_controls=use_controls)
+            est = estimate_wash(target, model, meta=meta)
+        except (EstimationError, InsufficientDataError):
+            continue
+        replicates.append(est.wash_percent)
+    return replicates, attempts
+
+
+def noisy_panel(ex, weeks, seed, pair="BTC/USD", ratio=2.5):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for w in range(weeks):
+        v = float(np.exp(rng.normal(2.0, 1.0)))
+        rows.append(split(ex, w, v, ratio * v * float(np.exp(rng.normal(0.0, 0.2))), pair))
+    return rows
+
+
+def wash_target(weeks=12, pair="BTC/USD"):
+    return [split("U1", w, 1.0 + w % 5, 9.0 * (1.0 + w % 5), pair) for w in range(weeks)]
+
+
+def controls_meta():
+    meta = {
+        f"R{i}": ExchangeMeta(f"R{i}", RegulatoryClass.REGULATED, age_years=i, rank=3 * i % 7 + 1,
+                              traffic_pct=i * i % 5 + 1, unique_visitors=10 + i**3 % 11)
+        for i in range(1, 7)
+    }
+    meta["U1"] = ExchangeMeta("U1", RegulatoryClass.UNREGULATED_TIER2, age_years=2.5, rank=4.0,
+                              traffic_pct=3.0, unique_visitors=12.0)
+    return meta
+
+
+def oracle_panels():
+    per_pair = [r for i in (1, 2, 3) for r in noisy_panel(f"R{i}", 12, i)]
+    two_pairs = per_pair + [r for i in (1, 2, 3) for r in noisy_panel(f"R{i}", 12, 10 + i, "ETH/USD", 1.5)]
+    rare_pair = per_pair + noisy_panel("R1", 2, 20, "ETH/USD", 1.5)
+    six = [r for i in range(1, 7) for r in noisy_panel(f"R{i}", 20, 30 + i, ratio=2.0 + 0.1 * i)]
+    zeros = per_pair + [split("R1", 90, 0.0, 3.0), split("R2", 91, 4.0, 0.0), split("R3", 92, 0.0, 0.0)]
+    zero_target = wash_target() + [split("U1", 50, 0.0, 7.0), split("U1", 51, 0.0, 2.0)]
+    # eight weeks at one round volume: a draw without R2's week 1 is singular,
+    # and one with three or more of R2's zero-round week 2 is short of rows
+    singular = [split("R1", w, 3.0, 7.0 + w) for w in range(8)]
+    singular += [split("R2", 1, 5.0, 11.0), split("R2", 2, 0.0, 1.0)]
+    return {
+        "per-pair": (wash_target(), per_pair, {}),
+        "pooled": (wash_target(pair="ETH/USD"), two_pairs, {}),
+        "rare-pair": (wash_target(pair="ETH/USD"), rare_pair, {}),
+        "controls": (wash_target(), six, {"meta": controls_meta(), "use_controls": True}),
+        "zero-weeks": (zero_target, zeros, {}),
+        "singular": (wash_target(), singular, {}),
+    }
+
+
+class TestBatchedBootstrap:
+    @pytest.mark.parametrize("name", sorted(oracle_panels()))
+    def test_matches_one_refit_per_replicate(self, name):
+        target, bench, kwargs = oracle_panels()[name]
+        expected, expected_attempts = loop_replicates(target, bench, 200, 7, **kwargs)
+        replicates, attempts = _bootstrap_replicates(target, bench, n_boot=200, seed=7, **kwargs)
+        np.testing.assert_allclose(replicates, expected, rtol=1e-12, atol=0)
+        assert attempts == expected_attempts
+        sd = bootstrap_wash_sd(target, bench, n_boot=200, seed=7, **kwargs)
+        assert sd == pytest.approx(float(np.std(expected, ddof=1)), rel=1e-12)
+
+    def test_oracle_panels_reach_the_redraw_paths(self):
+        panels = oracle_panels()
+        _, attempts = _bootstrap_replicates(*panels["singular"][:2], n_boot=200, seed=7)
+        assert attempts > 300  # about 40% of draws are redrawn
+        _, attempts = _bootstrap_replicates(*panels["zero-weeks"][:2], n_boot=200, seed=7)
+        assert attempts == 200
+        # draws without an ETH/USD row are fitted as per-pair BTC/USD models
+        rng = np.random.default_rng(7)
+        rare = panels["rare-pair"][1]
+        draws = rng.integers(0, len(rare), (200, len(rare)))
+        has_eth = np.isin(draws, [len(rare) - 2, len(rare) - 1]).any(axis=1)
+        assert 0 < np.count_nonzero(has_eth) < 200
+
+    def test_chunks_do_not_change_the_replicates(self, monkeypatch):
+        target, bench, kwargs = oracle_panels()["singular"]
+        whole, attempts = _bootstrap_replicates(target, bench, n_boot=200, seed=3, **kwargs)
+        # seven replicates a chunk: three design columns of float64 per row
+        monkeypatch.setattr("washdetect.washest.BOOTSTRAP_GATHER_BYTES", 7 * len(bench) * 3 * 8)
+        chunked, chunked_attempts = _bootstrap_replicates(target, bench, n_boot=200, seed=3, **kwargs)
+        np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0)
+        assert chunked_attempts == attempts
+
+    @pytest.mark.parametrize("n", [35, 36, 37, 832])
+    def test_one_draw_of_many_rows_is_the_sequential_draws(self, n):
+        # the batched bootstrap's kept set rests on this property of the stream
+        batched = np.random.default_rng(5).integers(0, n, (40, n))
+        rng = np.random.default_rng(5)
+        assert np.array_equal(batched, [rng.integers(0, n, n) for _ in range(40)])
 
 
 class TestCrossValidation:
