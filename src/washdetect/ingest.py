@@ -11,22 +11,30 @@ header's line.
 Most CSV lines match a strict ASCII grammar: four commas, no quote, no
 control or non-ASCII byte, a digits-only timestamp and plain decimal price
 and amount. Those lines are split into columns and converted with numpy, a
-block at a time. Timestamps and amounts become exact integers: each
-field's digits, right-aligned in a byte matrix, times a vector of powers of
-ten (a float64 matmul, exact because the digits above and below 10**9 are
-summed apart, each sum below 2**53, and joined in int64). Prices go through
-numpy's bytes-to-float cast. Every other line goes, in line order, through
-one scalar path: the ``csv`` module reads the record starting there, and
-``_validate_row`` (with ``trades.parse_amount``) checks it. That path
-decides which odd rows are accepted and gives every reject reason; JSONL
-rows all take it. Bad rows, undecodable bytes included, are recorded with
-the line their record starts on and a reason, and skipped, or abort the
-parse in strict mode.
+block at a time. Every numeric field is decoded the same way: its digits,
+right-aligned in a byte matrix with a dot read as a 0 digit, times a vector
+of powers of ten (a float64 matmul, exact because the digits above and below
+10**9 are summed apart, each sum below 2**53, and joined in int64).
+Timestamps and amounts are those exact integers. A price's digits, its dot
+left out, make an integer N, and N / 10**k is divided in long double and
+rounded to float64: the correctly rounded value, as ``float()`` gives it,
+wherever N and 10**k are exact in long double and the quotient is not a
+float64 midpoint. The rest take ``float()`` on their bytes: prices of more
+than 18 digits, and those whose quotient falls on a midpoint, about 4 in
+100,000 of the prices ``synth`` writes.
+
+Every other line goes, in line order, through one scalar path: the ``csv``
+module reads the record starting there, and ``_validate_row`` (with
+``trades.parse_amount``) checks it. That path decides which odd rows are
+accepted and gives every reject reason; JSONL rows all take it. Bad rows,
+undecodable bytes included, are recorded with the line their record starts
+on and a reason, and skipped, or abort the parse in strict mode.
 
 Trades are grouped by (exchange, pair). Each group keeps compact parallel
 numpy arrays (timestamps, sub-unit amounts, prices) sorted by timestamp, so
 a million-row tape costs tens of megabytes and every downstream statistic can
-run vectorized.
+run vectorized. The one sort that groups the rows also finds exact
+duplicates for ``dedupe``: they can only share a (group, timestamp) run.
 """
 
 from __future__ import annotations
@@ -164,6 +172,29 @@ _HALVES[: _AMOUNT_MAX - 9, 0] = 10.0 ** np.arange(_AMOUNT_MAX - 10, -1, -1)
 _HALVES[_AMOUNT_MAX - 9 :, 1] = 10.0 ** np.arange(8, -1, -1)
 
 
+def _exact_scale(wide: type) -> tuple[np.ndarray, int]:
+    """The powers of ten 10**0, 10**1, ... that the float type ``wide`` holds
+    exactly, and the bound below which it holds every int64 exactly.
+
+    10**k = 2**k * 5**k is exact while 5**k fits the significand.
+    """
+    bits = np.finfo(wide).nmant + 1
+    k = 0
+    while 5 ** (k + 1) < 2**bits:
+        k += 1
+    return np.cumprod(np.array([1] + [10] * k, dtype=wide)), min(2**bits, int(_INT64.max))
+
+
+# A price N / 10**k is decoded as the quotient of N and 10**k in the widest
+# float numpy has, rounded to float64. With both exact, the quotient is
+# correctly rounded, and so is its float64 rounding unless the quotient lies
+# on a float64 midpoint. Where long double is a double, this is Clinger's
+# fast path: N below 2**53, k at most 22. Only IEEE long doubles (64-, 80- and
+# 128-bit) are used: PowerPC's double-double does not round its quotients.
+_IEEE_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (52, 63, 112)
+_WIDE_POW10, _WIDE_INT_END = _exact_scale(np.longdouble if _IEEE_LONG_DOUBLE else np.float64)
+
+
 def _chunks(source) -> Iterator[bytes]:
     """The bytes of a path, a bytes object or a binary or text stream."""
     if isinstance(source, (str, Path)):
@@ -256,6 +287,43 @@ def _halves(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high_low[:, 0], high_low[:, 1]
 
 
+def _read_dot(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero the first '.' in each row of a right-aligned digit matrix, where
+    '.' - '0' wrapped to 254; return the digits right of it and whether the
+    row had one. A second dot stays a non-digit."""
+    r = np.arange(d.shape[0])
+    dot = (d == 254).argmax(axis=1)
+    has_dot = d[r, dot] == 254
+    d[r[has_dot], dot[has_dot]] = 0
+    return np.where(has_dot, d.shape[1] - 1 - dot, 0), has_dot
+
+
+def _decimal_floats(d: np.ndarray, frac: np.ndarray, has_dot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float64 values of right-aligned decimal digit rows, each with its dot,
+    if any, read as a 0 digit and ``frac`` digits after it.
+
+    Returns the values and the mask of the rows whose value is the correctly
+    rounded one: those whose digits, dot removed, make an integer N that the
+    wide type holds, with a power 10**frac that it holds, and whose wide
+    quotient is not a float64 midpoint. The other rows need another decode.
+    """
+    # N's digit matrix: the digits right of the dot where they are, and those
+    # left of it one column to the right, over the dot's 0
+    shifted = np.zeros_like(d)
+    shifted[:, 1:] = d[:, :-1]
+    right = _KEEP_LAST[:, _KEY_MAX - d.shape[1] :].take(np.where(has_dot, frac, _KEY_MAX), axis=0)
+    high, low = _halves(shifted + (d - shifted) * right)
+    n = high * 10**9 + low
+    k = np.minimum(frac, _WIDE_POW10.size - 1)
+    q = n.astype(_WIDE_POW10.dtype) / _WIDE_POW10[k]
+    x = q.astype(np.float64)
+    # q is a midpoint when twice it is x plus x's neighbour on q's side
+    wide_x = x.astype(q.dtype)
+    neighbour = np.nextafter(x, np.where(q > wide_x, np.inf, -np.inf)).astype(q.dtype)
+    exact = (n < _WIDE_INT_END) & (k == frac) & ((q == wide_x) | (2 * q != wide_x + neighbour))
+    return x, exact
+
+
 def _columnar_rows(a: np.ndarray, starts: np.ndarray, ends: np.ndarray, nexts: np.ndarray):
     """Parse every line of a block that fits the columnar grammar.
 
@@ -266,8 +334,12 @@ def _columnar_rows(a: np.ndarray, starts: np.ndarray, ends: np.ndarray, nexts: n
     so it is parsed here. Returns, per line, the mask of those lines and their
     ``exchange,pair`` key bytes, timestamp, price and sub-unit amount.
 
-    Timestamps and amounts are decoded from right-aligned digit matrices by
-    a matmul with place weights; the price by numpy's bytes-to-float cast.
+    Timestamps, amounts and prices are decoded from right-aligned digit
+    matrices by a matmul with place weights: a price as the integer its digits
+    make, divided by a power of ten in long double (``_decimal_floats``). The
+    few prices that decode cannot round exactly (more than 18 digits, or a
+    quotient on a float64 midpoint) take ``float()`` on their bytes, as on the
+    scalar path.
     """
     n = starts.size
     fits = np.zeros(n, bool)
@@ -301,14 +373,10 @@ def _columnar_rows(a: np.ndarray, starts: np.ndarray, ends: np.ndarray, nexts: n
     row_ts = high * 10**9 + low
 
     # The amount is read as one number with its dot as a 0 digit; the digits
-    # right of that 0 are the fraction. A second dot stays a non-digit.
+    # right of that 0 are the fraction.
     m, keep, length = _aligned(window, c3 + 1, e, _AMOUNT_MAX, right=True)
     d = (m - np.uint8(48)) * keep
-    r = np.arange(rows.size)
-    dot = (d == 254).argmax(axis=1)  # the first '.', as '.' - '0' wraps to 254
-    has_dot = d[r, dot] == 254
-    d[r[has_dot], dot[has_dot]] = 0
-    frac = np.where(has_dot, d.shape[1] - 1 - dot, 0)
+    frac, has_dot = _read_dot(d)
     ok &= (length <= _AMOUNT_MAX) & (d < 10).all(axis=1) & (frac <= AMOUNT_DECIMALS)
     ok &= (length - frac - has_dot > 0) & (length - frac - has_dot <= _INT_MAX)
     high, low = _halves(d)
@@ -319,15 +387,20 @@ def _columnar_rows(a: np.ndarray, starts: np.ndarray, ends: np.ndarray, nexts: n
     ok &= row_amounts > 0
 
     # The price: a digit first and last, and only digits between but for one
-    # dot, which is zeroed before the digit test (column 0, a digit, if none).
-    m, keep, length = _aligned(window, c2 + 1, c3, _PRICE_MAX)
+    # dot, read as a 0 digit as in the amount.
+    m, keep, length = _aligned(window, c2 + 1, c3, _PRICE_MAX, right=True)
     d = (m - np.uint8(48)) * keep
-    ok &= (length <= _PRICE_MAX) & (d[:, 0] < 10) & (a[c3 - 1] - np.uint8(48) < 10)
-    d[r, (d == 254).argmax(axis=1)] = 0
+    frac, has_dot = _read_dot(d)
+    ok &= (length <= _PRICE_MAX) & (a[c2 + 1] - np.uint8(48) < 10) & (a[c3 - 1] - np.uint8(48) < 10)
     ok &= (d < 10).all(axis=1)
-    m *= keep
-    row_prices = np.zeros(rows.size, np.float64)
-    row_prices[ok] = m[ok].view(f"S{m.shape[1]}").ravel().astype(np.float64)
+    # Decoded from its last _AMOUNT_MAX columns: a price of at most 18 digits
+    # lies within them, and its integer fits int64. The clamp keeps the other
+    # rows' indices in range.
+    frac = np.minimum(frac, _AMOUNT_MAX - 2)
+    row_prices, exact = _decimal_floats(d[:, -_AMOUNT_MAX:], frac, has_dot)
+    exact &= length - has_dot < _AMOUNT_MAX
+    for i in np.flatnonzero(ok & ~exact).tolist():
+        row_prices[i] = float(a[c2[i] + 1 : c3[i]].tobytes())
     ok &= row_prices > 0
 
     rows = rows[ok]
@@ -412,16 +485,31 @@ def _json_text(value) -> str:
     return str(value)
 
 
-def _first_occurrences(*columns: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose values across ``columns`` appear in no earlier row."""
-    order = np.lexsort(columns[::-1])  # stable: equal rows stay in line order
-    repeat = np.ones(order.size - 1, bool)
-    for col in columns:
+def _first_occurrences(order: np.ndarray, codes: np.ndarray, ts: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+    """``order``, the rows sorted by (code, timestamp) and then line, without
+    the rows that repeat an earlier line's code, timestamp and ``columns``.
+
+    Repeats share a (code, timestamp) run, so only the rows of runs longer
+    than one are compared.
+    """
+    tie = np.ones(order.size - 1, bool)  # each row and the next share a run
+    for col in (codes, ts):
         ranked = col[order]
-        repeat &= ranked[1:] == ranked[:-1]
-    keep = np.ones(order.size, bool)
-    keep[order[1:][repeat]] = False
-    return keep
+        tie &= ranked[1:] == ranked[:-1]
+    del ranked  # from here on only masks span the whole tape
+    in_run = np.append(tie, False) | np.insert(tie, 0, False)
+    run = np.cumsum(np.insert(~tie, 0, True)[in_run])
+    rows = order[in_run]
+    # stable, so equal rows of a run stay in line order
+    by_value = np.lexsort([col[rows] for col in columns[::-1]] + [run])
+    rows, run = rows[by_value], run[by_value]
+    repeat = run[1:] == run[:-1]
+    for col in columns:
+        values = col[rows]
+        repeat &= values[1:] == values[:-1]
+    keep = np.ones(codes.size, bool)
+    keep[rows[1:][repeat]] = False
+    return order[keep[order]]
 
 
 class _Columns:
@@ -445,14 +533,13 @@ class _Columns:
             return ds
         codes, ts, prices, amounts = (np.concatenate(col) for col in zip(*self.blocks))
         self.blocks.clear()
-        if dedupe:
-            # prices are positive and finite, so equal bits mean equal floats
-            keep = _first_occurrences(codes, ts, prices.view(np.int64), amounts)
-            report.n_deduplicated = int(keep.size - np.count_nonzero(keep))
-            codes, ts, prices, amounts = codes[keep], ts[keep], prices[keep], amounts[keep]
-        report.n_accepted = int(codes.size)
         # stable, so rows with equal timestamps stay in line order
         order = np.lexsort((ts, codes))
+        if dedupe:
+            # prices are positive and finite, so equal bits mean equal floats
+            order = _first_occurrences(order, codes, ts, prices.view(np.int64), amounts)
+            report.n_deduplicated = int(codes.size - order.size)
+        report.n_accepted = int(order.size)
         starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
         stops = np.append(starts[1:], order.size)
         names = list(self.codes)
@@ -531,9 +618,12 @@ class _Parser:
 
         codes = np.zeros(starts.size, np.int32)
         if accepted.any():
-            names, inverse = np.unique(keys[accepted], return_inverse=True)
+            # keys come in runs, so only the first key of each run is looked up
+            keys = keys[accepted]
+            heads = np.flatnonzero(np.insert(keys[1:] != keys[:-1], 0, True))
+            names, inverse = np.unique(keys[heads], return_inverse=True)
             table = [self.columns.code(*name.decode("ascii").split(",", 1)) for name in names]
-            codes[accepted] = np.array(table, np.int32)[inverse]
+            codes[accepted] = np.repeat(np.array(table, np.int32)[inverse], np.diff(heads, append=keys.size))
         for i, code, t, price, subunits in scalar:
             accepted[i] = True
             codes[i], ts[i], prices[i], amounts[i] = code, t, price, subunits

@@ -172,14 +172,19 @@ def is_round_mask(subunits: np.ndarray, spec: PairSpec) -> np.ndarray:
 
 
 def trailing_zero_counts(subunits: np.ndarray) -> np.ndarray:
-    """Vectorized count of trailing decimal zeros (positive int64 input)."""
-    x = np.asarray(subunits, dtype=np.int64).copy()
+    """Count of trailing decimal zeros of each positive int64 amount.
+
+    Strips 10**16, 10**8, 10**4, 10**2 and 10**1 where they divide: a
+    positive int64 has at most 18 trailing zeros, fewer than their sum.
+    """
+    x = np.asarray(subunits, dtype=np.int64)
+    if x.size and x.min() <= 0:
+        raise AmountError("trailing zeros undefined for non-positive amount")
     zeros = np.zeros(x.shape, dtype=np.int64)
-    active = x % 10 == 0
-    while active.any():
-        zeros[active] += 1
-        x[active] //= 10
-        active &= x % 10 == 0
+    for step in (16, 8, 4, 2, 1):
+        divides = x % 10**step == 0
+        x = np.where(divides, x // 10**step, x)
+        zeros += step * divides
     return zeros
 
 

@@ -1,9 +1,12 @@
 """Parsing, grouping, weekly volume splits, and the unrounded subset."""
 
 import csv
+import decimal
 import io
 import math
 from datetime import date, datetime, timezone
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -256,6 +259,94 @@ def oracle_parse(text, dedupe):
     return groups, rejects, n_dup
 
 
+# Prices at the edges of the columnar price decoder (``ingest._decimal_floats``).
+PRICE_EDGES = [
+    # integers around 2**53, where a double stops holding every integer, with and without a dot
+    "9007199254740991",
+    "9007199254740992",
+    "9007199254740.991",
+    "900719925474099.2",
+    "0.9007199254740993",
+    "9007199254740993.00",
+    # repr prices of 17, 18 and 19 characters
+    "9000.500000000002",
+    "12345.678901234567",
+    "0.3333333333333333",
+    "0.30000000000000004",
+    # exact float64 midpoints (2**53 + 1, 2**53 + 3, 2**54 + 2, 2**59 + 64,
+    # 2**52 + 0.5, 2**52 + 1.5, 2**51 + 0.25) and the decimals one last digit either side
+    "9007199254740993",
+    "9007199254740995",
+    "9007199254740994",
+    "18014398509481985",
+    "18014398509481986",
+    "18014398509481987",
+    "576460752303423551",
+    "576460752303423552",
+    "576460752303423553",
+    "4503599627370496.4",
+    "4503599627370496.5",
+    "4503599627370496.6",
+    "4503599627370497.5",
+    "2251799813685248.24",
+    "2251799813685248.25",
+    "2251799813685248.26",
+    # decimals that are not midpoints but whose 64-bit quotient rounds onto
+    # one, so that rounding it again to float64 would give the wrong float
+    # for the first four
+    "0.70155649322356467",
+    "548583.554976780375",
+    "68890740.1515179649",
+    "61748787306.8900795",
+    "6649061821924.54541",
+    # odd forms, and prices of 19 to 32 characters
+    "0000.5",
+    "00000000000000000.5",
+    "007",
+    "1.0",
+    "0.000000000000000001",
+    "1000000000000000000",
+    "12345678901234567.89",
+    "0." + "0" * 29 + "1",
+    "9" * 32,
+    "123456789012345678901234567890.5",
+]
+
+
+def _rounded(value, bits):
+    """A positive Fraction rounded to ``bits`` significant bits, ties to even."""
+    e = value.numerator.bit_length() - value.denominator.bit_length()
+    e -= Fraction(2) ** e > value
+    scale = Fraction(2) ** (bits - 1 - e)
+    return round(value * scale) / scale
+
+
+def decode_falls_back(text, wide):
+    """Whether a columnar price takes ``float()`` on its bytes, with ``wide``
+    as the decoder's wide type.
+
+    It does when its digits, dot removed, are more than 18 or make an integer
+    that ``wide`` does not hold, or when their quotient by 10**k, rounded to
+    ``wide``'s precision, is a float64 midpoint. (Every 10**k of at most 18
+    digits is exact in a double.)
+    """
+    digits = text.replace(".", "")
+    bits = np.finfo(wide).nmant + 1
+    if len(digits) > 18 or int(digits) >= min(2**bits, 2**63 - 1):
+        return True
+    q = _rounded(Fraction(text), bits)
+    x = float(q)
+    neighbour = float(np.nextafter(x, math.inf if q > x else -math.inf))
+    return q != x and q == (Fraction(x) + Fraction(neighbour)) / 2
+
+
+def near_midpoint(x, digits):
+    """The midpoint between a float64 and the next one up, rounded to
+    ``digits`` significant digits, in fixed notation."""
+    exact = decimal.Context(prec=2000).add(Decimal(x), Decimal(float(np.nextafter(x, math.inf))))
+    return format(decimal.Context(prec=digits).divide(exact, 2), "f")
+
+
 TIMESTAMPS = st.one_of(
     st.integers(0, 10**18 - 1).map(str),
     st.integers(-(2**64), 2**64).map(str),
@@ -265,6 +356,8 @@ PRICES = st.one_of(
     st.from_regex(r"[0-9]{1,6}(\.[0-9]{1,12})?", fullmatch=True),
     st.floats(min_value=0, allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["1e-05", "inf", "-inf", "nan", "0", "0.0", "-1.5", " 2.5", "1.", ".5", "1e400", "", "0" * 40 + "1"]),
+    st.sampled_from(PRICE_EDGES + ["1.62130217715707e+308", "0" * 33, "1" * 33]),
+    st.builds(near_midpoint, st.floats(min_value=1e-3, max_value=1e15), st.integers(15, 19)),
 )
 AMOUNTS = st.one_of(
     st.from_regex(r"[0-9]{1,10}(\.[0-9]{0,8})?", fullmatch=True),
@@ -295,18 +388,21 @@ def edge_fields(draw):
 
 @st.composite
 def tapes(draw):
-    """CSV text: canonical rows and duplicates among edge rows, in five renderings."""
+    """CSV text: canonical rows and duplicates of earlier rows among edge rows, in five renderings."""
     buf = io.StringIO()
     end = draw(st.sampled_from(["\n", "\r\n"]))
     buf.write(",".join(CSV_HEADER) + end)
-    previous = None
+    written = []
     for _ in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(["canonical", "canonical", "duplicate", "edge", "blank"]))
         if kind == "blank":
             buf.write(end)
             continue
-        fields = previous if kind == "duplicate" and previous else draw(edge_fields() if kind == "edge" else CANONICAL)
-        previous = fields
+        if kind == "duplicate" and written:  # of any earlier row, adjacent or not
+            fields = draw(st.sampled_from(written))
+        else:
+            fields = draw(edge_fields() if kind == "edge" else CANONICAL)
+        written.append(fields)
         style = draw(st.sampled_from(["plain", "minimal", "all", "padded", "columns"]))
         if style == "plain":
             buf.write(",".join(fields) + end)
@@ -323,24 +419,91 @@ def tapes(draw):
     return buf.getvalue()
 
 
+def wide_type(wide):
+    """Patch the price decoder to divide in ``wide`` instead of long double."""
+    powers, int_end = ingest._exact_scale(wide)
+    return mock.patch.multiple(ingest, _WIDE_POW10=powers, _WIDE_INT_END=int_end)
+
+
+def assert_same_parse(ds, report, text, dedupe):
+    """The dataset and report equal the reference parse of ``text``."""
+    groups, rejects, n_dup = oracle_parse(text, dedupe)
+    assert report.rejected == rejects
+    assert report.n_rejected == len(rejects)
+    assert report.n_deduplicated == n_dup
+    assert report.n_accepted == sum(ts.size for ts, _, _ in groups.values())
+    assert list(ds.groups) == list(groups)
+    for key, (ts, amounts, prices) in groups.items():
+        g = ds.groups[key]
+        assert (g.timestamps.dtype, g.amounts.dtype, g.prices.dtype) == (np.int64, np.int64, np.float64)
+        assert g.timestamps.tobytes() == ts.tobytes()
+        assert g.amounts.tobytes() == amounts.tobytes()
+        assert g.prices.tobytes() == prices.tobytes()
+
+
 class TestColumnarEquivalence:
-    @given(tapes(), st.booleans(), st.sampled_from([1, 7, 64, 1 << 16]), st.booleans())
-    def test_matches_reference_parse(self, text, dedupe, block_bytes, as_text):
+    @given(
+        tapes(),
+        st.booleans(),
+        st.sampled_from([1, 7, 64, 1 << 16]),
+        st.booleans(),
+        st.sampled_from([np.longdouble, np.float64]),
+    )
+    def test_matches_reference_parse(self, text, dedupe, block_bytes, as_text, wide):
         source = io.StringIO(text) if as_text else text.encode()
-        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), wide_type(wide):
             ds, report = parse_trades(source, dedupe=dedupe)
-        groups, rejects, n_dup = oracle_parse(text, dedupe)
-        assert report.rejected == rejects
-        assert report.n_rejected == len(rejects)
-        assert report.n_deduplicated == n_dup
-        assert report.n_accepted == sum(ts.size for ts, _, _ in groups.values())
-        assert list(ds.groups) == list(groups)
-        for key, (ts, amounts, prices) in groups.items():
-            g = ds.groups[key]
-            assert (g.timestamps.dtype, g.amounts.dtype, g.prices.dtype) == (np.int64, np.int64, np.float64)
-            assert g.timestamps.tobytes() == ts.tobytes()
-            assert g.amounts.tobytes() == amounts.tobytes()
-            assert g.prices.tobytes() == prices.tobytes()
+        assert_same_parse(ds, report, text, dedupe)
+
+    @pytest.mark.parametrize("wide", [np.longdouble, np.float64])
+    @pytest.mark.parametrize("block_bytes", [1, 7, 64, 1 << 16])
+    def test_price_decoder_edges_match_reference_parse(self, block_bytes, wide):
+        lines = [",".join(CSV_HEADER)] + [f"R1,BTC/USD,{t},{price},1.5" for t, price in enumerate(PRICE_EDGES)]
+        text = "\n".join(lines) + "\n"
+        read = []
+
+        def counting(data):
+            read.append(data.decode())
+            return float(data)
+
+        # float64 stands in for a platform whose long double is a double
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), wide_type(wide):
+            with mock.patch.object(ingest, "float", counting, create=True):
+                ds, report = parse_trades(text.encode())
+        assert_same_parse(ds, report, text, False)
+        assert read == [price for price in PRICE_EDGES if decode_falls_back(price, wide)]
+
+    def test_double_scale_is_clingers_fast_path(self):
+        powers, int_end = ingest._exact_scale(np.float64)
+        assert powers.dtype == np.float64 and int_end == 2**53
+        assert powers.tolist() == [10.0**k for k in range(23)]
+
+    @pytest.mark.parametrize("block_bytes", [1, 7, 64, 1 << 16])
+    def test_dedupe_compares_whole_rows_within_timestamp_runs(self, block_bytes):
+        rows = [
+            "R1,BTC/USD,5,0.3,1",
+            "U1,BTC/USD,5,0.3,1",  # same timestamp, other group
+            "R1,BTC/USD,5,0.30000000000000004,1",  # differs in price bits only
+            "R1,BTC/USD,5,0.3,1.00000001",  # differs in amount only
+            "R1,ETH/USD,4,0.3,1",
+            "R1,BTC/USD,3,0.3,1",
+            "R1,BTC/USD,5,0.3,1",  # repeats line 2, not adjacent
+            "U1,BTC/USD,5,0.3,1",  # repeats line 3
+            'R1,BTC/USD,5,"0.30000000000000004",1',  # repeats line 4 through the scalar path
+            "R1,BTC/USD,5,0.300,1.0",  # repeats line 2 in other digits
+            "R1,ETH/USD,4,0.3,1",  # repeats line 6, the only row of its group before
+            "R1,BTC/USD,2,0.3,1",
+        ]
+        text = "\n".join([",".join(CSV_HEADER), *rows]) + "\n"
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+            ds, report = parse_trades(text.encode(), dedupe=True)
+        assert_same_parse(ds, report, text, True)
+        assert report.n_deduplicated == 5
+        assert list(ds.groups) == [("R1", "BTC/USD"), ("U1", "BTC/USD"), ("R1", "ETH/USD")]
+        g = ds.group("R1", "BTC/USD")
+        assert g.timestamps.tolist() == [2, 3, 5, 5, 5]
+        assert g.prices.tolist() == [0.3, 0.3, 0.3, 0.30000000000000004, 0.3]
+        assert g.amounts.tolist() == [10**8] * 4 + [10**8 + 1]
 
     @pytest.mark.parametrize("block_bytes", [1, 7, 64, 1 << 16])
     def test_digit_decoder_edges_match_reference_parse(self, block_bytes):

@@ -21,6 +21,7 @@ from washdetect.trades import (
     roundness_level_indices,
     trailing_zero_counts,
 )
+from washdetect.washest import roundness_distribution
 
 BTC = BUILTIN_PAIR_SPECS["BTC/USD"]
 XRP = BUILTIN_PAIR_SPECS["XRP/USD"]
@@ -212,6 +213,23 @@ class TestRoundnessLevel:
 
     def test_trailing_zeros(self):
         assert trailing_zero_counts(np.array([2_000_000, 2_130_000, 7])).tolist() == [6, 4, 0]
+
+    def test_trailing_zeros_at_powers_of_ten_and_int64_max(self):
+        values = [10**k for k in range(19)] + [10**k - 1 for k in range(1, 19)] + [2**63 - 1]
+        counts = trailing_zero_counts(np.array(values, dtype=np.int64))
+        assert counts.tolist() == [len(str(v)) - len(str(v).rstrip("0")) for v in values]
+
+    @given(st.lists(st.integers(1, 2**63 - 1), min_size=1, max_size=50))
+    def test_trailing_zeros_match_string_count(self, values):
+        counts = trailing_zero_counts(np.array(values, dtype=np.int64))
+        assert counts.tolist() == [len(str(v)) - len(str(v).rstrip("0")) for v in values]
+
+    @pytest.mark.parametrize("values", [[0, 100], [100, -10], [-(2**63)]])
+    def test_non_positive_amount_raises(self, values):
+        with pytest.raises(AmountError, match="non-positive"):
+            trailing_zero_counts(np.array(values, dtype=np.int64))
+        with pytest.raises(AmountError, match="non-positive"):
+            roundness_distribution(np.array(values, dtype=np.int64), BTC)
 
 
 class TestPairRegistry:
