@@ -26,7 +26,7 @@ import time
 
 from washdetect.ingest import TradeDataset
 from washdetect.report import run_battery
-from washdetect.synth import GeneratorConfig, STABLE_PANEL_PARAMS, STABLE_PANEL_WASH, gen_exchange
+from washdetect.synth import GeneratorConfig, gen_exchange
 from washdetect.trades import ExchangeMeta, PairRegistry, RegulatoryClass
 
 BENCH_SIZES = (400_000, 250_000, 150_000)
@@ -36,13 +36,13 @@ REGULATED = {f"R{i + 1}": ExchangeMeta(f"R{i + 1}", RegulatoryClass.REGULATED) f
 
 
 def market(seed: int, n: int, wash: float) -> TradeDataset:
-    stable = dict(authentic=STABLE_PANEL_PARAMS, wash=STABLE_PANEL_WASH)
+    stable = "stable-panel"
     configs = [
-        GeneratorConfig(seed=2000 * seed + i, exchange_id=ex, n_trades=size, **stable)
+        GeneratorConfig(seed=2000 * seed + i, exchange_id=ex, n_trades=size, profile=stable)
         for i, (ex, size) in enumerate(zip(REGULATED, BENCH_SIZES))
     ]
     configs += [
-        GeneratorConfig(seed=9000 * seed + 100 + j, exchange_id=f"U{j}", n_trades=n, wash_fraction=w, **stable)
+        GeneratorConfig(seed=9000 * seed + 100 + j, exchange_id=f"U{j}", n_trades=n, wash_fraction=w, profile=stable)
         for j, w in enumerate(LADDER)
     ]
     configs += [

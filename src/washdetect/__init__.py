@@ -69,12 +69,8 @@ from .verdicts import (
 )
 from .report import BatteryReport, RunConfig, run_battery
 from .synth import (
-    AuthenticParams,
     GeneratorConfig,
     LabeledTape,
-    STABLE_PANEL_PARAMS,
-    STABLE_PANEL_WASH,
-    WashParams,
     gen_exchange,
     write_tape,
 )

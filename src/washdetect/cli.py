@@ -26,7 +26,7 @@ from . import tailfit as tf
 from . import verdicts as vd
 from . import washest as we
 from .errors import ConfigError, WashdetectError
-from .ingest import TradeDataset, make_group, parse_trades, unrounded_subset
+from .ingest import TradeDataset, parse_trades, unrounded_subset
 from .trades import PairRegistry, RegulatoryClass, load_exchange_meta
 
 EXIT_OK = 0
@@ -74,28 +74,17 @@ def _subcommand(
 
 
 def _load(args) -> tuple[TradeDataset, PairRegistry]:
-    """Merged inputs (restricted to unrounded trades under --unrounded-only)."""
-    merged = TradeDataset()
-    for path in args.inputs:
-        ds, _ = parse_trades(path, args.format, strict=args.strict, dedupe=args.dedupe)
-        for key, group in ds.groups.items():
-            if key in merged.groups:
-                old = merged.groups[key]
-                merged.groups[key] = make_group(
-                    group.exchange_id,
-                    group.pair,
-                    np.concatenate([old.timestamps, group.timestamps]),
-                    np.concatenate([old.amounts, group.amounts]),
-                    np.concatenate([old.prices, group.prices]),
-                )
-            else:
-                merged.groups[key] = group
-    if merged.n_trades == 0:
+    """The inputs as one dataset (restricted to unrounded trades under
+    --unrounded-only); a warning counts the rows rejected."""
+    ds, parsed = parse_trades(args.inputs, args.format, strict=args.strict, dedupe=args.dedupe)
+    if parsed.n_rejected:
+        print(f"warning: {parsed.n_rejected} row(s) rejected and skipped; ingest-check lists them", file=sys.stderr)
+    if ds.n_trades == 0:
         raise WashdetectError("no trades ingested")
     registry = PairRegistry.from_file(args.pairs) if args.pairs else PairRegistry()
     if getattr(args, "unrounded_only", False):
-        merged = unrounded_subset(merged, registry)
-    return merged, registry
+        ds = unrounded_subset(ds, registry)
+    return ds, registry
 
 
 def _battery(
@@ -338,7 +327,6 @@ def cmd_report(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    stable = args.profile == "stable-panel"
     cfg = synth.GeneratorConfig(
         seed=args.seed,
         exchange_id=args.exchange_id,
@@ -346,8 +334,7 @@ def cmd_synth(args) -> int:
         n_trades=args.n,
         wash_fraction=args.wash,
         n_weeks=args.weeks,
-        authentic=synth.STABLE_PANEL_PARAMS if stable else synth.AuthenticParams(),
-        wash=synth.STABLE_PANEL_WASH if stable else synth.WashParams(),
+        profile=args.profile,
     )
     tape = synth.gen_exchange(cfg)
     if tape.flags:
@@ -457,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", default="BTC/USD")
     p.add_argument("--exchange-id", default="X1")
     p.add_argument("--weeks", type=int, default=12)
-    p.add_argument("--profile", choices=["default", "stable-panel"], default="default")
+    p.add_argument("--profile", choices=list(synth.PROFILES), default="default")
     p.add_argument("--labels", action="store_true", help="emit the ground-truth label column")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--out-file", required=True)

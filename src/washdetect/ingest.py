@@ -33,8 +33,10 @@ on and a reason, and skipped, or abort the parse in strict mode.
 Trades are grouped by (exchange, pair). Each group keeps compact parallel
 numpy arrays (timestamps, sub-unit amounts, prices) sorted by timestamp, so
 a million-row tape costs tens of megabytes and every downstream statistic can
-run vectorized. The one sort that groups the rows also finds exact
-duplicates for ``dedupe``: they can only share a (group, timestamp) run.
+run vectorized. Every source of a parse feeds the same columns, so one sort
+groups the rows of all of them, and it also finds exact duplicates for
+``dedupe``: they can only share a (group, timestamp) run, whichever source
+they come from.
 """
 
 from __future__ import annotations
@@ -103,25 +105,6 @@ class TradeDataset:
 
     def sorted_keys(self) -> list[tuple[str, str]]:
         return sorted(self.groups)
-
-
-def make_group(
-    exchange_id: str,
-    pair: str,
-    timestamps: np.ndarray,
-    amounts: np.ndarray,
-    prices: np.ndarray,
-) -> TradeGroup:
-    """Build a TradeGroup, sorting the parallel arrays by timestamp (stable)."""
-    ts = np.asarray(timestamps, dtype=np.int64)
-    order = np.argsort(ts, kind="stable")
-    return TradeGroup(
-        exchange_id,
-        pair,
-        ts[order],
-        np.asarray(amounts, dtype=np.int64)[order],
-        np.asarray(prices, dtype=np.float64)[order],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +496,8 @@ def _first_occurrences(order: np.ndarray, codes: np.ndarray, ts: np.ndarray, *co
 
 
 class _Columns:
-    """Accepted rows in line order, as numpy column blocks, with group codes."""
+    """Accepted rows in source and line order, as numpy column blocks, with
+    group codes."""
 
     def __init__(self) -> None:
         self.codes: dict[tuple[str, str], int] = {}
@@ -533,7 +517,7 @@ class _Columns:
             return ds
         codes, ts, prices, amounts = (np.concatenate(col) for col in zip(*self.blocks))
         self.blocks.clear()
-        # stable, so rows with equal timestamps stay in line order
+        # stable, so rows with equal timestamps stay in source and line order
         order = np.lexsort((ts, codes))
         if dedupe:
             # prices are positive and finite, so equal bits mean equal floats
@@ -551,12 +535,13 @@ class _Columns:
 
 
 class _Parser:
-    """Block-by-block parse of one file into ``_Columns`` and a ``ParseReport``."""
+    """Block-by-block parse of one source into the run's ``_Columns`` and
+    ``ParseReport``."""
 
-    def __init__(self, report: ParseReport, strict: bool) -> None:
+    def __init__(self, report: ParseReport, columns: _Columns, strict: bool) -> None:
         self.report = report
         self.strict = strict
-        self.columns = _Columns()
+        self.columns = columns
         self.line = 1  # number of the block's first line
         self.header_seen = False
 
@@ -669,29 +654,35 @@ def parse_trades(
     strict: bool = False,
     dedupe: bool = False,
 ) -> tuple[TradeDataset, ParseReport]:
-    """Parse a CSV or JSONL trade file into a dataset plus a parse report.
+    """Parse CSV or JSONL trades into one dataset plus a parse report.
 
-    ``source`` is a path, a bytes object, or a binary or text stream.
-    ``strict`` aborts on the first malformed row with a ParseError, which
-    names the file when ``source`` is a path; otherwise bad rows are logged
-    with their line number and skipped. ``dedupe`` drops exact
-    duplicate rows (duplicates are legitimate in clean feeds, so this is off
-    by default).
+    ``source`` is a path, a bytes object, or a binary or text stream, or a
+    list of them, all in ``fmt``: the sources of a list are read in turn as
+    one input. Their rows are grouped together, so a group that several
+    sources hold is one group, and a tie of timestamps keeps the order of
+    the sources and of their lines. ``strict`` aborts on the first malformed
+    row with a ParseError, which names the file when its source is a path;
+    otherwise bad rows are logged with their line number in their own source
+    and skipped. ``dedupe`` drops exact duplicate rows across every source,
+    keeping the first (duplicates are legitimate in clean feeds, so this is
+    off by default).
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}")
     report = ParseReport()
-    parser = _Parser(report, strict)
-    chunks = _chunks(source)
-    try:
-        _feed(chunks, parser.csv_block if fmt == "csv" else parser.jsonl_block)
-    except (ParseError, OSError) as exc:
-        if not isinstance(source, (str, Path)):
-            raise
-        raise ParseError(f"{source}: {exc.strerror if isinstance(exc, OSError) else exc}") from None
-    finally:
-        chunks.close()
-    return parser.columns.dataset(report, dedupe), report
+    columns = _Columns()
+    for one in source if isinstance(source, list) else [source]:
+        parser = _Parser(report, columns, strict)
+        chunks = _chunks(one)
+        try:
+            _feed(chunks, parser.csv_block if fmt == "csv" else parser.jsonl_block)
+        except (ParseError, OSError) as exc:
+            if not isinstance(one, (str, Path)):
+                raise
+            raise ParseError(f"{one}: {exc.strerror if isinstance(exc, OSError) else exc}") from None
+        finally:
+            chunks.close()
+    return columns.dataset(report, dedupe), report
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import AmountError, ConfigError
-from .ingest import MS_PER_DAY, TradeDataset, make_group, CSV_HEADER
+from .ingest import MS_PER_DAY, TradeDataset, TradeGroup, CSV_HEADER
 from .trades import AMOUNT_DECIMALS, MAX_AMOUNT_SUBUNITS, SUBUNITS_PER_UNIT, PairRegistry, PairSpec, exact_sum
 
 MS_PER_WEEK = 7 * MS_PER_DAY
@@ -39,7 +39,7 @@ BURST_GAP_MS = (1, 100)
 
 
 @dataclass(frozen=True)
-class AuthenticParams:
+class _AuthenticParams:
     """Size law of authentic flow, in base units of the pair.
 
     The wealth walk runs in log space: each simulated trader starts at a
@@ -88,27 +88,8 @@ class AuthenticParams:
         return (1.0 - self.tail_weight) * bulk + self.tail_weight * tail
 
 
-# Low-dispersion authentic profile for weekly-volume-panel experiments.
-#
-# Under the default profile the few largest trades carry 10-40% of a week's
-# volume, so weekly round/unrounded ratios wobble by factors of 2-3 at any
-# feasible tape size and volume-relation estimates inherit that noise. This
-# profile narrows the bulk (still comfortably Benford) and softens the tail
-# (still Pareto-Levy) so weekly volumes concentrate; use it wherever the
-# object of study is the weekly volume panel rather than the tail itself.
-STABLE_PANEL_PARAMS = AuthenticParams(
-    log10_size_sd=1.0,
-    walk_length=8,
-    tail_weight=0.15,
-    tail_alpha=1.8,
-    tail_scale_log10=4.9,
-    start_truncate_sd=3.0,
-    tail_cap_decades=2.0,
-)
-
-
 @dataclass(frozen=True)
-class WashParams:
+class _WashParams:
     """Size law of wash-bot flow, in base units.
 
     Sizes are uniform over [size_low_units, size_high_units) at full
@@ -119,34 +100,64 @@ class WashParams:
     size_low_units: float = 4e5
     size_high_units: float = 9e5
 
-    def __post_init__(self) -> None:
-        if not 0 < self.size_low_units < self.size_high_units:
-            raise ConfigError("wash size band must satisfy 0 < low < high")
-
     def mean_size_units(self) -> float:
         return (self.size_low_units + self.size_high_units) / 2.0
 
 
-# The wash band of the stable-panel profile (``synth --profile stable-panel``).
-STABLE_PANEL_WASH = WashParams(size_low_units=4e4, size_high_units=9e4)
+# The size laws of authentic and wash flow under each generator profile
+# (``synth --profile``).
+#
+# Under the default profile the few largest trades carry 10-40% of a week's
+# volume, so weekly round/unrounded ratios wobble by factors of 2-3 at any
+# feasible tape size and volume-relation estimates inherit that noise. The
+# stable-panel profile narrows the bulk (still comfortably Benford) and
+# softens the tail (still Pareto-Levy) so weekly volumes concentrate, and
+# moves the wash band a decade lower; use it wherever the object of study is
+# the weekly volume panel rather than the tail itself.
+PROFILES = {
+    "default": (_AuthenticParams(), _WashParams()),
+    "stable-panel": (
+        _AuthenticParams(
+            log10_size_sd=1.0,
+            walk_length=8,
+            tail_weight=0.15,
+            tail_alpha=1.8,
+            tail_scale_log10=4.9,
+            start_truncate_sd=3.0,
+            tail_cap_decades=2.0,
+        ),
+        _WashParams(size_low_units=4e4, size_high_units=9e4),
+    ),
+}
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """What a tape is generated from; ``profile`` names the size laws (``PROFILES``)."""
+
     seed: int = 0
     exchange_id: str = "X1"
     pair: str = "BTC/USD"
     n_trades: int = 100_000
     wash_fraction: float = 0.0
     n_weeks: int = 12
-    authentic: AuthenticParams = AuthenticParams()
-    wash: WashParams = WashParams()
+    profile: str = "default"
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.exchange_id:
             raise ConfigError("exchange id must not be empty")
+        if self.profile not in PROFILES:
+            raise ConfigError(f"unknown profile {self.profile!r}, expected one of {', '.join(PROFILES)}")
+
+    @property
+    def authentic(self) -> _AuthenticParams:
+        return PROFILES[self.profile][0]
+
+    @property
+    def wash(self) -> _WashParams:
+        return PROFILES[self.profile][1]
 
     @property
     def spec(self) -> PairSpec:
@@ -185,7 +196,7 @@ def _draw_timestamps(
 
 
 def _authentic_size_log10(
-    rng: np.random.Generator, p: AuthenticParams, n: int
+    rng: np.random.Generator, p: _AuthenticParams, n: int
 ) -> np.ndarray:
     n_walkers = max(1, math.ceil(n / p.walk_length))
     starts = rng.normal(p.log10_size_mean, p.log10_size_sd, size=n_walkers)
@@ -214,7 +225,7 @@ def _authentic_size_log10(
 
 
 def _snap_round(
-    rng: np.random.Generator, p: AuthenticParams, sizes_units: np.ndarray, unit: int
+    rng: np.random.Generator, p: _AuthenticParams, sizes_units: np.ndarray, unit: int
 ) -> np.ndarray:
     """Convert float sizes to sub-units, snapping a fraction to round grids."""
     n = sizes_units.size
@@ -233,7 +244,7 @@ def _snap_round(
     return np.clip(subs, 1, MAX_AMOUNT_SUBUNITS - 1)
 
 
-def _wash_subunits(rng: np.random.Generator, p: WashParams, unit: int, n: int) -> np.ndarray:
+def _wash_subunits(rng: np.random.Generator, p: _WashParams, unit: int, n: int) -> np.ndarray:
     lo = int(p.size_low_units * unit)
     hi = int(p.size_high_units * unit)
     return rng.integers(lo, hi, size=n, dtype=np.int64)
@@ -245,12 +256,10 @@ def _price_path(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _finish_group(cfg, timestamps, subunits, labels, rng):
+    prices = _price_path(rng, timestamps.size)  # the i-th price is the i-th trade's in time order
     order = np.argsort(timestamps, kind="stable")
-    ts, subs, lab = timestamps[order], subunits[order], labels[order]
-    prices = _price_path(rng, ts.size)
-    ds = TradeDataset()
-    ds.groups[(cfg.exchange_id, cfg.pair)] = make_group(cfg.exchange_id, cfg.pair, ts, subs, prices)
-    return ds, lab
+    group = TradeGroup(cfg.exchange_id, cfg.pair, timestamps[order], subunits[order], prices)
+    return TradeDataset({(cfg.exchange_id, cfg.pair): group}), labels[order]
 
 
 def _gen_authentic_arrays(rng, cfg, weights, n):

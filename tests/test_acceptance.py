@@ -15,12 +15,7 @@ from washdetect.benford import benford_expected, chi_squared_benford, chi_square
 from washdetect.clustering import run_cluster_test
 from washdetect.distributions import chi2_isf, chi2_sf, norm_cdf, t_cdf
 from washdetect.ingest import parse_trades, weekly_split
-from washdetect.synth import (
-    GeneratorConfig,
-    STABLE_PANEL_PARAMS,
-    STABLE_PANEL_WASH,
-    gen_exchange,
-)
+from washdetect.synth import GeneratorConfig, gen_exchange
 from washdetect.tailfit import fit_hill, fit_ols, fit_tail, power_law_ols, tail_cutoff
 from washdetect.trades import BUILTIN_PAIR_SPECS, PairRegistry, PairSpec, is_round_mask
 from washdetect.verdicts import P_FLOOR, counterfactual_rank, fisher_combine, spearman_rank_correlation
@@ -167,8 +162,7 @@ def _panel(exchange_id, seed, n, wash=0.0):
         exchange_id=exchange_id,
         n_trades=n,
         wash_fraction=wash,
-        authentic=STABLE_PANEL_PARAMS,
-        wash=STABLE_PANEL_WASH,
+        profile="stable-panel",
     )
     return weekly_split(gen_exchange(cfg).dataset, REG)
 

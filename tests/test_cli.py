@@ -143,6 +143,15 @@ class TestIndividualTests:
         assert "precision overflow" in report
 
 
+def tiny_tape(root):
+    """30 rows of one group: too few for the battery, so a report on it exits 2."""
+    path = root / "tiny.csv"
+    rows = ["exchange,pair,timestamp_ms,price,amount"]
+    rows += [f"X,BTC/USD,{i},1.0,0.0{213 + i}" for i in range(30)]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 class TestReport:
     def test_full_report(self, workspace, tmp_path):
         root, tapes = workspace
@@ -183,12 +192,29 @@ class TestReport:
         assert "no trades ingested" in capsys.readouterr().err
 
     def test_small_group_flagged_exit_2(self, tmp_path):
-        path = tmp_path / "tiny.csv"
-        rows = ["exchange,pair,timestamp_ms,price,amount"]
-        rows += [f"X,BTC/USD,{i},1.0,0.0{213 + i}" for i in range(30)]
-        path.write_text("\n".join(rows) + "\n")
-        code = main(["report", str(path), "--no-wash"])
+        code = main(["report", str(tiny_tape(tmp_path)), "--no-wash"])
         assert code == EXIT_FLAGGED
+
+    def test_dedupe_counts_a_repeated_input_once(self, tmp_path):
+        path = tmp_path / "a.csv"
+        assert main(["synth", "--seed", "5", "--n", "20000", "--out-file", str(path)]) == EXIT_OK
+        reports = []
+        for inputs in ([path], [path, path]):
+            out = tmp_path / f"out{len(inputs)}"
+            assert main(["report", *map(str, inputs), "--dedupe", "--no-wash", "--out", str(out)]) == EXIT_OK
+            reports.append((out / "report.json").read_text())
+        assert json.loads(reports[1])["exchanges"][0]["pairs"][0]["n_trades"] == 20_000
+        assert reports[1] == reports[0]
+
+    def test_a_reject_in_the_second_input_is_one_warning(self, tmp_path, capsys):
+        tiny, bad = tiny_tape(tmp_path), tmp_path / "bad.csv"
+        bad.write_text("exchange,pair,timestamp_ms,price,amount\nX,BTC/USD,31,1.0,0.123456789\n")
+        code = main(["report", str(tiny), "--no-wash"])
+        clean = capsys.readouterr()
+        assert main(["report", str(tiny), str(bad), "--no-wash"]) == code
+        dirty = capsys.readouterr()
+        assert dirty.out == clean.out
+        assert dirty.err == "warning: 1 row(s) rejected and skipped; ingest-check lists them\n" + clean.err
 
 
 class TestBenchmarkModelFlow:

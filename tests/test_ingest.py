@@ -19,13 +19,12 @@ from washdetect.ingest import (
     CSV_HEADER,
     ParseReport,
     TradeDataset,
-    make_group,
     parse_trades,
     unrounded_subset,
     week_index,
     weekly_split,
 )
-from washdetect.trades import PairRegistry, parse_amount
+from washdetect.trades import SUBUNITS_PER_UNIT, PairRegistry, parse_amount
 
 REG = PairRegistry()
 
@@ -48,9 +47,13 @@ def oracle_week_index(timestamp_ms):
 
 
 def one_group(timestamps, amounts, pair="BTC/USD", exchange="X"):
-    """A dataset of one group, with price 1.0 on every row."""
-    group = make_group(exchange, pair, timestamps, amounts, np.ones(len(amounts)))
-    return TradeDataset({(exchange, pair): group})
+    """A dataset of one group, parsed from rows with price 1.0."""
+    rows = [",".join(CSV_HEADER)]
+    for t, a in zip(timestamps, amounts):
+        rows.append(f"{exchange},{pair},{t},1.0,{a // SUBUNITS_PER_UNIT}.{a % SUBUNITS_PER_UNIT:08d}")
+    ds, report = parse_trades("\n".join(rows).encode())
+    assert report.n_rejected == 0
+    return ds
 
 
 class TestParse:
@@ -109,10 +112,48 @@ class TestParse:
         assert ds2.group("R2", "BTC/USD").n == 3
 
     def test_groups_sorted_by_timestamp(self):
-        g = make_group("X", "BTC/USD", [30, 10, 20], [100, 200, 300], [1.0, 2.0, 3.0])
-        assert g.timestamps.tolist() == [10, 20, 30]
-        assert g.amounts.tolist() == [200, 300, 100]
-        assert g.prices.tolist() == [2.0, 3.0, 1.0]
+        first = "exchange,pair,timestamp_ms,price,amount\nX,BTC/USD,30,1.0,1\nX,BTC/USD,10,2.0,2\n"
+        second = "exchange,pair,timestamp_ms,price,amount\nX,BTC/USD,20,3.0,3\nX,BTC/USD,5,4.0,4\n"
+        ds, _ = parse_trades([io.StringIO(first), second.encode()])
+        g = ds.group("X", "BTC/USD")
+        assert g.timestamps.tolist() == [5, 10, 20, 30]
+        assert g.amounts.tolist() == [parse_amount(a) for a in "4231"]
+        assert g.prices.tolist() == [4.0, 2.0, 3.0, 1.0]
+
+
+class TestSources:
+    """A list of sources is parsed as one input."""
+
+    FIRST = "exchange,pair,timestamp_ms,price,amount\nB,BTC/USD,7,1.0,1\nA,BTC/USD,7,2.0,2\nB,BTC/USD,7,3.0,3\n"
+    SECOND = "exchange,pair,timestamp_ms,price,amount\nC,ETH/USD,1,4.0,4\nA,BTC/USD,7,5.0,5\nB,BTC/USD,7,6.0,6\n"
+
+    def test_shared_keys_and_timestamps_keep_source_order(self):
+        ds, report = parse_trades([self.FIRST.encode(), self.SECOND.encode()])
+        assert report.n_accepted == 6
+        # groups in order of first appearance, ties in source and then line order
+        assert list(ds.groups) == [("B", "BTC/USD"), ("A", "BTC/USD"), ("C", "ETH/USD")]
+        assert ds.group("B", "BTC/USD").prices.tolist() == [1.0, 3.0, 6.0]
+        assert ds.group("A", "BTC/USD").prices.tolist() == [2.0, 5.0]
+
+    def test_dedupe_spans_sources(self):
+        ds, report = parse_trades([self.FIRST.encode(), self.FIRST.encode(), self.SECOND.encode()], dedupe=True)
+        assert report.n_deduplicated == 3
+        assert ds.n_trades == 6
+        assert ds.group("B", "BTC/USD").prices.tolist() == [1.0, 3.0, 6.0]
+
+    def test_rejects_keep_their_own_line_numbers(self):
+        bad = "exchange,pair,timestamp_ms,price,amount\nX,BTC/USD,1,1.0,0\n"
+        _, report = parse_trades([self.FIRST.encode(), bad.encode()])
+        assert report.n_accepted == 3
+        assert report.rejected == [(2, "non-positive amount '0'")]
+
+    def test_strict_error_names_the_path_that_failed(self, tmp_path):
+        ok, bad = tmp_path / "ok.csv", tmp_path / "bad.csv"
+        ok.write_text(self.FIRST)
+        bad.write_text("exchange,pair,timestamp_ms,price,amount\nX,BTC/USD,1,1.0,-1\n")
+        with pytest.raises(ParseError) as exc:
+            parse_trades([ok, bad], strict=True)
+        assert str(exc.value) == f"{bad}: line 2: malformed amount '-1'"
 
 
 class TestInputBoundary:

@@ -19,7 +19,7 @@ from washdetect.report import (
     run_battery,
     wash_estimate_rows,
 )
-from washdetect.synth import GeneratorConfig, STABLE_PANEL_PARAMS, STABLE_PANEL_WASH, gen_exchange
+from washdetect.synth import GeneratorConfig, gen_exchange
 from washdetect.trades import ExchangeMeta, PairRegistry, RegulatoryClass
 from washdetect.verdicts import P_FLOOR
 
@@ -35,8 +35,7 @@ def make_dataset(specs):
             exchange_id=ex,
             n_trades=n,
             wash_fraction=w,
-            authentic=STABLE_PANEL_PARAMS,
-            wash=STABLE_PANEL_WASH,
+            profile="stable-panel",
         )
         tape = gen_exchange(cfg)
         ds.groups.update(tape.dataset.groups)

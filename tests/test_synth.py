@@ -13,11 +13,7 @@ from washdetect.ingest import parse_trades
 from washdetect import synth
 from washdetect.synth import (
     START_MS,
-    AuthenticParams,
     GeneratorConfig,
-    STABLE_PANEL_PARAMS,
-    STABLE_PANEL_WASH,
-    WashParams,
     gen_exchange,
     write_tape,
 )
@@ -66,6 +62,10 @@ class TestDeterminism:
         with pytest.raises(ConfigError, match="exchange id"):
             GeneratorConfig(exchange_id="")
 
+    def test_unknown_profile_is_rejected(self):
+        with pytest.raises(ConfigError, match="unknown profile 'stable'"):
+            GeneratorConfig(profile="stable")
+
 
 # sha256 of tapes written by the row-by-row formatter that the column
 # assembler replaced: (seed, pair, exchange id, rows, wash, profile, format,
@@ -92,15 +92,8 @@ GOLDEN_TAPES = [
 class TestGoldenBytes:
     @pytest.mark.parametrize("seed,pair,exchange_id,n,wash,profile,fmt,labels,digest", GOLDEN_TAPES)
     def test_tape_bytes_are_pinned(self, seed, pair, exchange_id, n, wash, profile, fmt, labels, digest):
-        stable = profile == "stable-panel"
         cfg = GeneratorConfig(
-            seed=seed,
-            exchange_id=exchange_id,
-            pair=pair,
-            n_trades=n,
-            wash_fraction=wash,
-            authentic=STABLE_PANEL_PARAMS if stable else AuthenticParams(),
-            wash=STABLE_PANEL_WASH if stable else WashParams(),
+            seed=seed, exchange_id=exchange_id, pair=pair, n_trades=n, wash_fraction=wash, profile=profile
         )
         buf = io.StringIO()
         write_tape(gen_exchange(cfg), buf, fmt, labels)
@@ -113,16 +106,12 @@ class TestGoldenBytes:
 
 class TestAuthenticFlow:
     def test_full_round_grid_makes_every_trade_round(self):
-        params = AuthenticParams(
-            log10_size_sd=0.3,
-            rounding_propensity=1.0,
-            grid_weights=((100, 1.0),),
-            snap_min_multiples=0.0,
-            tail_weight=0.0,
-        )
-        cfg = GeneratorConfig(seed=1, n_trades=20_000, authentic=params)
-        tape = gen_exchange(cfg)
-        assert is_round_mask(tape.group.amounts, cfg.spec).all()
+        params = synth._AuthenticParams(rounding_propensity=1.0, grid_weights=((100, 1.0),), snap_min_multiples=0.0)
+        rng = np.random.default_rng(1)
+        sizes = 10.0 ** rng.uniform(2.0, 6.0, 20_000)
+        spec = PairRegistry().get("BTC/USD")
+        subunits = synth._snap_round(rng, params, sizes, spec.subunits_per_base_unit)
+        assert is_round_mask(subunits, spec).all()
 
     def test_benford_self_test(self):
         cfg = GeneratorConfig(seed=11, n_trades=1_000_000)
@@ -257,7 +246,7 @@ class TestLabelColumn:
 
 class TestStablePanelProfile:
     def test_passes_detector_battery(self):
-        cfg = GeneratorConfig(seed=61, n_trades=400_000, authentic=STABLE_PANEL_PARAMS)
+        cfg = GeneratorConfig(seed=61, n_trades=400_000, profile="stable-panel")
         tape = gen_exchange(cfg)
         g = tape.group
         b = chi_squared_benford(digit_histogram(g.amounts), effective_n=10_000)
@@ -267,7 +256,7 @@ class TestStablePanelProfile:
 
     def test_weekly_volume_concentration(self):
         # No single trade may dominate a week: the point of the profile.
-        cfg = GeneratorConfig(seed=62, n_trades=300_000, authentic=STABLE_PANEL_PARAMS)
+        cfg = GeneratorConfig(seed=62, n_trades=300_000, profile="stable-panel")
         g = gen_exchange(cfg).group
         weeks = (g.timestamps // 86_400_000 + 3) // 7
         for w in np.unique(weeks):
