@@ -73,7 +73,6 @@ class ChiSquaredResult:
     df: int
     p_value: float
     effective_n: float
-    alpha: float
     reject: bool
 
 
@@ -109,7 +108,7 @@ def chi_squared_gof(
     statistic = float(effective_n * np.sum((f - p) ** 2 / p))
     df = f.size - 1
     p_value = chi_squared_pvalue(statistic, df)
-    return ChiSquaredResult(statistic, df, p_value, float(effective_n), alpha, p_value < alpha)
+    return ChiSquaredResult(statistic, df, p_value, float(effective_n), p_value < alpha)
 
 
 def chi_squared_benford(

@@ -62,7 +62,6 @@ class ClusterTestResult:
     anomaly_p: float
     n_pairs: int
     step: int
-    alpha: float
     reject: bool
     insufficient: bool = False
 
@@ -169,7 +168,6 @@ def clustering_t_test(pairs: list[WindowPair], step: int = 100, alpha: float = 0
         anomaly_p=anomaly_p,
         n_pairs=n,
         step=step,
-        alpha=alpha,
         reject=p_value >= alpha,
     )
 
@@ -196,7 +194,6 @@ def run_cluster_test(
             anomaly_p=math.nan,
             n_pairs=len(pairs),
             step=step,
-            alpha=alpha,
             reject=False,
             insufficient=True,
         )

@@ -189,14 +189,16 @@ def _wash_section(
     config: RunConfig,
     external_models: dict[str, we.BenchmarkModel] | None,
 ) -> None:
-    splits = weekly_split(dataset, registry)
-    by_pair: dict[str, list[WeeklyVolumeSplit]] = {}
-    for row in splits:
-        by_pair.setdefault(row.pair, []).append(row)
-    bench_rows = [r for r in splits if r.exchange_id in regulated]
-    bench_rows_by_pair = {
-        pair: [r for r in rows if r.exchange_id in regulated] for pair, rows in by_pair.items()
-    }
+    # Keys in sorted (exchange, pair) order, weeks ascending within a key, as
+    # weekly_split yields them; that order reaches the fits and the bootstrap.
+    panel: dict[tuple[str, str], list[WeeklyVolumeSplit]] = {}
+    for row in weekly_split(dataset, registry):
+        panel.setdefault((row.exchange_id, row.pair), []).append(row)
+
+    def rows_of(exchanges: set[str], scope: str = "pooled") -> list[WeeklyVolumeSplit]:
+        """The rows of ``exchanges`` in one pair, or in every pair for ``pooled``."""
+        keys = [(ex, pair) for ex, pair in panel if ex in exchanges and scope in (pair, "pooled")]
+        return [r for key in keys for r in panel[key]]
 
     use_controls = config.use_controls
     if use_controls and meta is not None:
@@ -209,14 +211,13 @@ def _wash_section(
 
     models: dict[str, we.BenchmarkModel] = dict(external_models or {})
     if not models:
-        if config.pool_pairs:
-            # one fit over every pair, with pair indicator terms, under one key
-            panels = {"pooled": bench_rows}
-        else:
-            panels = dict(sorted(bench_rows_by_pair.items()))
-        for scope, rows in panels.items():
+        # pooled: one fit over every pair, with pair indicator terms
+        scopes = ["pooled"] if config.pool_pairs else sorted({pair for _, pair in panel})
+        for scope in scopes:
             try:
-                models[scope] = we.fit_benchmark(rows, meta=meta, use_controls=use_controls)
+                models[scope] = we.fit_benchmark(
+                    rows_of(regulated, scope), meta=meta, use_controls=use_controls
+                )
             except (InsufficientDataError, EstimationError) as exc:
                 report.warnings.append(f"benchmark for {scope} not fitted: {exc}")
     report.benchmark_models = models
@@ -225,25 +226,20 @@ def _wash_section(
         if ex_rep.exchange_id in regulated:
             continue
         per_pair: list[we.WashEstimate] = []
-        wash_volume = total_volume = 0.0
         for pair_rep in ex_rep.pairs:
-            scope = pair_rep.pair if pair_rep.pair in models else "pooled"
-            model = models.get(scope)
-            if model is None:
-                continue
-            target = [
-                r
-                for r in by_pair.get(pair_rep.pair, [])
-                if r.exchange_id == ex_rep.exchange_id
-            ]
+            target = panel.get((ex_rep.exchange_id, pair_rep.pair))
             if not target:
                 continue
+            scope = pair_rep.pair if pair_rep.pair in models else "pooled"
+            model = models.get(scope)
             try:
+                if model is None or (model.pair_levels and pair_rep.pair not in model.pair_levels):
+                    raise EstimationError("no benchmark model covers this pair")
                 est = we.estimate_wash(target, model, meta=meta)
             except (InsufficientDataError, EstimationError) as exc:
                 ex_rep.flags.append(f"wash estimate failed for {pair_rep.pair}: {exc}")
                 continue
-            bench = bench_rows if scope == "pooled" else bench_rows_by_pair.get(pair_rep.pair, [])
+            bench = rows_of(regulated, scope)
             if config.bootstrap and not bench:
                 est = replace(est, flags=est.flags + ("bootstrap skipped: no benchmark rows",))
             elif config.bootstrap:
@@ -261,10 +257,10 @@ def _wash_section(
                 else:
                     est = replace(est, bootstrap_sd=sd)
             per_pair.append(est)
-            wash_volume += est.wash_volume
-            total_volume += est.total_volume
         ex_rep.wash_by_pair = per_pair
-        if per_pair and total_volume > 0:
+        wash_volume = sum(e.wash_volume for e in per_pair)
+        total_volume = sum(e.total_volume for e in per_pair)
+        if total_volume > 0:
             ex_rep.wash_aggregate = we.WashEstimate(
                 exchange_id=ex_rep.exchange_id,
                 scope="aggregate",
@@ -277,15 +273,15 @@ def _wash_section(
             )
             if ex_rep.wash_aggregate.wash_percent < 100.0:
                 ex_rep.rank_improvement = vd.counterfactual_rank(
-                    max(total_volume, 1e-12), ex_rep.wash_aggregate.wash_percent
+                    total_volume, ex_rep.wash_aggregate.wash_percent
                 ).improvement
 
     if len(regulated) >= 3:
-        rows_by_ex = {}
-        for row in bench_rows:
-            rows_by_ex.setdefault(row.exchange_id, []).append(row)
+        traded = sorted(regulated & {ex for ex, _ in panel})
         try:
-            cv = we.cross_validate_regulated(rows_by_ex, meta=meta, use_controls=use_controls)
+            cv = we.cross_validate_regulated(
+                {ex: rows_of({ex}) for ex in traded}, meta=meta, use_controls=use_controls
+            )
             report.cross_validation = {ex: est.wash_percent for ex, est in cv.items()}
         except (InsufficientDataError, EstimationError) as exc:
             report.warnings.append(f"regulated cross-validation failed: {exc}")

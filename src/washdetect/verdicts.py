@@ -27,7 +27,6 @@ class FisherResult:
     chi2: float
     df: int
     critical_value: float
-    alpha: float
     reject: bool
 
 
@@ -49,7 +48,7 @@ def fisher_combine(p_values: Sequence[float], alpha: float = 0.05) -> FisherResu
     chi2 = -2.0 * sum(math.log(p) for p in floored)
     df = 2 * len(floored)
     critical = chi2_isf(df, alpha)
-    return FisherResult(chi2, df, critical, alpha, chi2 > critical)
+    return FisherResult(chi2, df, critical, chi2 > critical)
 
 
 def failure_rate(outcomes: Iterable[bool | None]) -> float:
@@ -148,8 +147,6 @@ DEFAULT_RANK_COEFFS = RankCoeffs()
 class RankResult:
     improvement: int  # positions gained by reporting the inflated volume
     improvement_raw: float
-    model_rank: float
-    counterfactual_model_rank: float
     counterfactual_rank: float | None  # reported rank + improvement, if given
 
 
@@ -184,7 +181,5 @@ def counterfactual_rank(
     return RankResult(
         improvement=improvement,
         improvement_raw=raw,
-        model_rank=model_rank,
-        counterfactual_model_rank=counter_rank,
         counterfactual_rank=None if reported_rank is None else reported_rank + improvement,
     )

@@ -322,6 +322,118 @@ class TestPooled:
         assert sorted(models) == ["BTC/USD", "ETH/USD"]
         assert all(m["scope"] == "per-pair" for m in models.values())
 
+    @pytest.mark.parametrize("pooled", [[], ["--pooled"]], ids=["per-pair", "pooled"])
+    def test_a_pair_without_a_benchmark_is_flagged(self, two_pair_market, tmp_path, pooled):
+        # no regulated exchange trades XRP/USD, so no model may score it
+        root, tapes = two_pair_market
+        meta = json.loads((root / "meta.json").read_text())
+        tapes = tapes + synth_market(tmp_path, [("U1", "XRP/USD", 31, 20_000, 0.8)], meta)
+        argv = ["report", *tapes, "--meta", str(root / "meta.json"), "--out", str(tmp_path / "out")]
+        assert main(argv + pooled) == EXIT_FLAGGED
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        u1 = next(ex for ex in report["exchanges"] if ex["exchange_id"] == "U1")
+        assert u1["flags"] == ["wash estimate failed for XRP/USD: no benchmark model covers this pair"]
+        assert [e["scope"] for e in u1["wash_by_pair"]] == ["BTC/USD", "ETH/USD"]
+        assert u1["wash_aggregate"]["n_weeks"] == 24
+
+
+_CONTROLS = {"age_years": 3, "rank": 5, "traffic_pct": 2, "unique_visitors": 40}
+_CONTROLS_MODEL = {
+    "feature_names": ["const", "ln_round", "age_years", "rank", "traffic_pct", "unique_visitors"],
+    "coefficients": [0.5, 1.0, 0.0, 0.0, 0.0, 0.0],
+    "resid_se": 0.1,
+    "scope": "per-pair",
+    "n_obs": 36,
+    "n_dropped": 0,
+    "controls_used": True,
+}
+# Each case runs `report` on the two-pair market with its changes:
+# per-pair: U1 also trades XRP/USD, which no regulated exchange trades, R4 is a
+#   regulated exchange without trades, and --controls meets no covariates;
+# pooled: R3 is regulated but its tapes are left out, so two of the three
+#   regulated exchanges have rows and the cross-validation cannot run;
+# controls-model: a BTC/USD model file with the four controls, covariates for
+#   R1-R3 only, so U1's estimate and the controls cross-validation both fail,
+#   and U1's ETH/USD has no model.
+# Estimates are (scope, n_weeks, wash_percent, bootstrap_sd, flags), U1's
+# aggregate last.
+_WASH_BRANCHES = {
+    "per-pair": dict(
+        argv=["--controls", "--bootstrap", "100"],
+        warnings=[
+            "controls disabled: missing covariates for R1, R2, R3, R4",
+            "benchmark for XRP/USD not fitted: insufficient benchmark data: 0 usable exchange-weeks, need 8",
+        ],
+        models={"BTC/USD": "per-pair", "ETH/USD": "per-pair"},
+        u1_flags=["wash estimate failed for XRP/USD: no benchmark model covers this pair"],
+        estimates=[
+            ("BTC/USD", 12, 80.08976738915504, 1.8444031275528026, []),
+            ("ETH/USD", 12, 76.40536761441231, 2.1825260922632475, []),
+            ("aggregate", 24, 76.74127672054642, None, []),
+        ],
+        cross_validation={"R1": 3.519105650948835, "R2": 0.5798719123855571, "R3": 16.01394406143419},
+    ),
+    "pooled": dict(
+        argv=["--pooled", "--bootstrap", "100"],
+        warnings=["regulated cross-validation failed: cross-validation needs at least 3 regulated exchanges, got 2"],
+        models={"pooled": "pooled"},
+        u1_flags=[],
+        estimates=[
+            ("BTC/USD", 12, 77.12191808317883, 1.8654489593588115, []),
+            ("ETH/USD", 12, 77.3295326622237, 2.0057834310752733, []),
+            ("aggregate", 24, 77.31060430701496, None, []),
+        ],
+        cross_validation=None,
+    ),
+    "controls-model": dict(
+        argv=["--controls"],
+        warnings=[
+            "regulated cross-validation failed: singular design matrix: "
+            "collinear columns age_years, rank, traffic_pct, unique_visitors"
+        ],
+        models={"BTC/USD": "per-pair"},
+        u1_flags=[
+            "wash estimate failed for BTC/USD: exchange U1 missing control age_years",
+            "wash estimate failed for ETH/USD: no benchmark model covers this pair",
+        ],
+        estimates=[],
+        cross_validation=None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WASH_BRANCHES))
+def test_wash_section_branches(two_pair_market, tmp_path, case):
+    root, tapes = two_pair_market
+    meta = json.loads((root / "meta.json").read_text())
+    options = ["--meta", str(tmp_path / "meta.json"), "--out", str(tmp_path / "out")]
+    if case == "per-pair":
+        meta["R4"] = {"regulatory_class": "regulated"}
+        tapes = tapes + synth_market(tmp_path, [("U1", "XRP/USD", 31, 20_000, 0.8)], meta)
+    elif case == "pooled":
+        tapes = [t for t in tapes if not Path(t).name.startswith("R3_")]
+    else:
+        for ex in ("R1", "R2", "R3"):
+            meta[ex].update(_CONTROLS)
+        (tmp_path / "model.json").write_text(json.dumps({"BTC/USD": _CONTROLS_MODEL}))
+        options += ["--model", str(tmp_path / "model.json")]
+    (tmp_path / "meta.json").write_text(json.dumps(meta))
+    want = _WASH_BRANCHES[case]
+    main(["report", *tapes, *options, *want["argv"]])
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    u1 = next(ex for ex in report["exchanges"] if ex["exchange_id"] == "U1")
+    assert report["warnings"] == want["warnings"]
+    assert {scope: m["scope"] for scope, m in report["benchmark_models"].items()} == want["models"]
+    assert u1["flags"] == want["u1_flags"]
+    estimates = u1["wash_by_pair"] + [u1["wash_aggregate"]] * (u1["wash_aggregate"] is not None)
+    assert len(estimates) == len(want["estimates"])
+    for e, (scope, n_weeks, percent, sd, flags) in zip(estimates, want["estimates"]):
+        assert (e["scope"], e["n_weeks"], e["flags"]) == (scope, n_weeks, flags)
+        assert e["wash_percent"] == pytest.approx(percent, rel=1e-12)
+        assert e["bootstrap_sd"] == (sd and pytest.approx(sd, rel=1e-12))
+    cv = want["cross_validation"]
+    assert report["regulated_cross_validation"] == (cv and pytest.approx(cv, rel=1e-12))
+
 
 def test_report_cross_validates_the_controls_model(tmp_path):
     meta = {
@@ -343,6 +455,27 @@ def test_report_cross_validates_the_controls_model(tmp_path):
         cv = cross_validate_regulated(rows, meta=exchange_meta, use_controls=controls)
         direct = {ex: est.wash_percent for ex, est in cv.items()}
         assert (report["regulated_cross_validation"] == direct) == controls
+
+
+def test_report_does_not_depend_on_the_hash_seed(tmp_path):
+    """The wash section groups rows in a dict and holds the regulated
+    exchanges in a set; two processes with different string hashes must
+    write the same report."""
+    meta = {"R1": {"regulatory_class": "regulated"}, "R2": {"regulatory_class": "regulated"},
+            "R3": {"regulatory_class": "regulated"}, "U1": {"regulatory_class": "tier2"}}
+    specs = [("R1", "BTC/USD", 1, 10_000, 0.0), ("R2", "ETH/USD", 2, 10_000, 0.0),
+             ("R3", "BTC/USD", 3, 10_000, 0.0), ("U1", "BTC/USD", 4, 10_000, 0.8)]
+    tapes = synth_market(tmp_path, specs, meta)
+    src = Path(washdetect.__file__).resolve().parents[1]
+    reports = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out{hash_seed}"
+        argv = ["report", *tapes, "--meta", str(tmp_path / "meta.json"), "--bootstrap", "100", "--out", str(out)]
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run([sys.executable, "-m", "washdetect", *argv], env=env, capture_output=True, text=True)
+        assert done.returncode in (EXIT_OK, EXIT_FLAGGED), done.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 class TestPlotData:
