@@ -279,10 +279,15 @@ def _wash_section(
     if len(regulated) >= 3:
         traded = sorted(regulated & {ex for ex, _ in panel})
         try:
-            cv = we.cross_validate_regulated(
+            cv, left_out = we.cross_validate_regulated(
                 {ex: rows_of({ex}) for ex in traded}, meta=meta, use_controls=use_controls
             )
             report.cross_validation = {ex: est.wash_percent for ex, est in cv.items()}
+            for ex, pairs in left_out.items():
+                report.warnings.append(
+                    f"regulated cross-validation left out {ex}: no other regulated exchange "
+                    f"has a usable week in {', '.join(pairs)}"
+                )
         except (InsufficientDataError, EstimationError) as exc:
             report.warnings.append(f"regulated cross-validation failed: {exc}")
 

@@ -224,6 +224,11 @@ def _find_collinear_columns(x: np.ndarray, names: Sequence[str]) -> list[str]:
     return bad
 
 
+def _usable(row: WeeklyVolumeSplit) -> bool:
+    """Whether a fit can use the week: both its logs are defined."""
+    return row.round_subunits > 0 and row.unrounded_subunits > 0
+
+
 def fit_benchmark(
     rows: Iterable[WeeklyVolumeSplit],
     *,
@@ -238,7 +243,7 @@ def fit_benchmark(
     four exchange covariates and require metadata for every exchange.
     """
     all_rows = list(rows)
-    usable = [r for r in all_rows if r.round_subunits > 0 and r.unrounded_subunits > 0]
+    usable = [r for r in all_rows if _usable(r)]
     n_dropped = len(all_rows) - len(usable)
     if len(usable) < MIN_BENCHMARK_OBS:
         raise InsufficientDataError(
@@ -388,7 +393,7 @@ def _bootstrap_replicates(
     panel = list(target_rows)
     _target_exchange(panel)
     bench = list(benchmark_rows)
-    usable = np.array([r.round_subunits > 0 and r.unrounded_subunits > 0 for r in bench], dtype=bool)
+    usable = np.array([_usable(r) for r in bench], dtype=bool)
     rows = [r for r, ok in zip(bench, usable) if ok]
     pairs = sorted({r.pair for r in rows})
     base = _feature_names((), use_controls)
@@ -447,22 +452,32 @@ def cross_validate_regulated(
     *,
     meta: dict[str, ExchangeMeta] | None = None,
     use_controls: bool = False,
-) -> dict[str, WashEstimate]:
+) -> tuple[dict[str, WashEstimate], dict[str, list[str]]]:
     """Leave-one-out wash estimates across regulated exchanges.
 
     Each exchange is scored against a benchmark fitted on the others; on
-    genuinely clean exchanges every estimate should sit near zero.
+    genuinely clean exchanges every estimate should sit near zero. An
+    exchange that trades a pair in which none of the others has a usable
+    week is left out, since no fit on the others covers that pair; it still
+    trains the others' benchmarks. Returns the estimates, and the pairs that
+    left each left-out exchange out.
     """
     if len(rows_by_exchange) < 3:
         raise InsufficientDataError(
             f"cross-validation needs at least 3 regulated exchanges, got {len(rows_by_exchange)}"
         )
     estimates = {}
+    left_out = {}
     for held_out in sorted(rows_by_exchange):
         train: list[WeeklyVolumeSplit] = []
         for ex, rows in rows_by_exchange.items():
             if ex != held_out:
                 train.extend(rows)
+        covered = {r.pair for r in train if _usable(r)}
+        missing = sorted({r.pair for r in rows_by_exchange[held_out]} - covered)
+        if missing:
+            left_out[held_out] = missing
+            continue
         model = fit_benchmark(train, meta=meta, use_controls=use_controls)
         estimates[held_out] = estimate_wash(rows_by_exchange[held_out], model, meta=meta)
-    return estimates
+    return estimates, left_out

@@ -200,7 +200,7 @@ def test_criterion_08_regulated_cross_validation():
             f"R{i+1}": _panel(f"R{i+1}", 1000 * seed + i, scale)
             for i, scale in enumerate((400_000, 250_000, 150_000))
         }
-        estimates = cross_validate_regulated(panels).values()
+        estimates = cross_validate_regulated(panels)[0].values()
         if np.mean([e.wash_percent for e in estimates]) < 5.0:
             good_seeds += 1
     assert good_seeds >= 18, f"only {good_seeds}/20 seeds read below 5%"

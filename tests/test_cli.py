@@ -452,9 +452,26 @@ def test_report_cross_validates_the_controls_model(tmp_path):
     rows = {ex: weekly_split(parse_trades(t)[0], PairRegistry()) for ex, t in zip(meta, tapes)}
     exchange_meta = load_exchange_meta(tmp_path / "meta.json")
     for controls in (True, False):
-        cv = cross_validate_regulated(rows, meta=exchange_meta, use_controls=controls)
+        cv, _ = cross_validate_regulated(rows, meta=exchange_meta, use_controls=controls)
         direct = {ex: est.wash_percent for ex, est in cv.items()}
         assert (report["regulated_cross_validation"] == direct) == controls
+
+
+def test_cross_validation_leaves_out_a_pair_the_other_regulated_exchanges_lack(tmp_path):
+    # R2 alone trades ETH/USD, so a fit on R1 and R3 would score it with
+    # BTC/USD's intercept
+    meta = {ex: {"regulatory_class": "regulated"} for ex in ("R1", "R2", "R3")}
+    meta["U1"] = {"regulatory_class": "tier2"}
+    specs = [("R1", "BTC/USD", 11, 10_000, 0.0), ("R2", "ETH/USD", 12, 10_000, 0.0),
+             ("R3", "BTC/USD", 13, 10_000, 0.0), ("U1", "BTC/USD", 14, 10_000, 0.8)]
+    tapes = synth_market(tmp_path, specs, meta)
+    out = tmp_path / "out"
+    assert main(["report", *tapes, "--meta", str(tmp_path / "meta.json"), "--out", str(out)]) == EXIT_FLAGGED
+    report = json.loads((out / "report.json").read_text())
+    assert report["warnings"] == [
+        "regulated cross-validation left out R2: no other regulated exchange has a usable week in ETH/USD"
+    ]
+    assert sorted(report["regulated_cross_validation"]) == ["R1", "R3"]
 
 
 def test_report_does_not_depend_on_the_hash_seed(tmp_path):

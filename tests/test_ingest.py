@@ -1,9 +1,12 @@
 """Parsing, grouping, weekly volume splits, and the unrounded subset."""
 
+import contextlib
 import csv
 import decimal
 import io
 import math
+import sys
+import threading
 from datetime import date, datetime, timezone
 from decimal import Decimal
 from fractions import Fraction
@@ -121,39 +124,178 @@ class TestParse:
         assert g.prices.tolist() == [4.0, 2.0, 3.0, 1.0]
 
 
+@contextlib.contextmanager
+def fast_thread_switches():
+    """A 1 µs switch interval, so that threads take turns at nearly every
+    bytecode."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+def parse_at_worker_caps(make_sources, *, most=3, **kwargs):
+    """Parse ``make_sources()`` on one thread and on at most ``most``; assert
+    the same bytes in every group's arrays, group order and report, and
+    return the parse on several threads."""
+    parses = []
+    for workers in (1, most):
+        with mock.patch.object(ingest, "_WORKERS", workers):
+            parses.append(parse_trades(make_sources(), **kwargs))
+    (ds, report), (ds3, report3) = parses
+    assert list(ds3.groups) == list(ds.groups)
+    for key, g in ds.groups.items():
+        for name in ("timestamps", "amounts", "prices"):
+            one, three = getattr(g, name), getattr(ds3.groups[key], name)
+            assert three.dtype == one.dtype and three.tobytes() == one.tobytes()
+    assert report3 == report
+    return ds3, report3
+
+
+def parse_error_at_worker_caps(make_sources, **kwargs) -> str:
+    """The message of the ParseError that parsing ``make_sources()`` raises,
+    the same on at most 1 and at most 3 threads."""
+    messages = []
+    for workers in (1, 3):
+        with mock.patch.object(ingest, "_WORKERS", workers), pytest.raises(ParseError) as exc:
+            parse_trades(make_sources(), **kwargs)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
 class TestSources:
-    """A list of sources is parsed as one input."""
+    """A list of sources is parsed as one input, on one thread or several."""
 
     FIRST = "exchange,pair,timestamp_ms,price,amount\nB,BTC/USD,7,1.0,1\nA,BTC/USD,7,2.0,2\nB,BTC/USD,7,3.0,3\n"
     SECOND = "exchange,pair,timestamp_ms,price,amount\nC,ETH/USD,1,4.0,4\nA,BTC/USD,7,5.0,5\nB,BTC/USD,7,6.0,6\n"
+    BAD = "exchange,pair,timestamp_ms,price,amount\nX,BTC/USD,1,1.0,0\n"
 
-    def test_shared_keys_and_timestamps_keep_source_order(self):
-        ds, report = parse_trades([self.FIRST.encode(), self.SECOND.encode()])
-        assert report.n_accepted == 6
-        # groups in order of first appearance, ties in source and then line order
-        assert list(ds.groups) == [("B", "BTC/USD"), ("A", "BTC/USD"), ("C", "ETH/USD")]
-        assert ds.group("B", "BTC/USD").prices.tolist() == [1.0, 3.0, 6.0]
-        assert ds.group("A", "BTC/USD").prices.tolist() == [2.0, 5.0]
+    @staticmethod
+    def both_kinds(tmp_path, *texts):
+        """Two makers of the texts as a list of sources: one of bytes, one of
+        the paths of files."""
+        paths = [tmp_path / f"{k}.csv" for k in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_text(text)
+        return [lambda: [text.encode() for text in texts], lambda: paths]
 
-    def test_dedupe_spans_sources(self):
-        ds, report = parse_trades([self.FIRST.encode(), self.FIRST.encode(), self.SECOND.encode()], dedupe=True)
-        assert report.n_deduplicated == 3
-        assert ds.n_trades == 6
-        assert ds.group("B", "BTC/USD").prices.tolist() == [1.0, 3.0, 6.0]
+    def test_shared_keys_and_timestamps_keep_source_order(self, tmp_path):
+        for make in self.both_kinds(tmp_path, self.FIRST, self.SECOND):
+            ds, report = parse_at_worker_caps(make)
+            assert report.n_accepted == 6
+            # groups in order of first appearance, ties in source and then line order
+            assert list(ds.groups) == [("B", "BTC/USD"), ("A", "BTC/USD"), ("C", "ETH/USD")]
+            assert ds.group("B", "BTC/USD").prices.tolist() == [1.0, 3.0, 6.0]
+            assert ds.group("A", "BTC/USD").prices.tolist() == [2.0, 5.0]
 
-    def test_rejects_keep_their_own_line_numbers(self):
-        bad = "exchange,pair,timestamp_ms,price,amount\nX,BTC/USD,1,1.0,0\n"
-        _, report = parse_trades([self.FIRST.encode(), bad.encode()])
-        assert report.n_accepted == 3
-        assert report.rejected == [(2, "non-positive amount '0'")]
+    def test_dedupe_spans_sources(self, tmp_path):
+        for make in self.both_kinds(tmp_path, self.FIRST, self.FIRST, self.SECOND):
+            ds, report = parse_at_worker_caps(make, dedupe=True)
+            assert report.n_deduplicated == 3
+            assert ds.n_trades == 6
+            assert ds.group("B", "BTC/USD").prices.tolist() == [1.0, 3.0, 6.0]
+
+    def test_rejects_keep_their_own_line_numbers(self, tmp_path):
+        for make in self.both_kinds(tmp_path, self.FIRST, self.BAD):
+            _, report = parse_at_worker_caps(make)
+            assert report.n_accepted == 3
+            assert report.rejected == [(2, "non-positive amount '0'")]
+
+    def test_reject_logs_follow_list_order(self, tmp_path):
+        bad = self.BAD.replace(",0\n", ",-1\n")
+        for make in self.both_kinds(tmp_path, self.BAD, self.FIRST, bad, self.BAD):
+            _, report = parse_at_worker_caps(make)
+            assert report.n_accepted == 3
+            assert report.rejected == [
+                (2, "non-positive amount '0'"), (2, "malformed amount '-1'"), (2, "non-positive amount '0'")
+            ]
 
     def test_strict_error_names_the_path_that_failed(self, tmp_path):
         ok, bad = tmp_path / "ok.csv", tmp_path / "bad.csv"
         ok.write_text(self.FIRST)
         bad.write_text("exchange,pair,timestamp_ms,price,amount\nX,BTC/USD,1,1.0,-1\n")
-        with pytest.raises(ParseError) as exc:
-            parse_trades([ok, bad], strict=True)
-        assert str(exc.value) == f"{bad}: line 2: malformed amount '-1'"
+        assert parse_error_at_worker_caps(lambda: [ok, bad], strict=True) == f"{bad}: line 2: malformed amount '-1'"
+
+    def test_strict_error_is_the_first_failing_source_in_the_list(self, tmp_path):
+        # the second source fails on its last line and the third on its first,
+        # so on three threads the third fails first
+        paths = [tmp_path / f"{k}.csv" for k in range(4)]
+        paths[0].write_text(self.FIRST)
+        paths[1].write_text(self.FIRST + "".join(f"X,BTC/USD,{t},1.0,1\n" for t in range(300)) + "X,BTC/USD,1,1.0,0\n")
+        paths[2].write_text(self.BAD)
+        paths[3].write_text(self.SECOND)
+        with mock.patch.object(ingest, "BLOCK_BYTES", 64):
+            message = parse_error_at_worker_caps(lambda: paths, strict=True)
+        assert message == f"{paths[1]}: line 305: non-positive amount '0'"
+
+    def test_missing_file_in_the_middle_of_the_list(self, tmp_path):
+        ok, missing = tmp_path / "ok.csv", tmp_path / "missing.csv"
+        ok.write_text(self.FIRST)
+        assert parse_error_at_worker_caps(lambda: [ok, missing, ok]) == f"{missing}: No such file or directory"
+
+    @pytest.mark.parametrize("stream", [io.BytesIO, io.StringIO])
+    def test_a_stream_listed_twice_is_read_by_one_thread_in_list_order(self, stream):
+        long = self.FIRST + "".join(f"X,BTC/USD,{t},1.0,1\n" for t in range(200))
+
+        def make():
+            first = stream(long if stream is io.StringIO else long.encode())
+            # the second listing finds the stream at its end, as a parse in turn does
+            return [first, self.SECOND.encode(), first, self.FIRST.encode()]
+
+        # small reads, so that two threads reading the stream would interleave
+        with fast_thread_switches(), mock.patch.object(ingest, "BLOCK_BYTES", 16):
+            ds, report = parse_at_worker_caps(make)
+        alone, alone_report = parse_trades([long.encode(), self.SECOND.encode(), self.FIRST.encode()])
+        assert report == alone_report and report.n_rejected == 0
+        assert {key: g.prices.tolist() for key, g in ds.groups.items()} == {
+            key: g.prices.tolist() for key, g in alone.groups.items()
+        }
+
+    def test_no_thread_outlives_a_parse_that_raises(self, tmp_path):
+        ok, bad = tmp_path / "ok.csv", tmp_path / "bad.csv"
+        ok.write_text(self.FIRST)
+        bad.write_text(self.BAD)
+        before = threading.active_count()
+        with mock.patch.object(ingest, "_WORKERS", 3), pytest.raises(ParseError):
+            parse_trades([ok, bad, ok, bad, ok], strict=True)
+        assert threading.active_count() == before
+
+    def test_one_thread_per_source_up_to_the_cap(self):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        for n_sources, workers, n_started in ((1, 3, 0), (2, 3, 1), (5, 3, 2), (5, 1, 0)):
+            started.clear()
+            with mock.patch.object(ingest, "_WORKERS", workers), mock.patch.object(ingest.threading, "Thread", Counted):
+                _, report = parse_trades([self.FIRST.encode()] * n_sources)
+            assert report.n_accepted == 3 * n_sources
+            assert len(started) == n_started
+            assert not any(thread.is_alive() for thread in started)
+
+    def test_usable_cores_with_and_without_affinity(self, monkeypatch):
+        monkeypatch.setattr(ingest.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(ingest.os, "cpu_count", lambda: 8)
+        assert ingest._usable_cores() == 3
+        # macOS has no sched_getaffinity
+        monkeypatch.delattr(ingest.os, "sched_getaffinity")
+        assert ingest._usable_cores() == 8
+        monkeypatch.setattr(ingest.os, "cpu_count", lambda: None)
+        assert ingest._usable_cores() == 1
+
+    def test_many_sources_on_more_threads_than_cores(self):
+        texts = [self.FIRST, self.SECOND, self.BAD] * 8
+        with fast_thread_switches(), mock.patch.object(ingest, "BLOCK_BYTES", 16):
+            _, report = parse_at_worker_caps(
+                lambda: [text.encode() for text in texts], most=ingest._usable_cores() + 2, dedupe=True
+            )
+        assert report.n_accepted == 6 and report.n_deduplicated == 42 and report.n_rejected == 8
 
 
 class TestInputBoundary:
@@ -576,7 +718,8 @@ class TestColumnarEquivalence:
         rng = np.random.default_rng(7)
         lines = [",".join(CSV_HEADER)]
         edge = ['R1,BTC/USD,5,"1.5",2', "R1,BTC/USD,6,1.5, 3 ", 'R1,BTC/USD,7,1.5,"4\n"', "R1,BTC/USD,x,1,1", ""]
-        for i in range(6000):
+        # rows of about 56 bytes, so the tape spans more than five blocks
+        for i in range(ingest.BLOCK_BYTES // 10):
             lines.append(f"R1,BTC/USD,{rng.integers(10**12)},{rng.random() * 9000 + 1!r},{rng.integers(1, 10**9)}.{i % 97}")
             if i % 50 == 0:
                 lines.append(edge[i // 50 % len(edge)])

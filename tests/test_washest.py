@@ -360,9 +360,28 @@ class TestBatchedBootstrap:
 class TestCrossValidation:
     def test_identical_exchanges_read_near_zero(self):
         panels = {ex: identity_panel(ex) for ex in ("R1", "R2", "R3")}
-        estimates = cross_validate_regulated(panels)
-        assert set(estimates) == {"R1", "R2", "R3"}
+        estimates, left_out = cross_validate_regulated(panels)
+        assert set(estimates) == {"R1", "R2", "R3"} and left_out == {}
         assert all(e.wash_percent == pytest.approx(0.0, abs=1e-9) for e in estimates.values())
+
+    def test_an_exchange_with_a_pair_the_others_lack_is_left_out(self):
+        # R2 alone trades ETH/USD; R4 and R5 trade LTC/USD, but R5's weeks
+        # there have no round volume, so no fit can use them
+        ltc = [split("R4", w, 1 + w % 3, 1 + w % 3, "LTC/USD") for w in range(12)]
+        panels = {
+            "R1": identity_panel("R1"),
+            "R2": [split("R2", w, 1 + w % 3, 1 + w % 3, "ETH/USD") for w in range(12)],
+            "R3": identity_panel("R3"),
+            "R4": identity_panel("R4") + ltc,
+            "R5": identity_panel("R5") + [split("R5", w, 0.0, 1.0, "LTC/USD") for w in range(12)],
+        }
+        estimates, left_out = cross_validate_regulated(panels)
+        assert left_out == {"R2": ["ETH/USD"], "R4": ["LTC/USD"]}
+        assert set(estimates) == {"R1", "R3", "R5"}
+        # R2 and R4 still train the others' fits, with a level for each pair
+        for ex in ("R1", "R3"):
+            assert estimates[ex].wash_percent == pytest.approx(0.0, abs=1e-9)
+        assert estimates["R5"].flags == ("zero_round_weeks",)
 
     def test_requires_three_exchanges(self):
         with pytest.raises(InsufficientDataError):
@@ -382,7 +401,7 @@ class TestCrossValidation:
                     v_unr = 2.2 * v_round * float(np.exp(rng.normal(0.0, 0.15)))
                     rows.append(split(ex, w, v_round, v_unr))
                 panels[ex] = rows
-            estimates = cross_validate_regulated(panels).values()
+            estimates = cross_validate_regulated(panels)[0].values()
             means.append(np.mean([e.wash_percent for e in estimates]))
         assert float(np.mean(means)) < 10.0
         assert sum(m < 10.0 for m in means) >= 19
