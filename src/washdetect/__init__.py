@@ -15,13 +15,7 @@ from .benford import (
     counterfactual_wash_benford,
     digit_histogram,
 )
-from .clustering import (
-    ClusterTestResult,
-    WindowPair,
-    cluster_pairs,
-    clustering_t_test,
-    run_cluster_test,
-)
+from .clustering import ClusterTestResult, clustering_t_test, run_cluster_test
 from .errors import (
     AmountError,
     ConfigError,

@@ -176,6 +176,12 @@ def _export_fits(out: Path, ds: TradeDataset, registry: PairRegistry, report: rp
 
 
 def cmd_ingest_check(args) -> int:
+    stems: dict[str, str] = {}
+    for path in args.inputs if args.out else []:
+        stem = Path(path).stem
+        if stem in stems:
+            raise ConfigError(f"{stems[stem]} and {path} would both write their reject log to rejected_{stem}.csv")
+        stems[stem] = path
     total_rejected = 0
     out = _outdir(args)
     for path in args.inputs:

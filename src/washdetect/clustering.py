@@ -10,6 +10,11 @@ Sizes are matched exactly on the fixed-point grid: a trade counts at integer
 size i only when it equals i base units exactly. Sub-base-unit sizes still
 count in window denominators. Windows are half-open [center - r, center + r)
 so neighboring windows never share a size.
+
+The windows of a grid are computed together as arrays: the centers are read
+off the sorted floored sizes, ``searchsorted`` sizes each window, and one
+``np.maximum.reduceat`` over the interleaved window bounds finds every best
+competitor. Only the array of frequency differences reaches the t-test.
 """
 
 from __future__ import annotations
@@ -30,20 +35,6 @@ MIN_WINDOWS = 10
 # window centers (the sparse top percent holds no testable windows).
 MIN_WINDOW_SUPPORT = 50
 CAP_PERCENTILE = 99.0
-
-
-@dataclass(frozen=True)
-class WindowPair:
-    """One window: frequency at the round center vs the best unrounded size."""
-
-    center: int  # base units, multiple of the step
-    round_freq: float
-    max_unrounded_freq: float
-    window_count: int
-
-    @property
-    def difference(self) -> float:
-        return self.round_freq - self.max_unrounded_freq
 
 
 @dataclass(frozen=True)
@@ -71,33 +62,21 @@ def _percentile_nearest_rank(sorted_values: np.ndarray, q: float) -> int:
     return int(sorted_values[rank - 1])
 
 
-def _candidate_centers(sizes_units_int: np.ndarray, step: int, radius: int, cap: int) -> np.ndarray:
-    """Multiples of ``step`` whose window could contain any trade.
-
-    Enumerating every multiple up to the cap explodes on heavy-tailed tapes;
-    a window holds a trade only if some trade size is within the radius of
-    the center, so candidates come from the occupied step-cells.
-    """
-    q, r = np.divmod(sizes_units_int, step)
-    cands = [q[r < radius], q[r >= step - radius] + 1]
-    centers = np.unique(np.concatenate(cands)) * step
-    return centers[(centers >= step) & (centers <= cap)]
-
-
-def cluster_pairs(
+def cluster_windows(
     amounts_subunits: np.ndarray,
     spec: PairSpec,
     step: int = 100,
     *,
     min_support: int = MIN_WINDOW_SUPPORT,
-) -> list[WindowPair]:
-    """Round-vs-unrounded frequency pairs for every supported window.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every supported window as int64 arrays ``(centers, counts, at_center, best)``.
 
-    Centers run over multiples of ``step`` (100 or 500) up to the
-    ``CAP_PERCENTILE`` of trade size; windows with fewer than ``min_support``
-    trades are skipped. The unrounded competitor is the most frequent integer
-    size in the window that is not a multiple of 100 base units, so the
-    500-step test never compares round against round.
+    ``centers`` are the multiples of ``step`` (100 or 500) up to the
+    ``CAP_PERCENTILE`` of trade size whose window holds at least
+    ``min_support`` trades, ascending; ``counts`` are those trades.
+    ``at_center`` counts the trades exactly at the center, and ``best`` those
+    at the most frequent integer size in the window that is not a multiple of
+    100 base units, so the 500-step test never compares round against round.
     """
     if step not in STEP_RADIUS:
         raise ValueError(f"step must be one of {sorted(STEP_RADIUS)}, got {step}")
@@ -105,47 +84,42 @@ def cluster_pairs(
     unit = spec.subunits_per_base_unit
     x = np.sort(np.asarray(amounts_subunits, dtype=np.int64))
     if x.size == 0:
-        return []
+        return (np.zeros(0, dtype=np.int64),) * 4
 
     cap_units = _percentile_nearest_rank(x, CAP_PERCENTILE) // unit
-    q, r = np.divmod(x, unit)
-    int_sizes = q[r == 0]
-    int_vals, int_counts = np.unique(int_sizes, return_counts=True)
-    competitor_ok = int_vals % 100 != 0
-
     # Window bounds are integer unit counts, so floored sizes locate windows exactly.
-    centers = _candidate_centers(q, step, radius, int(cap_units))
-    if centers.size == 0:
-        return []
+    q, r = np.divmod(x, unit)
+    # The integer sizes and their counts, closed by a sentinel size above every
+    # window so that each position searchsorted returns is an index.
+    sizes, size_counts = np.unique(np.append(q[r == 0], np.iinfo(np.int64).max), return_counts=True)
 
-    win_lo = np.searchsorted(x, (centers - radius) * unit, side="left")
-    win_hi = np.searchsorted(x, (centers + radius) * unit, side="left")
-    counts = win_hi - win_lo
+    # Centers come from the sizes, not from every multiple of step up to the
+    # cap, which would explode on heavy-tailed tapes. Size q lies in the window
+    # of center c exactly when 0 <= q + radius - c < 2 * radius, and the cells
+    # come out sorted, as q is, so the first of each run is a center.
+    shifted = q + radius
+    cells = shifted[shifted % step < 2 * radius] // step
+    centers = cells[np.diff(cells, prepend=-1) != 0] * step
+    centers = centers[(centers >= step) & (centers <= cap_units)]
+    counts = np.searchsorted(q, centers + radius) - np.searchsorted(q, centers - radius)
+    supported = counts >= min_support
+    centers, counts = centers[supported], counts[supported]
 
-    iv_lo = np.searchsorted(int_vals, centers - radius, side="left")
-    iv_hi = np.searchsorted(int_vals, centers + radius, side="left")
-    center_pos = np.searchsorted(int_vals, centers, side="left")
-
-    pairs: list[WindowPair] = []
-    for i in range(centers.size):
-        total = int(counts[i])
-        if total < min_support:
-            continue
-        c = int(centers[i])
-        pos = int(center_pos[i])
-        at_center = int(int_counts[pos]) if pos < int_vals.size and int_vals[pos] == c else 0
-        lo_i, hi_i = int(iv_lo[i]), int(iv_hi[i])
-        mask = competitor_ok[lo_i:hi_i]
-        best = int(int_counts[lo_i:hi_i][mask].max()) if mask.any() else 0
-        pairs.append(WindowPair(c, at_center / total, best / total, total))
-    return pairs
+    at = np.searchsorted(sizes, centers)
+    at_center = np.where(sizes[at] == centers, size_counts[at], 0)
+    # Each window's lo and hi size positions, interleaved: reduceat takes the
+    # maximum over [lo, hi), or the one count at lo, zeroed here, when the
+    # window holds no integer size.
+    bounds = np.searchsorted(sizes, np.stack([centers - radius, centers + radius], axis=1).ravel())
+    best = np.maximum.reduceat(np.where(sizes % 100 != 0, size_counts, 0), bounds)[::2]
+    return centers, counts, at_center, np.where(bounds[::2] < bounds[1::2], best, 0)
 
 
-def clustering_t_test(pairs: list[WindowPair], step: int = 100, alpha: float = 0.05) -> ClusterTestResult:
-    """Paired one-sided t-test on round minus best-unrounded frequencies."""
-    if len(pairs) < 2:
-        raise InsufficientDataError(f"need at least 2 window pairs, got {len(pairs)}")
-    d = np.array([p.difference for p in pairs])
+def clustering_t_test(differences: np.ndarray, step: int = 100, alpha: float = 0.05) -> ClusterTestResult:
+    """Paired one-sided t-test on round minus best-unrounded frequencies, one per window."""
+    d = np.asarray(differences, dtype=np.float64)
+    if d.size < 2:
+        raise InsufficientDataError(f"need at least 2 window pairs, got {d.size}")
     n = d.size
     mean = float(d.mean())
     sd = float(d.std(ddof=1))
@@ -185,19 +159,19 @@ def run_cluster_test(
     Fewer than MIN_WINDOWS supported windows means frequency comparisons are
     noise, so the result is flagged and the test is not run.
     """
-    pairs = cluster_pairs(amounts_subunits, spec, step, min_support=min_support)
-    if len(pairs) < MIN_WINDOWS:
+    _, counts, at_center, best = cluster_windows(amounts_subunits, spec, step, min_support=min_support)
+    if counts.size < MIN_WINDOWS:
         return ClusterTestResult(
             mean_difference=math.nan,
             t_statistic=math.nan,
             p_value=math.nan,
             anomaly_p=math.nan,
-            n_pairs=len(pairs),
+            n_pairs=counts.size,
             step=step,
             reject=False,
             insufficient=True,
         )
-    return clustering_t_test(pairs, step, alpha)
+    return clustering_t_test(at_center / counts - best / counts, step, alpha)
 
 
 def size_histogram_rows(

@@ -144,7 +144,7 @@ class PairRegistry:
         """Load overrides from a JSON file mapping pair -> exponent."""
         specs = {}
         for pair, exponent in read_json_object(path).items():
-            if not isinstance(exponent, int):
+            if not isinstance(exponent, int) or isinstance(exponent, bool):
                 raise ConfigError(f"{path}: exponent for {pair!r} must be an integer")
             specs[pair] = PairSpec(pair, exponent)
         return cls(specs)
@@ -222,6 +222,7 @@ _REG_CLASS_ALIASES = {
 }
 
 CONTROL_FIELDS = ("age_years", "rank", "traffic_pct", "unique_visitors")
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -257,14 +258,16 @@ def load_exchange_meta(path: str | Path) -> dict[str, ExchangeMeta]:
     for exchange_id, fields in read_json_object(path).items():
         if not isinstance(fields, dict) or not isinstance(fields.get("regulatory_class"), str):
             raise ConfigError(f"{path}: exchange {exchange_id!r} needs a 'regulatory_class' string")
+        controls = {f: fields.get(f) for f in CONTROL_FIELDS}
+        for f, v in controls.items():
+            # a bool is an int, and a NaN, an infinity or an int past the float range fails the bound
+            if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= _FLOAT_MAX):
+                raise ConfigError(f"{path}: exchange {exchange_id!r}: {f} must be a finite number or null, got {v!r}")
         meta[exchange_id] = ExchangeMeta(
             exchange_id=exchange_id,
             regulatory_class=parse_regulatory_class(fields["regulatory_class"]),
             name=fields.get("name", ""),
-            age_years=fields.get("age_years"),
-            rank=fields.get("rank"),
-            traffic_pct=fields.get("traffic_pct"),
-            unique_visitors=fields.get("unique_visitors"),
+            **controls,
         )
     return meta
 

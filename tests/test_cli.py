@@ -670,6 +670,35 @@ class TestFlags:
         assert main([a.format(tape=tape, side=tmp_path / "side.json") for a in argv]) == EXIT_FATAL
         assert capsys.readouterr().err == line + "\n"
 
+    @pytest.mark.parametrize("subcommand", ["fit-benchmark", "report"])
+    @pytest.mark.parametrize(
+        "value", ['"3"', "NaN", "-Infinity", "true", "[1]", "1" + "0" * 400],
+        ids=["string", "nan", "infinity", "bool", "list", "past-float"],
+    )
+    def test_a_covariate_must_be_a_finite_number(self, subcommand, value, tmp_path, capsys):
+        tape, meta = tmp_path / "r1.csv", tmp_path / "meta.json"
+        tape.write_text("exchange,pair,timestamp_ms,price,amount\nR1,BTC/USD,1,1.0,0.0213\n")
+        meta.write_text(f'{{"R1": {{"regulatory_class": "regulated", "age_years": 2, "rank": {value}}}}}')
+        argv = [subcommand, str(tape), "--meta", str(meta), "--controls"]
+        argv += ["--out-model", str(tmp_path / "m.json")] if subcommand == "fit-benchmark" else []
+        assert main(argv) == EXIT_FATAL
+        assert capsys.readouterr().err == (
+            f"error: {meta}: exchange 'R1': rank must be a finite number or null, got {json.loads(value)!r}\n"
+        )
+
+    def test_ingest_check_refuses_two_reject_logs_of_one_name(self, tmp_path, capsys):
+        tapes = []
+        for d in "ab":
+            (tmp_path / d).mkdir()
+            tapes.append(tmp_path / d / "t.csv")
+            tapes[-1].write_text("exchange,pair,timestamp_ms,price,amount\nX,BTC/USD,1,1.0,0.123456789\n")
+        out = tmp_path / "rej"
+        assert main(["ingest-check", "--out", str(out), *map(str, tapes)]) == EXIT_FATAL
+        assert capsys.readouterr() == (
+            "", f"error: {tapes[0]} and {tapes[1]} would both write their reject log to rejected_t.csv\n"
+        )
+        assert not out.exists()
+
     def test_strict_error_names_the_file(self, tmp_path, capsys):
         ok, bad = tmp_path / "ok.csv", tmp_path / "bad.csv"
         ok.write_text("exchange,pair,timestamp_ms,price,amount\nU1,BTC/USD,1,1.0,0.0213\n")

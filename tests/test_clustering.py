@@ -1,14 +1,16 @@
-"""Window frequencies, round-vs-unrounded pairs, and the clustering t-test."""
+"""Window counts, the array windows against a per-window loop, and the clustering t-test."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from washdetect.clustering import (
-    WindowPair,
-    cluster_pairs,
+    CAP_PERCENTILE,
+    STEP_RADIUS,
+    cluster_windows,
     clustering_t_test,
     run_cluster_test,
     size_histogram_rows,
@@ -39,20 +41,122 @@ def padded(sizes):
     return subs(sizes + [PAD_UNITS] * (len(sizes) // 99 + 1))
 
 
-def windows(sizes):
-    """Every window that holds a trade: cluster_pairs with no support floor or size cap."""
-    return {p.center: p for p in cluster_pairs(padded(sizes), BTC, 100, min_support=1)}
+def windows(sizes, step=100, min_support=1):
+    """center -> (count, at_center, best) for each window of ``padded(sizes)``;
+    with the default support floor, every window that holds a trade."""
+    centers, *columns = cluster_windows(padded(sizes), BTC, step, min_support=min_support)
+    return {int(c): tuple(int(col[i]) for col in columns) for i, c in enumerate(centers)}
+
+
+def loop_windows(amounts_subunits, spec, step, min_support):
+    """The windows as one Python pass per candidate center, each a
+    ``(center, count, at_center, best)`` tuple, with its frequency difference."""
+    radius = STEP_RADIUS[step]
+    unit = spec.subunits_per_base_unit
+    x = np.sort(np.asarray(amounts_subunits, dtype=np.int64))
+    cap_units = int(x[max(1, math.ceil(CAP_PERCENTILE / 100.0 * x.size)) - 1]) // unit
+    q, r = np.divmod(x, unit)
+    int_vals, int_counts = np.unique(q[r == 0], return_counts=True)
+    competitor_ok = int_vals % 100 != 0
+
+    # candidate centers: the multiples of step within the radius of some size
+    cell, offset = np.divmod(q, step)
+    centers = np.unique(np.concatenate([cell[offset < radius], cell[offset >= step - radius] + 1])) * step
+    centers = centers[(centers >= step) & (centers <= cap_units)]
+
+    win_lo = np.searchsorted(x, (centers - radius) * unit, side="left")
+    win_hi = np.searchsorted(x, (centers + radius) * unit, side="left")
+    iv_lo = np.searchsorted(int_vals, centers - radius, side="left")
+    iv_hi = np.searchsorted(int_vals, centers + radius, side="left")
+    center_pos = np.searchsorted(int_vals, centers, side="left")
+
+    rows, differences = [], []
+    for i in range(centers.size):
+        total = int(win_hi[i] - win_lo[i])
+        if total < min_support:
+            continue
+        c = int(centers[i])
+        pos = int(center_pos[i])
+        at_center = int(int_counts[pos]) if pos < int_vals.size and int_vals[pos] == c else 0
+        lo_i, hi_i = int(iv_lo[i]), int(iv_hi[i])
+        mask = competitor_ok[lo_i:hi_i]
+        best = int(int_counts[lo_i:hi_i][mask].max()) if mask.any() else 0
+        rows.append((c, total, at_center, best))
+        differences.append(at_center / total - best / total)
+    return rows, differences
+
+
+def assert_matches_loop(amounts, spec, step, min_support):
+    got = cluster_windows(amounts, spec, step, min_support=min_support)
+    assert all(a.dtype == np.int64 for a in got)
+    rows, differences = loop_windows(amounts, spec, step, min_support)
+    expected = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    for name, have, want in zip(("centers", "counts", "at_center", "best"), got, expected):
+        assert have.tobytes() == want.tobytes(), name
+    centers, counts, at_center, best = got
+    assert (at_center / counts - best / counts).tobytes() == np.array(differences, dtype=np.float64).tobytes()
+
+
+PAIRS = sorted(BUILTIN_PAIR_SPECS)
+
+
+@st.composite
+def window_cases(draw):
+    """A pair, a grid, a support floor and a tape of sizes piled on window
+    edges (center +- radius and one sub-unit below), round and integer sizes."""
+    spec = BUILTIN_PAIR_SPECS[draw(st.sampled_from(PAIRS))]
+    step = draw(st.sampled_from(sorted(STEP_RADIUS)))
+    radius, unit = STEP_RADIUS[step], spec.subunits_per_base_unit
+    edge = st.builds(
+        lambda k, off, below: (k * step + off) * unit - below,
+        st.integers(0, 12),
+        st.sampled_from([-radius, 0, radius]),
+        st.sampled_from([0, 1]),
+    )
+    size = st.one_of(
+        edge,
+        st.integers(1, 7000).map(lambda u: u * unit),
+        st.integers(1, 60).map(lambda u: 100 * u * unit),
+        st.integers(1, 7000 * unit),
+    )
+    piles = draw(st.lists(st.tuples(size.filter(lambda a: a > 0), st.integers(1, 60)), min_size=1, max_size=40))
+    amounts = np.repeat(np.array([a for a, _ in piles], dtype=np.int64), [n for _, n in piles])
+    return amounts, spec, step, draw(st.sampled_from([1, 5, 50]))
+
+
+class TestArrayWindowsMatchLoop:
+    @given(window_cases())
+    def test_random_tapes(self, case):
+        assert_matches_loop(*case)
+
+    @pytest.mark.parametrize("min_support", [1, 5, 50])
+    @pytest.mark.parametrize("step", sorted(STEP_RADIUS))
+    @pytest.mark.parametrize("pair", PAIRS)
+    @pytest.mark.parametrize("tape", ["all-round", "no-integer-size", "one-trade", "heavy-tailed"])
+    def test_named_tapes(self, tape, pair, step, min_support):
+        spec = BUILTIN_PAIR_SPECS[pair]
+        unit = spec.subunits_per_base_unit
+        rng = np.random.default_rng(11)
+        if tape == "all-round":
+            amounts = np.repeat(np.arange(1, 31) * 100 * unit, 60)
+        elif tape == "no-integer-size":
+            amounts = rng.integers(1, 5000, size=20_000) * unit + unit // 2
+        elif tape == "one-trade":
+            amounts = np.array([step * unit])
+        else:
+            amounts = (np.exp(rng.normal(5, 2, size=20_000)) * unit).astype(np.int64) + 1
+        assert_matches_loop(amounts, spec, step, min_support)
+
+    def test_empty_tape_has_no_windows(self):
+        assert all(a.size == 0 and a.dtype == np.int64 for a in cluster_windows(np.zeros(0, np.int64), BTC))
 
 
 class TestWindowFrequencies:
     def test_direct_ratio(self):
-        # 1000 trades in the window, 164 exactly at the 200-unit center.
-        sizes = [200] * 164 + [170.5] * 500 + [231] * 336
-        w = windows(sizes)[200]
-        assert w.window_count == 1000
-        assert w.round_freq == pytest.approx(0.164)
+        # 1000 trades in the window, 164 exactly at the 200-unit center;
         # 231 is the best competitor: 170.5 (the most frequent size) is not an integer size
-        assert w.max_unrounded_freq == pytest.approx(0.336)
+        sizes = [200] * 164 + [170.5] * 500 + [231] * 336
+        assert windows(sizes)[200] == (1000, 164, 336)
 
     def test_reference_window_scenario(self):
         # Window [150, 250) around 0.02 BTC: 16.42% at the center, best
@@ -63,18 +167,18 @@ class TestWindowFrequencies:
         sizes = [200] * n_center + [160] * n_best
         filler = n - n_center - n_best
         sizes += [150.5 + (k % 99) for k in range(filler)]  # never an integer size
-        w = windows(sizes)[200]
-        assert w.round_freq == pytest.approx(0.1642, abs=1e-4)
-        assert w.max_unrounded_freq == pytest.approx(0.0254, abs=1e-4)
+        count, at_center, best = windows(sizes)[200]
+        assert at_center / count == pytest.approx(0.1642, abs=1e-4)
+        assert best / count == pytest.approx(0.0254, abs=1e-4)
 
     def test_window_containing_only_center(self):
-        assert list(windows([300] * 10).values()) == [WindowPair(300, 1.0, 0.0, 10)]
+        assert windows([300] * 10) == {300: (10, 10, 0)}
 
     def test_half_open_window(self):
         # 150 and 249 fall in [150, 250), 250 in the next window [250, 350)
         by_center = windows([150, 249, 250, 320, 320, 320])
-        assert by_center[200] == WindowPair(200, 0.0, 0.5, 2)
-        assert by_center[300] == WindowPair(300, 0.0, 0.75, 4)
+        assert by_center[200] == (2, 0, 1)
+        assert by_center[300] == (4, 0, 3)
 
     def test_empty_window(self):
         # no window is reported around 200 when no trade falls in [150, 250)
@@ -83,8 +187,8 @@ class TestWindowFrequencies:
     def test_frequencies_form_subprobability(self):
         rng = np.random.default_rng(3)
         sizes = rng.uniform(150, 250, size=2000)
-        w = windows(sizes)[200]
-        assert w.round_freq + w.max_unrounded_freq <= 1.0 + 1e-12
+        count, at_center, best = windows(sizes)[200]
+        assert at_center + best <= count
 
 
 class TestClusterPairs:
@@ -92,58 +196,49 @@ class TestClusterPairs:
         sizes = []
         for c in range(100, 2100, 100):
             sizes += [c] * 60
-        pairs = cluster_pairs(padded(sizes), BTC, 100, min_support=50)
-        assert len(pairs) >= 10
-        assert all(p.max_unrounded_freq == 0.0 for p in pairs)
-        assert all(p.round_freq == 1.0 for p in pairs)
+        centers, counts, at_center, best = cluster_windows(padded(sizes), BTC, 100, min_support=50)
+        assert centers.size >= 10
+        assert (best == 0).all()
+        assert (at_center == counts).all()
 
     def test_min_support_skips_thin_windows(self):
-        sizes = [200] * 60 + [300] * 10
-        pairs = cluster_pairs(padded(sizes), BTC, 100, min_support=50)
-        centers = [p.center for p in pairs]
-        assert 200 in centers and 300 not in centers
+        by_center = windows([200] * 60 + [300] * 10, min_support=50)
+        assert 200 in by_center and 300 not in by_center
 
     def test_step_500_excludes_multiples_of_100_from_competitors(self):
         # Window [400, 600): competitor candidates are integers that are not
         # multiples of 100; 400 and 450 present, only 450 may compete.
         sizes = [500] * 100 + [400] * 80 + [450] * 30 + [433.5] * 40
-        pairs = cluster_pairs(padded(sizes), BTC, 500, min_support=50)
-        w = [p for p in pairs if p.center == 500][0]
-        assert w.round_freq == pytest.approx(100 / 250)
-        assert w.max_unrounded_freq == pytest.approx(30 / 250)
+        assert windows(sizes, 500, min_support=50)[500] == (250, 100, 30)
 
     def test_uniform_fine_precision_has_no_integer_mass(self):
         rng = np.random.default_rng(5)
         amounts = rng.integers(1 * UNIT, 3000 * UNIT, size=200_000).astype(np.int64)
-        pairs = cluster_pairs(amounts, BTC, 100)
-        assert len(pairs) >= 10
-        diffs = [p.difference for p in pairs]
-        assert abs(float(np.mean(diffs))) < 1e-3  # analytic expectation is 0
+        centers, counts, at_center, best = cluster_windows(amounts, BTC, 100)
+        assert centers.size >= 10
+        assert abs(float(np.mean(at_center / counts - best / counts))) < 1e-3  # analytic expectation is 0
 
     def test_cap_percentile_bounds_centers(self):
         sizes = [100] * 1000 + [200] * 1000 + [100000] * 5
-        pairs = cluster_pairs(subs(sizes), BTC, 100)
-        assert max(p.center for p in pairs) <= 200
+        centers, *_ = cluster_windows(subs(sizes), BTC, 100)
+        assert centers.max() <= 200
 
 
 class TestClusteringTTest:
     def test_degenerate_positive(self):
-        pairs = [WindowPair(c, 0.2, 0.1, 100) for c in (100, 200, 300, 400)]
-        res = clustering_t_test(pairs)
+        res = clustering_t_test(np.full(4, 0.1))
         assert res.p_value < 1e-12
         assert not res.reject  # clustering present
 
     def test_all_zero_differences(self):
-        pairs = [WindowPair(c, 0.1, 0.1, 100) for c in (100, 200, 300)]
-        res = clustering_t_test(pairs)
+        res = clustering_t_test(np.zeros(3))
         assert res.p_value == 1.0
         assert res.reject  # no clustering
 
     def test_closed_form_t(self):
         rng = np.random.default_rng(123)
         d = rng.normal(0.05, 0.01, size=30)
-        pairs = [WindowPair(100 * (i + 1), float(x), 0.0, 100) for i, x in enumerate(d)]
-        res = clustering_t_test(pairs)
+        res = clustering_t_test(d)
         expected_t = d.mean() / (d.std(ddof=1) / math.sqrt(30))
         assert res.t_statistic == pytest.approx(expected_t, rel=1e-12)
         assert res.p_value == pytest.approx(float(stats.t.sf(expected_t, 29)), rel=1e-9, abs=0)
@@ -151,22 +246,18 @@ class TestClusteringTTest:
 
     def test_needs_two_pairs(self):
         with pytest.raises(InsufficientDataError):
-            clustering_t_test([WindowPair(100, 0.5, 0.1, 60)])
+            clustering_t_test(np.array([0.4]))
 
     def test_anomaly_p_complements_clustering_p(self):
         rng = np.random.default_rng(9)
-        d = rng.normal(0.0, 0.02, size=40)
-        pairs = [WindowPair(100 * (i + 1), max(0.0, x), max(0.0, -x), 100) for i, x in enumerate(d)]
-        res = clustering_t_test(pairs)
+        res = clustering_t_test(rng.normal(0.0, 0.02, size=40))
         assert res.anomaly_p == pytest.approx(1.0 - res.p_value, abs=1e-9)
 
     def test_p_values_equal_scipy_stats_t(self):
         rng = np.random.default_rng(17)
         for df in range(1, 41):
             for shift in (-0.3, -0.05, -0.01, 0.0, 0.002, 0.01, 0.05, 0.3):
-                d = rng.normal(shift, 0.02, size=df + 1)
-                pairs = [WindowPair(100 * (i + 1), max(0.0, x), max(0.0, -x), 100) for i, x in enumerate(d)]
-                res = clustering_t_test(pairs)
+                res = clustering_t_test(rng.normal(shift, 0.02, size=df + 1))
                 sf, cdf = float(stats.t.sf(res.t_statistic, df)), float(stats.t.cdf(res.t_statistic, df))
                 assert res.p_value == pytest.approx(max(P_FLOOR, sf), rel=1e-12, abs=0), (df, shift)
                 assert res.anomaly_p == pytest.approx(max(P_FLOOR, cdf), rel=1e-12, abs=0), (df, shift)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from washdetect.errors import AmountError, PairConfigError
+from washdetect.errors import AmountError, ConfigError, PairConfigError
 from washdetect.ingest import TradeDataset, TradeGroup, parse_trades
 from washdetect.synth import GeneratorConfig, LabeledTape, write_tape
 from washdetect.trades import (
@@ -249,6 +249,15 @@ class TestPairRegistry:
         assert reg.get("DOGE/USD").base_unit_exponent == 1
         assert reg.get("BTC/USD").base_unit_exponent == -3  # override wins
         assert reg.get("ETH/USD").base_unit_exponent == -3  # builtin kept
+
+    @pytest.mark.parametrize("value", ["true", "false", "1.0", '"2"'])
+    def test_from_file_rejects_a_non_integer_exponent(self, tmp_path, value):
+        # a JSON boolean is a Python int, but not an exponent
+        path = tmp_path / "pairs.json"
+        path.write_text(f'{{"DOGE/USD": {value}}}')
+        with pytest.raises(ConfigError, match="exponent for 'DOGE/USD' must be an integer"):
+            PairRegistry.from_file(path)
+
 
 class TestExactSum:
     @given(st.lists(st.integers(min_value=0, max_value=2**62 - 1), max_size=50))
