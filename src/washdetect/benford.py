@@ -13,12 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import chi2_sf
-from .errors import EstimationError, InsufficientDataError
-from .trades import SUBUNITS_PER_UNIT, exact_sum, first_significant_digits
+from .errors import AmountError, EstimationError, InsufficientDataError
+from .trades import SUBUNITS_PER_UNIT, SortedAmounts, exact_sum
 
 DIGITS = tuple(range(1, 10))
 
 _BENFORD_P = np.array([math.log10(1.0 + 1.0 / d) for d in DIGITS])
+# The least amount with each first digit in each decade: 1, 2, ..., 9, 10,
+# 20, ..., 9 * 10**18. The last is below 2**63, so every int64 amount lies in
+# the run one of them starts.
+_DIGIT_STARTS = np.array([d * 10**k for k in range(19) for d in DIGITS], dtype=np.int64)
 
 
 def benford_expected() -> np.ndarray:
@@ -52,16 +56,28 @@ class DigitHistogram:
         return sum(self.volume_subunits)
 
 
-def digit_histogram(amounts_subunits: np.ndarray) -> DigitHistogram:
-    """Histogram the first significant digits of a non-empty amount array."""
-    x = np.asarray(amounts_subunits, dtype=np.int64)
+def digit_histogram(amounts_subunits: np.ndarray | SortedAmounts) -> DigitHistogram:
+    """Histogram the first significant digits of a non-empty amount array.
+
+    The sorted amounts fall in one run per first digit and decade, cut at
+    ``_DIGIT_STARTS``, so each run's count and exact volume come from its
+    bounds alone.
+    """
+    if isinstance(amounts_subunits, SortedAmounts):
+        x = amounts_subunits.values
+    else:
+        x = np.sort(np.asarray(amounts_subunits, dtype=np.int64))
     if x.size == 0:
         raise InsufficientDataError("insufficient data: empty trade group")
-    digits = first_significant_digits(x)
-    counts = np.bincount(digits, minlength=10)[1:10]
-    volumes = []
-    for d in DIGITS:
-        volumes.append(exact_sum(x[digits == d]))
+    if x[0] <= 0:
+        raise AmountError("first significant digit undefined for non-positive amount")
+    starts = np.searchsorted(x, _DIGIT_STARTS)
+    sizes = np.diff(starts, append=x.size)
+    held = np.flatnonzero(sizes)
+    volumes = [0] * 9
+    for cell, volume in zip(held.tolist(), exact_sum(x, starts[held])):
+        volumes[cell % 9] += volume
+    counts = sizes.reshape(-1, 9).sum(axis=0)
     return DigitHistogram(tuple(int(c) for c in counts), tuple(volumes))
 
 

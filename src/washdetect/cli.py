@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -26,12 +27,15 @@ from . import tailfit as tf
 from . import verdicts as vd
 from . import washest as we
 from .errors import ConfigError, WashdetectError
-from .ingest import TradeDataset, parse_trades, unrounded_subset
+from .ingest import TradeDataset, parse_each, parse_trades, unrounded_subset
 from .trades import PairRegistry, RegulatoryClass, load_exchange_meta
 
 EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_FLAGGED = 2
+
+# Most 1-base-unit bins plot-data --which sizes writes a group
+MAX_SIZE_BINS = 1_000_000
 
 
 # Flags several subcommands share; each subcommand declares those it reads.
@@ -184,8 +188,10 @@ def cmd_ingest_check(args) -> int:
         stems[stem] = path
     total_rejected = 0
     out = _outdir(args)
-    for path in args.inputs:
-        ds, report = parse_trades(path, args.format, strict=args.strict, dedupe=args.dedupe)
+    # the files are parsed side by side, and each reported as it comes in the
+    # list; a file that failed raises after the ones before it are printed
+    parsed = parse_each(args.inputs, args.format, strict=args.strict, dedupe=args.dedupe)
+    for path, (ds, report) in zip(args.inputs, parsed):
         total_rejected += report.n_rejected
         print(f"{path}: {report.n_accepted} accepted, {report.n_rejected} rejected", end="")
         if args.dedupe:
@@ -355,7 +361,8 @@ def cmd_synth(args) -> int:
 
 
 def _size_range(text: str | None) -> tuple[int, int]:
-    """``--range lo:hi`` as two integers with lo < hi; (1, 1000) when absent."""
+    """``--range lo:hi`` as two integers with 0 <= lo < hi and at most
+    ``MAX_SIZE_BINS`` bins between them; (1, 1000) when absent."""
     if text is None:
         return 1, 1000
     try:
@@ -364,6 +371,8 @@ def _size_range(text: str | None) -> tuple[int, int]:
         raise ConfigError(f"--range must be lo:hi with integer bounds, got {text!r}") from None
     if lo >= hi:
         raise ConfigError(f"--range needs lo < hi, got {text!r}")
+    if lo < 0 or hi - lo > MAX_SIZE_BINS:
+        raise ConfigError(f"--range needs 0 <= lo and at most {MAX_SIZE_BINS:,} bins, got {text!r}")
     return lo, hi
 
 
@@ -476,9 +485,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe fails here and not at exit
+        return code
     except WashdetectError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FATAL
+    except BrokenPipeError:
+        # the reader of stdout has gone: as the Python signal docs advise,
+        # point stdout at devnull, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FATAL
 
 

@@ -14,7 +14,9 @@ so neighboring windows never share a size.
 The windows of a grid are computed together as arrays: the centers are read
 off the sorted floored sizes, ``searchsorted`` sizes each window, and one
 ``np.maximum.reduceat`` over the interleaved window bounds finds every best
-competitor. Only the array of frequency differences reaches the t-test.
+competitor. Only the array of frequency differences reaches the t-test. The
+sort, the floored sizes and the integer-size runs come from a group's
+``trades.SortedAmounts``, derived once for both grids.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .distributions import t_cdf
 from .errors import InsufficientDataError
-from .trades import PairSpec
+from .trades import PairSpec, SortedAmounts
 from .verdicts import P_FLOOR
 
 STEP_RADIUS = {100: 50, 500: 100}
@@ -63,7 +65,7 @@ def _percentile_nearest_rank(sorted_values: np.ndarray, q: float) -> int:
 
 
 def cluster_windows(
-    amounts_subunits: np.ndarray,
+    amounts_subunits: np.ndarray | SortedAmounts,
     spec: PairSpec,
     step: int = 100,
     *,
@@ -77,21 +79,25 @@ def cluster_windows(
     ``at_center`` counts the trades exactly at the center, and ``best`` those
     at the most frequent integer size in the window that is not a multiple of
     100 base units, so the 500-step test never compares round against round.
+    Given the group's ``SortedAmounts`` for ``spec``, the two grids share its
+    sort and its integer sizes.
     """
     if step not in STEP_RADIUS:
         raise ValueError(f"step must be one of {sorted(STEP_RADIUS)}, got {step}")
     radius = STEP_RADIUS[step]
-    unit = spec.subunits_per_base_unit
-    x = np.sort(np.asarray(amounts_subunits, dtype=np.int64))
-    if x.size == 0:
+    s = amounts_subunits
+    if not isinstance(s, SortedAmounts):
+        s = SortedAmounts.of(s, spec)
+    elif s.spec != spec:
+        raise ValueError(f"sorted amounts of {s.spec.pair} given for {spec.pair}")
+    if s.values.size == 0:
         return (np.zeros(0, dtype=np.int64),) * 4
 
-    cap_units = _percentile_nearest_rank(x, CAP_PERCENTILE) // unit
-    # Window bounds are integer unit counts, so floored sizes locate windows exactly.
-    q, r = np.divmod(x, unit)
-    # The integer sizes and their counts, closed by a sentinel size above every
-    # window so that each position searchsorted returns is an index.
-    sizes, size_counts = np.unique(np.append(q[r == 0], np.iinfo(np.int64).max), return_counts=True)
+    cap_units = _percentile_nearest_rank(s.values, CAP_PERCENTILE) // spec.subunits_per_base_unit
+    # Window bounds are integer unit counts, so floored sizes locate windows
+    # exactly. The sentinel that closes the integer sizes makes each position
+    # searchsorted returns in them an index.
+    q, sizes, size_counts = s.floored, s.sizes, s.size_counts
 
     # Centers come from the sizes, not from every multiple of step up to the
     # cap, which would explode on heavy-tailed tapes. Size q lies in the window
@@ -147,7 +153,7 @@ def clustering_t_test(differences: np.ndarray, step: int = 100, alpha: float = 0
 
 
 def run_cluster_test(
-    amounts_subunits: np.ndarray,
+    amounts_subunits: np.ndarray | SortedAmounts,
     spec: PairSpec,
     step: int = 100,
     *,

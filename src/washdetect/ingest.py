@@ -33,11 +33,12 @@ on and a reason, and skipped, or abort the parse in strict mode.
 
 The sources of a list are parsed side by side, each on one thread with its
 own columns and reject log, on up to as many threads as the process has
-usable cores. The numpy calls on a 256 KiB block run long enough to overlap
-under the interpreter lock; on 64 KiB blocks two threads were slower than
-one. Each thread holds one block at a time, so the transient memory is
-bounded per thread. The sources' columns are then joined in list order,
-their group codes renumbered in place, and their reject logs concatenated.
+usable cores (``_side_by_side``, which also runs the battery's groups). The
+numpy calls on a 256 KiB block run long enough to overlap under the
+interpreter lock; on 64 KiB blocks two threads were slower than one. Each
+thread holds one block at a time, so the transient memory is bounded per
+thread. The sources' columns are then joined in list order, their group
+codes renumbered in place, and their reject logs concatenated.
 
 Trades are grouped by (exchange, pair). Each group keeps compact parallel
 numpy arrays (timestamps, sub-unit amounts, prices) sorted by timestamp, so
@@ -149,6 +150,7 @@ BLOCK_BYTES = 1 << 18
 _KEY_MAX, _TS_MAX, _PRICE_MAX, _AMOUNT_MAX = 64, 18, 32, 19
 _INT_MAX = _AMOUNT_MAX - 1 - AMOUNT_DECIMALS
 _INT64 = np.iinfo(np.int64)
+_BOM = "\ufeff".encode("utf-8")
 # one decoder, since json.loads with options builds a new one per call
 _JSON = json.JSONDecoder(parse_float=Decimal)
 # Zero bytes on each side of a block, so that every field's window is in it.
@@ -189,7 +191,8 @@ _WIDE_POW10, _WIDE_INT_END = _exact_scale(np.longdouble if _IEEE_LONG_DOUBLE els
 
 
 def _chunks(source) -> Iterator[bytes]:
-    """The bytes of a path, a bytes object or a binary or text stream."""
+    """The bytes of a path, a bytes object or a binary or text stream, less
+    one leading UTF-8 byte-order mark."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             yield from _chunks(fh)
@@ -199,10 +202,19 @@ def _chunks(source) -> Iterator[bytes]:
     if not hasattr(source, "read"):
         raise TypeError(f"cannot read trades from {type(source)!r}")
     end = source.read(0)
+    head = b""  # the first bytes, until they show whether a mark starts the source
     for chunk in iter(lambda: source.read(BLOCK_BYTES), end):
         # a lone surrogate in text encodes to bytes that then fail to decode,
         # so its line is rejected like any undecodable line
-        yield chunk.encode("utf-8", "surrogatepass") if isinstance(chunk, str) else chunk
+        chunk = chunk.encode("utf-8", "surrogatepass") if isinstance(chunk, str) else chunk
+        if head is not None:
+            head += chunk
+            if len(head) < len(_BOM) and _BOM.startswith(head):
+                continue
+            chunk, head = head.removeprefix(_BOM), None
+        yield chunk
+    if head:
+        yield head
 
 
 def _last_line_end(buf: bytearray) -> int:
@@ -688,27 +700,27 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-# Most threads a parse runs on, the calling thread included. Sources are
-# parsed side by side, one thread each; more threads than cores would only
-# take turns at the interpreter lock.
+# Most threads a parse or a battery runs on, the calling thread included.
+# More threads than cores would only take turns at the interpreter lock.
 _WORKERS = _usable_cores()
 
 
-def _parse_sources(sources: list, fmt: str, strict: bool) -> list[_Parser]:
-    """Each source's parser, the sources parsed on up to ``_WORKERS`` threads.
+def _side_by_side(run, tasks: list[list[int]]) -> list:
+    """``run(i)`` for every index of ``tasks``, on up to ``_WORKERS`` threads,
+    the calling thread included: each result, or the exception that ``run``
+    raised, in index order.
 
-    A stream listed more than once is read by one thread, in list order. The
-    first failure in list order is raised, once no thread runs: after one,
-    no source later in the list is started.
+    The indices of one task run in turn on one thread, and tasks start in
+    list order. Once an index fails, no later index of its task runs, and no
+    task starts whose first index comes after it; their places hold None. So
+    the first place that holds no result holds the first failure in index
+    order, and callers raise it: none does until every thread has stopped.
     """
-    tasks: dict[int, list[int]] = {}
-    for i, one in enumerate(sources):
-        is_stream = not isinstance(one, (str, Path, bytes, bytearray))
-        tasks.setdefault(id(one) if is_stream else -1 - i, []).append(i)
-    todo = iter(tasks.values())
+    n = sum(map(len, tasks))
+    todo = iter(tasks)
     lock = threading.Lock()
-    results: list = [None] * len(sources)
-    first_failure = [len(sources)]
+    results: list = [None] * n
+    first_failure = [n]
 
     def work() -> None:
         while True:
@@ -718,8 +730,8 @@ def _parse_sources(sources: list, fmt: str, strict: bool) -> list[_Parser]:
                     return
             for i in task:
                 try:
-                    results[i] = _parse_source(sources[i], fmt, strict)
-                except Exception as exc:  # raised by the calling thread, in list order
+                    results[i] = run(i)
+                except Exception as exc:  # raised by the caller, in index order
                     results[i] = exc
                     with lock:
                         first_failure[0] = min(first_failure[0], i)
@@ -731,15 +743,27 @@ def _parse_sources(sources: list, fmt: str, strict: bool) -> list[_Parser]:
     try:
         work()
     except BaseException:
-        first_failure[0] = -1  # an interrupt: start no further source
+        first_failure[0] = -1  # an interrupt: start no further task
         raise
     finally:
         for thread in threads:
             thread.join()
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
     return results
+
+
+def _parse_sources(sources: list, fmt: str, strict: bool) -> list:
+    """Each source's parser, or the exception its parse raised, the sources
+    parsed side by side (``_side_by_side``).
+
+    A stream listed more than once is read by one thread, in list order.
+    """
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown format {fmt!r}")
+    tasks: dict[int, list[int]] = {}
+    for i, one in enumerate(sources):
+        is_stream = not isinstance(one, (str, Path, bytes, bytearray))
+        tasks.setdefault(id(one) if is_stream else -1 - i, []).append(i)
+    return _side_by_side(lambda i: _parse_source(sources[i], fmt, strict), list(tasks.values()))
 
 
 def parse_trades(
@@ -764,15 +788,35 @@ def parse_trades(
     duplicate rows across every source, keeping the first (duplicates are
     legitimate in clean feeds, so this is off by default).
     """
-    if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"unknown format {fmt!r}")
     report = ParseReport()
     columns = _Columns()
     for parser in _parse_sources(source if isinstance(source, list) else [source], fmt, strict):
+        if isinstance(parser, Exception):
+            raise parser
         columns.absorb(parser.columns)
         report.n_rejected += parser.report.n_rejected
         report.rejected += parser.report.rejected
     return columns.dataset(report, dedupe), report
+
+
+def parse_each(
+    sources: list, fmt: str = "csv", *, strict: bool = False, dedupe: bool = False
+) -> Iterator[tuple[TradeDataset, ParseReport]]:
+    """Each source's own dataset and parse report, in list order.
+
+    The sources are parsed side by side, as by ``parse_trades``, before this
+    returns; each dataset is built when the iterator reaches it. A source
+    whose parse failed raises its error there, after the sources before it.
+    """
+    parsers = _parse_sources(sources, fmt, strict)
+
+    def each() -> Iterator[tuple[TradeDataset, ParseReport]]:
+        for parser in parsers:
+            if isinstance(parser, Exception):
+                raise parser
+            yield parser.columns.dataset(parser.report, dedupe), parser.report
+
+    return each()
 
 
 # ---------------------------------------------------------------------------

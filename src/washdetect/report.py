@@ -10,6 +10,13 @@ and tail probabilities (all oriented so authentic behavior gives values near
 one). Wash volume is then estimated per pair against a benchmark fitted on
 the regulated exchanges, with optional bootstrap standard errors, and the
 failure rate and counterfactual rank improvement summarize each exchange.
+
+The groups are tested side by side, on as many threads as a parse runs
+(``ingest._WORKERS``), and their results assembled in sorted key order, so
+the report is the same on any number of threads. Each group's amounts are
+sorted once (``trades.SortedAmounts``) for the Benford histogram and both
+clustering grids, and its roundness counts, taken once, serve both its own
+roundness test and the pooled regulated benchmark of its pair.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from . import tailfit as tf
 from . import verdicts as vd
 from . import washest as we
 from .errors import ConfigError, EstimationError, InsufficientDataError
-from .ingest import TradeDataset, WeeklyVolumeSplit, weekly_split
-from .trades import ExchangeMeta, PairRegistry
+from .ingest import TradeDataset, WeeklyVolumeSplit, _side_by_side, weekly_split
+from .trades import ExchangeMeta, PairRegistry, SortedAmounts
 
 SCHEMA_VERSION = "1"
 BENFORD_EMULATION_N = 10_000
@@ -126,10 +133,13 @@ class BatteryReport:
         )
 
 
-def _pair_battery(group, spec, config: RunConfig) -> PairReport:
+def _pair_battery(group, spec, config: RunConfig) -> tuple[PairReport, np.ndarray]:
+    """One group's tests, and its roundness counts (all zero for an empty
+    group) for the roundness test, which needs every group's counts."""
     rep = PairReport(group.exchange_id, group.pair, group.n)
+    amounts = SortedAmounts.of(group.amounts, spec)
     try:
-        hist = bf.digit_histogram(group.amounts)
+        hist = bf.digit_histogram(amounts)
         rep.benford = bf.chi_squared_benford(hist, config.effective_n, config.alpha)
         rep.benford_raw = bf.chi_squared_benford(hist, None, config.alpha)
         try:
@@ -141,7 +151,7 @@ def _pair_battery(group, spec, config: RunConfig) -> PairReport:
 
     for step, attr in ((100, "cluster_100"), (500, "cluster_500")):
         result = cl.run_cluster_test(
-            group.amounts, spec, step, alpha=config.alpha, min_support=config.min_window_support
+            amounts, spec, step, alpha=config.alpha, min_support=config.min_window_support
         )
         setattr(rep, attr, result)
         if result.insufficient:
@@ -165,19 +175,8 @@ def _pair_battery(group, spec, config: RunConfig) -> PairReport:
             [rep.benford.p_value, rep.cluster_100.anomaly_p, rep.tail.anomaly_p],
             config.alpha,
         )
-    return rep
-
-
-def _pooled_regulated_roundness(
-    dataset: TradeDataset, registry: PairRegistry, regulated: set[str]
-) -> dict[str, np.ndarray]:
-    pooled: dict[str, np.ndarray] = {}
-    for (ex, pair), group in dataset.groups.items():
-        if ex not in regulated or group.n == 0:
-            continue
-        counts = we.roundness_distribution(group.amounts, registry.get(pair))
-        pooled[pair] = pooled.get(pair, np.zeros(8, dtype=np.int64)) + counts
-    return pooled
+    roundness = we.roundness_distribution(group.amounts, spec) if group.n else np.zeros(8, dtype=np.int64)
+    return rep, roundness
 
 
 def _wash_section(
@@ -348,20 +347,28 @@ def run_battery(
     report = BatteryReport(config=config)
     regulated = {ex for ex, m in (meta or {}).items() if m.is_regulated}
 
+    keys = dataset.sorted_keys()
+    groups = [dataset.groups[key] for key in keys]
+    # the groups side by side, on as many threads as a parse's sources
+    done = _side_by_side(
+        lambda i: _pair_battery(groups[i], registry.get(keys[i][1]), config), [[i] for i in range(len(keys))]
+    )
+    for result in done:
+        if isinstance(result, Exception):
+            raise result
+
+    # each pair's regulated roundness benchmark pools its regulated groups' counts
     pooled_roundness: dict[str, np.ndarray] = {}
-    if regulated:
-        pooled_roundness = _pooled_regulated_roundness(dataset, registry, regulated)
+    for (ex, pair), group, (_, counts) in zip(keys, groups, done):
+        if ex in regulated and group.n:
+            pooled_roundness[pair] = pooled_roundness.get(pair, 0) + counts
 
     by_exchange: dict[str, ExchangeReport] = {}
-    for ex, pair in dataset.sorted_keys():
-        group = dataset.groups[(ex, pair)]
-        spec = registry.get(pair)
-        pair_rep = _pair_battery(group, spec, config)
+    for (ex, pair), (pair_rep, counts) in zip(keys, done):
         if ex not in regulated and pair in pooled_roundness:
             try:
-                target = we.roundness_distribution(group.amounts, spec)
                 pair_rep.roundness = we.roundness_chi_squared(
-                    target, pooled_roundness[pair], config.effective_n, config.alpha
+                    counts, pooled_roundness[pair], config.effective_n, config.alpha
                 )
             except (InsufficientDataError, EstimationError) as exc:
                 pair_rep.flags.append(f"roundness skipped: {exc}")

@@ -161,6 +161,35 @@ def read_json_object(path: str | Path) -> dict:
     return raw
 
 
+@dataclass(frozen=True)
+class SortedAmounts:
+    """One group's amounts sorted once, with the sizes the detectors read off
+    them. The Benford and clustering functions take it in place of an
+    amount array.
+
+    ``floored`` holds each amount's size in whole base units of ``spec``,
+    ascending as the amounts are; ``sizes`` the integer sizes (amounts that
+    are whole base units), each once, closed by a sentinel size above every
+    other, and ``size_counts`` the trades at each.
+    """
+
+    spec: PairSpec
+    values: np.ndarray  # int64 sub-units, ascending
+    floored: np.ndarray
+    sizes: np.ndarray
+    size_counts: np.ndarray
+
+    @classmethod
+    def of(cls, amounts_subunits: np.ndarray, spec: PairSpec) -> "SortedAmounts":
+        x = np.sort(np.asarray(amounts_subunits, dtype=np.int64))
+        unit = spec.subunits_per_base_unit
+        q = x // unit
+        # the integer sizes are ascending, so each run of one size is a count
+        whole = np.append(q[q * unit == x], np.iinfo(np.int64).max)
+        heads = np.flatnonzero(np.append(True, whole[1:] != whole[:-1]))
+        return cls(spec, x, q, whole[heads], np.diff(heads, append=whole.size))
+
+
 # ---------------------------------------------------------------------------
 # Roundness
 

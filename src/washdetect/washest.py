@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .benford import ChiSquaredResult, chi_squared_gof
-from .errors import ConfigError, EstimationError, InsufficientDataError
+from .errors import AmountError, ConfigError, EstimationError, InsufficientDataError
 from .ingest import WeeklyVolumeSplit
-from .trades import CONTROL_FIELDS, ExchangeMeta, PairSpec, read_json_object, roundness_level_indices
+from .trades import AMOUNT_DECIMALS, CONTROL_FIELDS, ExchangeMeta, PairSpec, read_json_object
 
 MIN_BENCHMARK_OBS = 8
 
@@ -34,12 +34,28 @@ MIN_BENCHMARK_OBS = 8
 
 
 def roundness_distribution(amounts_subunits: np.ndarray, spec: PairSpec) -> np.ndarray:
-    """Counts over the eight roundness-level buckets (least round first)."""
+    """Counts over the eight roundness-level buckets (least round first).
+
+    The buckets are those of ``trades.roundness_level_indices``. Bucket 1
+    starts at ``lo`` trailing zeros, a hundredth of a base unit, and each
+    bucket after it at one more, so the counts follow from how many amounts
+    have at least ``lo``, ``lo + 1``, ..., ``lo + 6`` trailing zeros. Each of
+    those filters only the amounts the one before kept, divided down.
+    """
     x = np.asarray(amounts_subunits, dtype=np.int64)
     if x.size == 0:
         raise InsufficientDataError("empty trade group")
-    idx = roundness_level_indices(x, spec)
-    return np.bincount(idx, minlength=8).astype(np.int64)
+    if x.min() <= 0:
+        raise AmountError("trailing zeros undefined for non-positive amount")
+    lo = AMOUNT_DECIMALS + spec.base_unit_exponent - 2
+    kept, stripped = [x.size], 0
+    for zeros in range(lo, lo + 7):
+        if zeros > stripped:
+            scale = 10 ** (zeros - stripped)
+            x = x[x % scale == 0] // scale
+            stripped = zeros
+        kept.append(x.size)
+    return -np.diff(np.array(kept, dtype=np.int64), append=0)
 
 
 def _merge_zero_benchmark_buckets(

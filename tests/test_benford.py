@@ -17,7 +17,8 @@ from washdetect.benford import (
     digit_histogram,
     histogram_rows,
 )
-from washdetect.errors import EstimationError, InsufficientDataError
+from washdetect.errors import AmountError, EstimationError, InsufficientDataError
+from washdetect.trades import BUILTIN_PAIR_SPECS, SortedAmounts, exact_sum, first_significant_digits
 from washdetect.verdicts import P_FLOOR
 
 
@@ -72,6 +73,38 @@ class TestDigitHistogram:
         hist = digit_histogram(np.array(values, dtype=np.int64))
         assert hist.n == len(values)
         assert hist.total_volume_subunits == sum(values)
+
+    # the digits' first and last amounts in each decade, and amounts near 2**62
+    EDGES = [d * 10**k + e for k in range(19) for d in range(1, 10) for e in (-1, 0) if d * 10**k + e > 0]
+    NEAR_2_62 = st.integers(min_value=2**62 - 10**6, max_value=2**62 - 1)
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(min_value=1, max_value=2**62 - 1), st.sampled_from(EDGES), NEAR_2_62),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    def test_matches_the_masked_exact_sum_oracle(self, values):
+        x = np.array(values, dtype=np.int64)
+        digits = first_significant_digits(x)
+        want = DigitHistogram(
+            tuple(int((digits == d).sum()) for d in range(1, 10)),
+            tuple(exact_sum(x[digits == d]) for d in range(1, 10)),
+        )
+        assert digit_histogram(x) == want
+        assert digit_histogram(SortedAmounts.of(x, BUILTIN_PAIR_SPECS["BTC/USD"])) == want
+
+    def test_volumes_of_amounts_near_2_62_are_exact(self):
+        x = np.full(1000, 2**62 - 1, dtype=np.int64)
+        assert digit_histogram(x).volume_subunits[3] == 1000 * (2**62 - 1)
+
+    @pytest.mark.parametrize("values", [[0, 100], [100, -10], [-(2**63)]])
+    def test_non_positive_amount_raises(self, values):
+        x = np.array(values, dtype=np.int64)
+        for amounts in (x, SortedAmounts.of(x, BUILTIN_PAIR_SPECS["BTC/USD"])):
+            with pytest.raises(AmountError, match="non-positive"):
+                digit_histogram(amounts)
 
 
 class TestChiSquared:

@@ -7,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from unittest import mock
+
 import jsonschema
 import pytest
 
 import washdetect
+from washdetect import ingest
 from washdetect.cli import EXIT_FATAL, EXIT_FLAGGED, EXIT_OK, build_parser, main
 from washdetect.ingest import parse_trades, weekly_split
 from washdetect.trades import PairRegistry, load_exchange_meta
@@ -600,6 +603,8 @@ class TestFlags:
             ["plot-data", "{tape}", "--which", "sizes", "--range", "abc", "--out", "{tmp}/o"],
             ["plot-data", "{tape}", "--which", "sizes", "--range", "1:2:3", "--out", "{tmp}/o"],
             ["plot-data", "{tape}", "--which", "sizes", "--range", "50:10", "--out", "{tmp}/o"],
+            ["plot-data", "{tape}", "--which", "sizes", "--range", "1:100000000000", "--out", "{tmp}/o"],
+            ["plot-data", "{tape}", "--which", "sizes", "--range=-5:10", "--out", "{tmp}/o"],
             ["plot-data", "{tape}", "--which", "sizes", "--step", "0", "--out", "{tmp}/o"],
             ["cluster", "{tape}", "--min-support", "-5"],
             ["rank", "--volume", "1e9", "--wash-percent", "70", "--log-base", "1"],
@@ -624,6 +629,8 @@ class TestFlags:
             "plot-range-text",
             "plot-range-parts",
             "plot-range-order",
+            "plot-range-bins",
+            "plot-range-negative",
             "plot-step",
             "cluster-min-support",
             "rank-log-base-1",
@@ -705,6 +712,69 @@ class TestFlags:
         bad.write_text("exchange,pair,timestamp_ms,price,amount\nU1,BTC/USD,1,1.0,-1\n")
         assert main(["ingest-check", str(ok), str(bad), "--strict"]) == EXIT_FATAL
         assert capsys.readouterr().err == f"error: {bad}: line 2: malformed amount '-1'\n"
+
+    def test_ingest_check_is_the_same_at_worker_caps_one_and_three(self, tmp_path, capsys):
+        header = "exchange,pair,timestamp_ms,price,amount\n"
+        texts = {
+            "a": header + "U1,BTC/USD,1,1.0,0.0213\nU1,BTC/USD,1,1.0,0.0213\nU1,ETH/USD,2,1.0,-1\n",
+            "b": header + "R1,BTC/USD,1,1.0,0.5\n",
+            "c": header + "U2,BTC/USD,1,1.0,0.123456789\nU2,BTC/USD,3,1.0,1\nU1,BTC/USD,1,1.0,0.0213\n",
+        }
+        paths = []
+        for name, text in texts.items():
+            paths.append(str(tmp_path / f"{name}.csv"))
+            Path(paths[-1]).write_text(text)
+        runs = []
+        for workers in (1, 3):
+            out = tmp_path / f"rejects{workers}"
+            with mock.patch.object(ingest, "_WORKERS", workers):
+                code = main(["ingest-check", "--dedupe", "--out", str(out), *paths])
+            logs = {log.name: log.read_text() for log in sorted(out.iterdir())}
+            runs.append((code, capsys.readouterr(), logs))
+        assert runs[0] == runs[1]
+        code, (stdout, stderr), logs = runs[0]
+        assert code == EXIT_FLAGGED and stderr == ""
+        assert stdout == (
+            f"{paths[0]}: 1 accepted, 1 rejected, 1 duplicates dropped\n  U1 BTC/USD: 1 trades\n"
+            f"{paths[1]}: 1 accepted, 0 rejected, 0 duplicates dropped\n  R1 BTC/USD: 1 trades\n"
+            f"{paths[2]}: 2 accepted, 1 rejected, 0 duplicates dropped\n  U1 BTC/USD: 1 trades\n  U2 BTC/USD: 1 trades\n"
+        )
+        assert list(logs) == ["rejected_a.csv", "rejected_c.csv"]
+
+    def test_strict_failure_prints_the_files_before_it_first(self, tmp_path, capsys):
+        header = "exchange,pair,timestamp_ms,price,amount\n"
+        paths = [tmp_path / f"{k}.csv" for k in range(3)]
+        paths[0].write_text(header + "U1,BTC/USD,1,1.0,0.0213\n")
+        paths[1].write_text(header + "U1,BTC/USD,1,1.0,-1\n")
+        paths[2].write_text(header + "U2,BTC/USD,1,1.0,0.0213\n")
+        for workers in (1, 3):
+            with mock.patch.object(ingest, "_WORKERS", workers):
+                assert main(["ingest-check", "--strict", *map(str, paths)]) == EXIT_FATAL
+            assert capsys.readouterr() == (
+                f"{paths[0]}: 1 accepted, 0 rejected\n  U1 BTC/USD: 1 trades\n",
+                f"error: {paths[1]}: line 2: malformed amount '-1'\n",
+            )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ingest-check", "{tape}"], ["plot-data", "{tape}", "--which", "sizes", "--out", "{tmp}"]],
+    ids=["ingest-check", "plot-data"],
+)
+def test_a_closed_pipe_exits_1_without_a_traceback(argv, tmp_path):
+    tape = tmp_path / "t.csv"
+    tape.write_text("exchange,pair,timestamp_ms,price,amount\nU1,BTC/USD,1,1.0,0.0213\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(washdetect.__file__).resolve().parents[1])}
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "washdetect", *(a.format(tape=tape, tmp=tmp_path) for a in argv)],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (EXIT_FATAL, "")
 
 
 def test_cli_import_leaves_out_scipy_stats():

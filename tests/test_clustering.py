@@ -17,7 +17,7 @@ from washdetect.clustering import (
 )
 from washdetect.distributions import t_cdf
 from washdetect.errors import InsufficientDataError
-from washdetect.trades import BUILTIN_PAIR_SPECS
+from washdetect.trades import BUILTIN_PAIR_SPECS, SortedAmounts
 from washdetect.verdicts import P_FLOOR
 
 BTC = BUILTIN_PAIR_SPECS["BTC/USD"]
@@ -89,6 +89,9 @@ def loop_windows(amounts_subunits, spec, step, min_support):
 def assert_matches_loop(amounts, spec, step, min_support):
     got = cluster_windows(amounts, spec, step, min_support=min_support)
     assert all(a.dtype == np.int64 for a in got)
+    # the same bytes from the group's sorted amounts, which the battery hands both grids
+    shared = cluster_windows(SortedAmounts.of(amounts[::-1], spec), spec, step, min_support=min_support)
+    assert [a.tobytes() for a in shared] == [a.tobytes() for a in got]
     rows, differences = loop_windows(amounts, spec, step, min_support)
     expected = np.array(rows, dtype=np.int64).reshape(-1, 4).T
     for name, have, want in zip(("centers", "counts", "at_center", "best"), got, expected):
@@ -149,6 +152,11 @@ class TestArrayWindowsMatchLoop:
 
     def test_empty_tape_has_no_windows(self):
         assert all(a.size == 0 and a.dtype == np.int64 for a in cluster_windows(np.zeros(0, np.int64), BTC))
+
+    def test_sorted_amounts_must_be_of_the_pair_tested(self):
+        amounts = SortedAmounts.of(subs([200] * 60), BTC)
+        with pytest.raises(ValueError, match="BTC/USD given for ETH/USD"):
+            run_cluster_test(amounts, BUILTIN_PAIR_SPECS["ETH/USD"], 100)
 
 
 class TestWindowFrequencies:

@@ -360,6 +360,45 @@ class TestInputBoundary:
             (7, "malformed amount '3\\nX,BTC/USD,1,1.5,1\\n'"),
         ]
 
+    JSONL_ROW = '{{"exchange": "X", "pair": "BTC/USD", "timestamp_ms": {}, "price": 1.5, "amount": "{}"}}\n'
+    BOM_TAPES = {
+        "csv": f"{','.join(CSV_HEADER)}\nX,BTC/USD,1,1.5,1\nX,BTC/USD,2,1.5,0\nX,BTC/USD,3,1.5,2\n",
+        "jsonl": JSONL_ROW.format(1, 1) + JSONL_ROW.format(2, 0) + JSONL_ROW.format(3, 2),
+    }
+
+    @pytest.mark.parametrize("block", [1, 2, 16])
+    @pytest.mark.parametrize("kind", ["path", "bytes", "binary stream", "text stream"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_one_leading_byte_order_mark_is_skipped(self, fmt, kind, block, tmp_path):
+        text = self.BOM_TAPES[fmt]
+        line = 3 if fmt == "csv" else 2  # the CSV header is line 1
+
+        def source(text):
+            if kind == "path":
+                path = tmp_path / f"t.{fmt}"
+                path.write_text(text, encoding="utf-8")
+                return path
+            data = text.encode()
+            return {"bytes": data, "binary stream": io.BytesIO(data), "text stream": io.StringIO(text)}[kind]
+
+        with mock.patch.object(ingest, "BLOCK_BYTES", block):
+            ds, report = parse_trades(source("\ufeff" + text), fmt)
+            plain, plain_report = parse_trades(source(text), fmt)
+            with pytest.raises(ParseError, match=f"line {line}: non-positive amount '0'"):
+                parse_trades(source("\ufeff" + text), fmt, strict=True)
+        # line numbers are those of the file without the mark
+        assert report == plain_report and report.rejected == [(line, "non-positive amount '0'")]
+        amounts = ds.group("X", "BTC/USD").amounts.tolist()
+        assert amounts == plain.group("X", "BTC/USD").amounts.tolist() == [10**8, 2 * 10**8]
+
+    def test_only_one_byte_order_mark_is_skipped(self):
+        with pytest.raises(ParseError, match="bad CSV header"):
+            parse_trades(("\ufeff\ufeff" + self.BOM_TAPES["csv"]).encode())
+        # a mark further on is part of its line
+        text = "\ufeff" + self.BOM_TAPES["jsonl"] + "\ufeff" + self.JSONL_ROW.format(4, 1)
+        _, report = parse_trades(text.encode(), "jsonl")
+        assert [line for line, _ in report.rejected] == [2, 4]
+
     def test_scalar_path_sees_only_off_grammar_rows(self):
         calls = []
 

@@ -2,14 +2,19 @@
 
 import json
 import math
+import sys
+import threading
 from importlib import resources
+from unittest import mock
 
 import jsonschema
+import numpy as np
 import pytest
 from scipy import stats
 
-from washdetect.errors import EstimationError
-from washdetect.ingest import TradeDataset
+from washdetect import ingest
+from washdetect.errors import AmountError, EstimationError, PairConfigError
+from washdetect.ingest import TradeDataset, TradeGroup
 from washdetect.report import (
     BENFORD_EMULATION_N,
     RunConfig,
@@ -136,6 +141,52 @@ class TestBattery:
         assert [ex.failure_rate for ex in rep.exchanges[3:]] == [1.0, 1.0, 1.0]
         assert rep.wash_failure_fit is None
         assert "wash-failure fit skipped: singular regression: all failure rates equal" in rep.warnings
+
+
+@pytest.fixture
+def fast_thread_switches():
+    """A 1 µs switch interval, so that threads take turns at nearly every
+    bytecode."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+class TestGroupsSideBySide:
+    """The groups' tests run on up to ``ingest._WORKERS`` threads."""
+
+    def test_report_is_the_same_on_one_thread_and_on_three(self, fast_thread_switches):
+        ds = make_dataset(
+            [("R1", 1, 20_000, 0.0), ("R2", 2, 15_000, 0.0), ("R3", 3, 12_000, 0.0), ("U1", 4, 15_000, 0.8)]
+        )
+        ds.groups.update(make_dataset([("U2", 5, 300, 0.5)]).groups)  # too few trades for most tests
+        meta = make_meta(["R1", "R2", "R3"], ["U1", "U2"])
+        texts = []
+        for workers in (1, 3):
+            with mock.patch.object(ingest, "_WORKERS", workers):
+                texts.append(dump_report_json(run_battery(ds, REG, meta, RunConfig(bootstrap=100, seed=3))))
+        assert texts[0] == texts[1]
+        report = json.loads(texts[0])
+        assert [ex["exchange_id"] for ex in report["exchanges"]] == ["R1", "R2", "R3", "U1", "U2"]
+        assert report["exchanges"][3]["pairs"][0]["roundness"] is not None
+
+    def test_the_first_failure_in_key_order_is_raised(self, fast_thread_switches):
+        # A fails after sorting 400k amounts, C at once, so on three threads C fails first
+        amounts = np.arange(400_000, dtype=np.int64)[::-1].copy()
+        ds = make_dataset([("B", 2, 5_000, 0.0)])
+        ds.groups[("A", "BTC/USD")] = TradeGroup("A", "BTC/USD", amounts, amounts, amounts.astype(np.float64))
+        ds.groups[("C", "CCC/USD")] = TradeGroup("C", "CCC/USD", amounts[:1], amounts[:1], np.ones(1))
+        before = threading.active_count()
+        for workers in (1, 3):
+            with mock.patch.object(ingest, "_WORKERS", workers), pytest.raises(AmountError, match="non-positive"):
+                run_battery(ds, REG, config=RunConfig(estimate_wash=False))
+            assert threading.active_count() == before
+        alone = TradeDataset({("C", "CCC/USD"): ds.groups[("C", "CCC/USD")]})
+        with pytest.raises(PairConfigError, match="CCC/USD"):
+            run_battery(alone, REG, config=RunConfig(estimate_wash=False))
 
 
 class TestAgainstScipy:

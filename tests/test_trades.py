@@ -10,6 +10,8 @@ from washdetect.errors import AmountError, ConfigError, PairConfigError
 from washdetect.ingest import TradeDataset, TradeGroup, parse_trades
 from washdetect.synth import GeneratorConfig, LabeledTape, write_tape
 from washdetect.trades import (
+    BASE_UNIT_EXPONENT_MAX,
+    BASE_UNIT_EXPONENT_MIN,
     BUILTIN_PAIR_SPECS,
     MAX_AMOUNT_SUBUNITS,
     PairRegistry,
@@ -223,6 +225,21 @@ class TestRoundnessLevel:
     def test_trailing_zeros_match_string_count(self, values):
         counts = trailing_zero_counts(np.array(values, dtype=np.int64))
         assert counts.tolist() == [len(str(v)) - len(str(v).rstrip("0")) for v in values]
+
+    @given(
+        st.lists(
+            st.one_of(amount_subunits, st.builds(lambda m, k: m * 10**k, st.integers(1, 999), st.integers(0, 15))),
+            min_size=1,
+            max_size=100,
+        ),
+        st.integers(BASE_UNIT_EXPONENT_MIN, BASE_UNIT_EXPONENT_MAX),
+    )
+    def test_distribution_matches_the_bucket_counts(self, values, exponent):
+        spec = PairSpec("P", exponent)
+        arr = np.array(values, dtype=np.int64)
+        counts = roundness_distribution(arr, spec)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == np.bincount(roundness_level_indices(arr, spec), minlength=8).tolist()
 
     @pytest.mark.parametrize("values", [[0, 100], [100, -10], [-(2**63)]])
     def test_non_positive_amount_raises(self, values):
