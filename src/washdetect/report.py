@@ -58,8 +58,8 @@ class RunConfig:
             raise ConfigError(f"alpha must be in (0, 0.5], got {self.alpha}")
         if self.effective_n is not None and self.effective_n <= 0:
             raise ConfigError(f"effective_n must be positive or None (raw), got {self.effective_n}")
-        if self.bootstrap and self.bootstrap < 100:
-            raise ConfigError(f"bootstrap must be 0 or >= 100, got {self.bootstrap}")
+        if self.bootstrap and self.bootstrap < we.MIN_REPLICATES:
+            raise ConfigError(f"bootstrap must be 0 or >= {we.MIN_REPLICATES}, got {self.bootstrap}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.min_window_support < 1:
@@ -221,6 +221,7 @@ def _wash_section(
                 report.warnings.append(f"benchmark for {scope} not fitted: {exc}")
     report.benchmark_models = models
 
+    fits: dict[str, Any] = {}  # each scope's bootstrap fit, or the flag its targets get instead
     for ex_rep in report.exchanges:
         if ex_rep.exchange_id in regulated:
             continue
@@ -230,31 +231,26 @@ def _wash_section(
             if not target:
                 continue
             scope = pair_rep.pair if pair_rep.pair in models else "pooled"
-            model = models.get(scope)
             try:
-                if model is None or (model.pair_levels and pair_rep.pair not in model.pair_levels):
+                if scope not in models:
                     raise EstimationError("no benchmark model covers this pair")
-                est = we.estimate_wash(target, model, meta=meta)
+                est = we.estimate_wash(target, models[scope], meta=meta)
             except (InsufficientDataError, EstimationError) as exc:
                 ex_rep.flags.append(f"wash estimate failed for {pair_rep.pair}: {exc}")
                 continue
-            bench = rows_of(regulated, scope)
-            if config.bootstrap and not bench:
-                est = replace(est, flags=est.flags + ("bootstrap skipped: no benchmark rows",))
-            elif config.bootstrap:
+            if config.bootstrap and scope not in fits:  # one fit serves every target of a scope
+                bench = rows_of(regulated, scope)
                 try:
-                    sd = we.bootstrap_wash_sd(
-                        target,
-                        bench,
-                        n_boot=config.bootstrap,
-                        seed=config.seed,
-                        meta=meta,
-                        use_controls=model.controls_used,
-                    )
+                    fits[scope] = we.fit_bootstrap(
+                        bench, n_boot=config.bootstrap, seed=config.seed, meta=meta,
+                        use_controls=models[scope].controls_used,
+                    ) if bench else "bootstrap skipped: no benchmark rows"
                 except EstimationError as exc:
-                    est = replace(est, flags=est.flags + (f"bootstrap failed: {exc}",))
-                else:
-                    est = replace(est, bootstrap_sd=sd)
+                    fits[scope] = f"bootstrap failed: {exc}"
+            if isinstance(fits.get(scope), str):
+                est = replace(est, flags=est.flags + (fits[scope],))
+            elif config.bootstrap:
+                est = replace(est, bootstrap_sd=we.replicate_sd(target, fits[scope], meta=meta))
             per_pair.append(est)
         ex_rep.wash_by_pair = per_pair
         wash_volume = sum(e.wash_volume for e in per_pair)

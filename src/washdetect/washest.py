@@ -3,10 +3,10 @@
 Regulated exchanges anchor the benchmark: a log-log regression of weekly
 unrounded volume on round volume (optionally with exchange covariates) pins
 how much unrounded flow legitimate trading produces per unit of round flow.
-Unrounded volume in excess of that prediction on a target exchange is the
-wash estimate. A row bootstrap over the benchmark panel gives standard
-errors, and leave-one-out cross-validation over the regulated exchanges
-checks that the method reads near zero where no wash trading is expected.
+The excess of unrounded volume over that prediction, floored per week, is a
+target's wash. Standard errors come from a row bootstrap over the benchmark,
+fitted once per scope for all its targets; leave-one-out over the regulated
+exchanges checks that the method reads near zero where wash is not expected.
 
 Roundness-level distributions (Pearson chi-squared against a pooled
 regulated benchmark) give a complementary distribution-shape test.
@@ -172,13 +172,34 @@ def dump_models(models: dict[str, BenchmarkModel]) -> dict[str, dict]:
 
 
 def load_models(path: str | Path) -> dict[str, BenchmarkModel]:
-    """Read a benchmark-model file, the JSON of :func:`dump_models`."""
+    """Read a benchmark-model file, the JSON of :func:`dump_models`.
+
+    Each model must give one finite coefficient per feature name, name only
+    regressors that :func:`fit_benchmark` makes, the four controls exactly
+    when ``controls_used``, and list its pairs as strings; else
+    :class:`ConfigError` names the file and the scope.
+    """
     models = {}
     for scope, obj in read_json_object(path).items():
         try:
-            models[scope] = BenchmarkModel.from_json(obj)
+            model = models[scope] = BenchmarkModel.from_json(obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: model {scope!r}: missing or bad field: {exc}") from None
+        names, levels = model.feature_names, obj.get("pair_levels", [])
+        known = ("const", "ln_round", *CONTROL_FIELDS)
+        if len(model.coefficients) != len(names):
+            problem = f"{len(model.coefficients)} coefficients for {len(names)} feature names"
+        elif not all(map(math.isfinite, model.coefficients)):
+            problem = "a coefficient is not finite"
+        elif bad := [n for n in names if n not in known and not (isinstance(n, str) and n[:5] == "pair=" and n[5:])]:
+            problem = f"unknown feature name {bad[0]!r}"
+        elif not isinstance(levels, list) or not all(isinstance(p, str) for p in levels):
+            problem = "pair_levels is not a list of strings"
+        elif model.controls_used != (set(CONTROL_FIELDS) <= set(names)):
+            problem = "controls_used does not match the feature names"
+        else:
+            continue
+        raise ConfigError(f"{path}: model {scope!r}: {problem}")
     return models
 
 
@@ -318,6 +339,25 @@ def _target_exchange(panel: Sequence[WeeklyVolumeSplit]) -> str:
     return next(iter(exchanges))
 
 
+def _wash_volumes(
+    panel: Sequence[WeeklyVolumeSplit],
+    feature_names: Sequence[str],
+    coefficients: np.ndarray,
+    meta: dict[str, ExchangeMeta] | None,
+) -> tuple[np.ndarray, float]:
+    """The panel's wash volume under each row of ``coefficients``, and its
+    total volume. A week's wash is its unrounded volume's excess over the
+    prediction, floored at zero, or all of it if the week has no round
+    volume and so no prediction."""
+    _target_exchange(panel)
+    positive = [r for r in panel if r.round_subunits > 0]
+    x = _design_matrix(positive, feature_names, meta)
+    unrounded = np.array([r.unrounded_volume for r in positive])
+    excess = np.maximum(0.0, unrounded[:, None] - np.exp(x @ coefficients.T)).sum(axis=0)
+    zero_round = sum(r.unrounded_volume for r in panel if r.round_subunits <= 0)
+    return zero_round + excess, sum(r.round_volume + r.unrounded_volume for r in panel)
+
+
 def estimate_wash(
     rows: Iterable[WeeklyVolumeSplit],
     model: BenchmarkModel,
@@ -326,37 +366,25 @@ def estimate_wash(
 ) -> WashEstimate:
     """Excess unrounded volume of one exchange over the benchmark prediction.
 
-    Week by week, the non-negative excess of observed unrounded volume over
-    the predicted legitimate level counts as wash; flooring per week keeps
-    legitimate weeks from offsetting fabricated ones. Weeks with zero round
-    volume have no defined prediction, so their entire unrounded volume
-    counts as excess and the estimate is flagged.
+    Flooring it per week keeps legitimate weeks from offsetting fabricated
+    ones; a week with no round volume flags the estimate. A pair outside a
+    pooled model's ``pair_levels`` raises :class:`EstimationError`.
     """
     panel = list(rows)
-    exchange_id = _target_exchange(panel)
-    x = iter(_design_matrix([r for r in panel if r.round_subunits > 0], model.feature_names, meta))
-    coefficients = np.array(model.coefficients)
-    flags: tuple[str, ...] = ()
-    wash_volume = 0.0
-    total = 0.0
-    for row in panel:
-        total += row.round_volume + row.unrounded_volume
-        if row.round_subunits > 0:
-            predicted = math.exp(float(next(x) @ coefficients))
-            wash_volume += max(0.0, row.unrounded_volume - predicted)
-        else:
-            wash_volume += row.unrounded_volume
-            flags = ("zero_round_weeks",)
     pairs = sorted({r.pair for r in panel})
+    if model.pair_levels and not set(pairs) <= set(model.pair_levels):
+        raise EstimationError("no benchmark model covers this pair")
+    wash, total = _wash_volumes(panel, model.feature_names, np.array([model.coefficients]), meta)
+    wash_volume = float(wash[0])
     return WashEstimate(
-        exchange_id=exchange_id,
+        exchange_id=panel[0].exchange_id,
         scope=pairs[0] if len(pairs) == 1 else "aggregate",
         wash_volume=wash_volume,
         wash_percent=100.0 * wash_volume / total,
         total_volume=total,
         n_weeks=len(panel),
         controls_used=model.controls_used,
-        flags=flags,
+        flags=("zero_round_weeks",) if any(r.round_subunits <= 0 for r in panel) else (),
     )
 
 
@@ -369,45 +397,51 @@ def bootstrap_wash_sd(
     meta: dict[str, ExchangeMeta] | None = None,
     use_controls: bool = False,
 ) -> float:
-    """Bootstrap standard deviation of the wash percentage.
-
-    Benchmark exchange-week rows are resampled with replacement, the model
-    refitted, and the target re-estimated. Replicates with a singular or
-    underdetermined refit are redrawn (at most 10x the replicate budget).
-    A target panel that :func:`estimate_wash` rejects fails at once with the
-    same error. Deterministic under a fixed seed.
+    """Bootstrap standard deviation of the wash percentage: :func:`replicate_sd`
+    on a :func:`fit_bootstrap` of the benchmark rows. An empty target panel,
+    or one that spans exchanges, fails at once, before any refit.
     """
-    replicates, _ = _bootstrap_replicates(
-        target_rows, benchmark_rows, n_boot=n_boot, seed=seed, meta=meta, use_controls=use_controls
-    )
-    return float(np.std(replicates, ddof=1))
+    panel = list(target_rows)
+    if n_boot >= MIN_REPLICATES:  # a short budget is the fit's error, raised first
+        _target_exchange(panel)
+    fit = fit_bootstrap(benchmark_rows, n_boot=n_boot, seed=seed, meta=meta, use_controls=use_controls)
+    return replicate_sd(panel, fit, meta=meta)
 
 
+def replicate_sd(
+    target_rows: Sequence[WeeklyVolumeSplit],
+    fit: tuple[list[str], np.ndarray, int],
+    *,
+    meta: dict[str, ExchangeMeta] | None = None,
+) -> float:
+    """Standard deviation of the target's wash percentage over a fit's replicates."""
+    wash, total = _wash_volumes(list(target_rows), fit[0], fit[1], meta)
+    return float(np.std(100.0 * wash / total, ddof=1))
+
+
+MIN_REPLICATES = 100
 BOOTSTRAP_GATHER_BYTES = 1 << 21  # cap on the design rows gathered for one chunk of replicates
 
 
-def _bootstrap_replicates(
-    target_rows: Sequence[WeeklyVolumeSplit],
+def fit_bootstrap(
     benchmark_rows: Sequence[WeeklyVolumeSplit],
     *,
     n_boot: int = 1000,
     seed: int = 0,
     meta: dict[str, ExchangeMeta] | None = None,
     use_controls: bool = False,
-) -> tuple[np.ndarray, int]:
-    """The kept replicate wash percentages in draw order, and the draws made.
-
-    Draw ``i`` is the ``i``-th ``integers(0, n, n)`` of the seeded stream,
-    and a replicate is kept exactly when :func:`fit_benchmark` on its rows
-    would succeed: at least ``MIN_BENCHMARK_OBS`` usable rows, regressors
-    chosen from the pairs among them, and full rank under ``matrix_rank``'s
-    default tolerance. Replicates are refitted a chunk at a time, one stacked
-    SVD per set of pairs present, with unusable draws as zero rows.
+) -> tuple[list[str], np.ndarray, int]:
+    """The benchmark refitted on ``n_boot`` resamples of its rows, for every
+    target of a scope: the regressor names, with an indicator for each pair
+    of the usable rows; the kept replicates' coefficients, a row each in draw
+    order, zero where the replicate's own fit has no term; and the draws made.
+    Draw ``i`` is the ``i``-th ``integers(0, n, n)`` of the seeded stream. A
+    replicate is kept exactly when :func:`fit_benchmark` on its rows would
+    succeed, else redrawn, up to 10x ``n_boot`` draws. Draws are refitted a
+    chunk at a time, one stacked SVD per set of pairs present.
     """
-    if n_boot < 100:
-        raise EstimationError(f"need at least 100 bootstrap replicates, got {n_boot}")
-    panel = list(target_rows)
-    _target_exchange(panel)
+    if n_boot < MIN_REPLICATES:
+        raise EstimationError(f"need at least {MIN_REPLICATES} bootstrap replicates, got {n_boot}")
     bench = list(benchmark_rows)
     usable = np.array([_usable(r) for r in bench], dtype=bool)
     rows = [r for r, ok in zip(bench, usable) if ok]
@@ -420,17 +454,11 @@ def _bootstrap_replicates(
     y[usable] = [math.log(r.unrounded_volume) for r in rows]
     pair_of = x[:, len(base):] > 0
 
-    positive = [r for r in panel if r.round_subunits > 0]
-    target_x = _design_matrix(positive, names, meta)
-    target_unrounded = np.array([r.unrounded_volume for r in positive])
-    zero_round_volume = sum(r.unrounded_volume for r in panel if r.round_subunits <= 0)
-    total = sum(r.round_volume + r.unrounded_volume for r in panel)
-
-    def wash_percents(idx: np.ndarray) -> np.ndarray:
-        """Each draw's wash percentage, NaN where its refit fails."""
-        drawn = usable[idx]
-        n_usable = drawn.sum(axis=1)
-        pct = np.full(len(idx), np.nan)
+    def refit(idx: np.ndarray) -> np.ndarray:
+        """The coefficients of each draw whose refit succeeds."""
+        n_usable = usable[idx].sum(axis=1)
+        beta = np.zeros((len(idx), len(names)))
+        kept = np.zeros(len(idx), dtype=bool)
         fits = np.flatnonzero(n_usable >= MIN_BENCHMARK_OBS)
         pair_sets, which = np.unique(pair_of[idx[fits]].any(axis=1), axis=0, return_inverse=True)
         for s, pair_set in enumerate(pair_sets):
@@ -441,11 +469,9 @@ def _bootstrap_replicates(
             ok = np.count_nonzero(sv > tol[:, None], axis=1) == len(cols)
             u, sv, vt, sel = u[ok], sv[ok], vt[ok], sel[ok]
             uty = np.einsum("rnk,rn->rk", u, y[idx[sel]])
-            beta = np.einsum("rkj,rk->rj", vt, uty / sv)
-            predicted = np.exp(target_x[:, cols] @ beta.T)
-            excess = np.maximum(0.0, target_unrounded[:, None] - predicted).sum(axis=0)
-            pct[sel] = 100.0 * (zero_round_volume + excess) / total
-        return pct
+            beta[np.ix_(sel, cols)] = np.einsum("rkj,rk->rj", vt, uty / sv)
+            kept[sel] = True
+        return beta[kept]
 
     rng = np.random.default_rng(seed)
     n = len(bench)
@@ -456,11 +482,10 @@ def _bootstrap_replicates(
         m = min(chunk, n_boot - n_kept, 10 * n_boot - attempts)
         if m == 0:
             raise EstimationError("too many singular replicates")
-        pct = wash_percents(rng.integers(0, n, (m, n)))
+        kept.append(refit(rng.integers(0, n, (m, n))))
         attempts += m
-        kept.append(pct[~np.isnan(pct)])
-        n_kept += kept[-1].size
-    return np.concatenate(kept), attempts
+        n_kept += len(kept[-1])
+    return names, np.concatenate(kept), attempts
 
 
 def cross_validate_regulated(

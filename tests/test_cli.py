@@ -592,6 +592,11 @@ class TestFlags:
         "argv",
         [
             ["report", "{tape}", "--model", "{tmp}/bad_model.json"],
+            ["estimate-wash", "{tape}", "--model", "{tmp}/model_count.json"],
+            ["estimate-wash", "{tape}", "--model", "{tmp}/model_nan.json"],
+            ["estimate-wash", "{tape}", "--model", "{tmp}/model_feature.json"],
+            ["estimate-wash", "{tape}", "--model", "{tmp}/model_levels.json"],
+            ["estimate-wash", "{tape}", "--model", "{tmp}/model_controls.json"],
             ["benford", "{tape}", "--effective-n", "abc"],
             ["report", "{tape}", "--meta", "{tmp}/no_class.json"],
             ["benford", "{tape}", "--pairs", "{tmp}/not_json.json"],
@@ -618,6 +623,11 @@ class TestFlags:
         ],
         ids=[
             "model-key",
+            "model-coefficient-count",
+            "model-coefficient-nan",
+            "model-feature-name",
+            "model-pair-levels",
+            "model-controls",
             "effective-n",
             "meta-key",
             "pairs-json",
@@ -647,6 +657,16 @@ class TestFlags:
         tape = tmp_path / "u1.csv"
         tape.write_text("exchange,pair,timestamp_ms,price,amount\nU1,BTC/USD,1,1.0,0.0213\n")
         (tmp_path / "bad_model.json").write_text('{"BTC/USD": {}}')
+        model = {"feature_names": ["const", "ln_round"], "coefficients": [0.5, 1.0], "resid_se": 0.1,
+                 "scope": "per-pair", "n_obs": 9, "n_dropped": 0, "controls_used": False}
+        for name, bad in {
+            "count": {"coefficients": [1.0]},
+            "nan": {"coefficients": [float("nan"), 1.0]},
+            "feature": {"feature_names": ["const", "volume"]},
+            "levels": {"pair_levels": "BTC/USD"},
+            "controls": {"controls_used": True},
+        }.items():
+            (tmp_path / f"model_{name}.json").write_text(json.dumps({"BTC/USD": {**model, **bad}}))
         (tmp_path / "no_class.json").write_text('{"U1": {"name": "U1"}}')
         (tmp_path / "not_json.json").write_text("{not json")
         assert main([a.format(tmp=tmp_path, tape=tape) for a in argv]) == EXIT_FATAL
@@ -834,6 +854,8 @@ def test_cli_and_scripts_leave_the_detectors_to_the_battery():
         "fit_benchmark",
         "estimate_wash",
         "bootstrap_wash_sd",
+        "fit_bootstrap",
+        "replicate_sd",
         "cross_validate_regulated",
     }
     root = Path(__file__).resolve().parents[1]

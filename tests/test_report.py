@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from washdetect import ingest
+from washdetect import ingest, washest
 from washdetect.errors import AmountError, EstimationError, PairConfigError
 from washdetect.ingest import TradeDataset, TradeGroup
 from washdetect.report import (
@@ -27,6 +27,7 @@ from washdetect.report import (
 from washdetect.synth import GeneratorConfig, gen_exchange
 from washdetect.trades import ExchangeMeta, PairRegistry, RegulatoryClass
 from washdetect.verdicts import P_FLOOR
+from washdetect.washest import bootstrap_wash_sd
 
 REG = PairRegistry()
 
@@ -187,6 +188,44 @@ class TestGroupsSideBySide:
         alone = TradeDataset({("C", "CCC/USD"): ds.groups[("C", "CCC/USD")]})
         with pytest.raises(PairConfigError, match="CCC/USD"):
             run_battery(alone, REG, config=RunConfig(estimate_wash=False))
+
+
+class TestBootstrapOncePerScope:
+    """A scope's replicates are fitted once and scored on each of its targets."""
+
+    @pytest.mark.parametrize("pool_pairs", [False, True], ids=["per-pair", "pooled"])
+    def test_each_target_gets_the_sd_of_a_lone_call(self, pool_pairs):
+        ds = TradeDataset()
+        exchanges = [("R1", 0.0), ("R2", 0.0), ("R3", 0.0), ("U1", 0.3), ("U2", 0.6), ("U3", 0.9)]
+        for i, (ex, wash) in enumerate(exchanges):
+            for j, pair in enumerate(("BTC/USD", "ETH/USD")):
+                config = GeneratorConfig(seed=10 * i + j, exchange_id=ex, pair=pair, n_trades=8_000,
+                                         wash_fraction=wash, profile="stable-panel")
+                ds.groups.update(gen_exchange(config).dataset.groups)
+        meta = make_meta(["R1", "R2", "R3"], ["U1", "U2", "U3"])
+        config = RunConfig(bootstrap=100, seed=3, pool_pairs=pool_pairs)
+        fitted, fit = [], washest.fit_bootstrap
+
+        def counted(rows, **kwargs):
+            fitted.append(sorted({r.pair for r in rows}))
+            return fit(rows, **kwargs)
+
+        reports = []
+        for workers in (1, 3):
+            with mock.patch.object(ingest, "_WORKERS", workers), mock.patch.object(washest, "fit_bootstrap", counted):
+                reports.append(run_battery(ds, REG, meta, config))
+        scopes = [["BTC/USD", "ETH/USD"]] if pool_pairs else [["BTC/USD"], ["ETH/USD"]]
+        assert fitted == 2 * scopes
+        panel = {}
+        for row in ingest.weekly_split(ds, REG):
+            panel.setdefault((row.exchange_id, row.pair), []).append(row)
+        for ex, again in zip(reports[0].exchanges[3:], reports[1].exchanges[3:]):
+            assert [e.scope for e in ex.wash_by_pair] == ["BTC/USD", "ETH/USD"]
+            for est, est_again in zip(ex.wash_by_pair, again.wash_by_pair):
+                bench = [r for (reg, pair), rows in panel.items() if reg[0] == "R" and (pool_pairs or pair == est.scope)
+                         for r in rows]
+                lone = bootstrap_wash_sd(panel[ex.exchange_id, est.scope], bench, n_boot=100, seed=3, meta=meta)
+                assert est.bootstrap_sd == lone == est_again.bootstrap_sd
 
 
 class TestAgainstScipy:

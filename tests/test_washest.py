@@ -10,12 +10,14 @@ from washdetect.errors import EstimationError, InsufficientDataError
 from washdetect.ingest import WeeklyVolumeSplit
 from washdetect.trades import BUILTIN_PAIR_SPECS, ExchangeMeta, RegulatoryClass, parse_amount
 from washdetect.washest import (
-    _bootstrap_replicates,
+    _design_matrix,
+    _wash_volumes,
     bootstrap_wash_sd,
     cross_validate_regulated,
     dump_models,
     estimate_wash,
     fit_benchmark,
+    fit_bootstrap,
     load_models,
     roundness_chi_squared,
     roundness_distribution,
@@ -32,6 +34,94 @@ def split(ex, week, round_vol, unrounded_vol, pair="BTC/USD"):
 
 def identity_panel(ex, weeks=12, scale=1.0):
     return [split(ex, w, scale * (1 + w % 3), scale * (1 + w % 3)) for w in range(weeks)]
+
+
+def reference_wash(rows, model, meta=None):
+    """The wash rule as a loop over the weeks in order, one ``math.exp`` per
+    week: the wash volume and percentage, and the flags."""
+    x = iter(_design_matrix([r for r in rows if r.round_subunits > 0], model.feature_names, meta))
+    coefficients = np.array(model.coefficients)
+    flags = ()
+    wash_volume = total = 0.0
+    for row in rows:
+        total += row.round_volume + row.unrounded_volume
+        if row.round_subunits > 0:
+            predicted = math.exp(float(next(x) @ coefficients))
+            wash_volume += max(0.0, row.unrounded_volume - predicted)
+        else:
+            wash_volume += row.unrounded_volume
+            flags = ("zero_round_weeks",)
+    return wash_volume, 100.0 * wash_volume / total, flags
+
+
+def loop_replicates(target, bench, n_boot, seed, meta=None, use_controls=False):
+    """The bootstrap as one fit_benchmark and reference_wash per draw."""
+    rng = np.random.default_rng(seed)
+    replicates = []
+    attempts = 0
+    while len(replicates) < n_boot:
+        attempts += 1
+        if attempts > 10 * n_boot:
+            raise EstimationError("too many singular replicates")
+        sample = [bench[i] for i in rng.integers(0, len(bench), len(bench))]
+        try:
+            model = fit_benchmark(sample, meta=meta, use_controls=use_controls)
+        except (EstimationError, InsufficientDataError):
+            continue
+        replicates.append(reference_wash(target, model, meta)[1])
+    return replicates, attempts
+
+
+def noisy_panel(ex, weeks, seed, pair="BTC/USD", ratio=2.5):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for w in range(weeks):
+        v = float(np.exp(rng.normal(2.0, 1.0)))
+        rows.append(split(ex, w, v, ratio * v * float(np.exp(rng.normal(0.0, 0.2))), pair))
+    return rows
+
+
+def wash_target(weeks=12, pair="BTC/USD"):
+    return [split("U1", w, 1.0 + w % 5, 9.0 * (1.0 + w % 5), pair) for w in range(weeks)]
+
+
+def controls_meta():
+    meta = {
+        f"R{i}": ExchangeMeta(f"R{i}", RegulatoryClass.REGULATED, age_years=i, rank=3 * i % 7 + 1,
+                              traffic_pct=i * i % 5 + 1, unique_visitors=10 + i**3 % 11)
+        for i in range(1, 7)
+    }
+    meta["U1"] = ExchangeMeta("U1", RegulatoryClass.UNREGULATED_TIER2, age_years=2.5, rank=4.0,
+                              traffic_pct=3.0, unique_visitors=12.0)
+    return meta
+
+
+def oracle_panels():
+    per_pair = [r for i in (1, 2, 3) for r in noisy_panel(f"R{i}", 12, i)]
+    two_pairs = per_pair + [r for i in (1, 2, 3) for r in noisy_panel(f"R{i}", 12, 10 + i, "ETH/USD", 1.5)]
+    rare_pair = per_pair + noisy_panel("R1", 2, 20, "ETH/USD", 1.5)
+    six = [r for i in range(1, 7) for r in noisy_panel(f"R{i}", 20, 30 + i, ratio=2.0 + 0.1 * i)]
+    zeros = per_pair + [split("R1", 90, 0.0, 3.0), split("R2", 91, 4.0, 0.0), split("R3", 92, 0.0, 0.0)]
+    zero_target = wash_target() + [split("U1", 50, 0.0, 7.0), split("U1", 51, 0.0, 2.0)]
+    # eight weeks at one round volume: a draw without R2's week 1 is singular,
+    # and one with three or more of R2's zero-round week 2 is short of rows
+    singular = [split("R1", w, 3.0, 7.0 + w) for w in range(8)]
+    singular += [split("R2", 1, 5.0, 11.0), split("R2", 2, 0.0, 1.0)]
+    return {
+        "per-pair": (wash_target(), per_pair, {}),
+        "pooled": (wash_target(pair="ETH/USD"), two_pairs, {}),
+        "rare-pair": (wash_target(pair="ETH/USD"), rare_pair, {}),
+        "controls": (wash_target(), six, {"meta": controls_meta(), "use_controls": True}),
+        "zero-weeks": (zero_target, zeros, {}),
+        "singular": (wash_target(), singular, {}),
+    }
+
+
+def batched_replicates(target, bench, n_boot, seed, meta=None, use_controls=False):
+    """The wash percentages of fit_bootstrap's replicates, and its draws."""
+    names, coefficients, draws = fit_bootstrap(bench, n_boot=n_boot, seed=seed, meta=meta, use_controls=use_controls)
+    wash, total = _wash_volumes(target, names, coefficients, meta)
+    return 100.0 * wash / total, draws
 
 
 class TestRoundnessDistribution:
@@ -205,6 +295,30 @@ class TestEstimateWash:
         with pytest.raises(EstimationError):
             estimate_wash(identity_panel("U1") + identity_panel("U2"), model)
 
+    @pytest.mark.parametrize("name", sorted(oracle_panels()))
+    def test_matches_the_week_loop(self, name):
+        target, bench, kwargs = oracle_panels()[name]
+        model = fit_benchmark(bench, **kwargs)
+        # the second target trades like the benchmark, so the floor cuts about half its weeks
+        for rows in (target, noisy_panel("U1", 12, 99, target[0].pair)):
+            est = estimate_wash(rows, model, meta=kwargs.get("meta"))
+            volume, percent, flags = reference_wash(rows, model, kwargs.get("meta"))
+            assert est.wash_volume == pytest.approx(volume, rel=1e-12, abs=0)
+            assert est.wash_percent == pytest.approx(percent, rel=1e-12, abs=0)
+            assert est.flags == flags
+
+    def test_a_pair_outside_a_pooled_model_raises(self):
+        bench = [r for i in (1, 2, 3) for r in noisy_panel(f"R{i}", 12, i)]
+        bench += [r for i in (1, 2, 3) for r in noisy_panel(f"R{i}", 12, 10 + i, "LTC/USD", 1.5)]
+        model = fit_benchmark(bench)
+        assert model.pair_levels == ("BTC/USD", "LTC/USD")
+        with pytest.raises(EstimationError, match="no benchmark model covers this pair"):
+            estimate_wash(wash_target(pair="ETH/USD"), model)
+        # an aggregate panel needs every one of its pairs covered
+        with pytest.raises(EstimationError, match="no benchmark model covers this pair"):
+            estimate_wash(wash_target() + wash_target(pair="ETH/USD"), model)
+        assert estimate_wash(wash_target(pair="LTC/USD"), model).scope == "LTC/USD"
+
     def test_all_zero_round_weeks_count_in_full(self):
         model = fit_benchmark(identity_panel("R1"))
         est = estimate_wash([split("U1", 0, 0.0, 1.0), split("U1", 1, 0.0, 2.0)], model)
@@ -252,76 +366,12 @@ class TestBootstrap:
             bootstrap_wash_sd(identity_panel("U1"), bench, n_boot=100)
 
 
-def loop_replicates(target, bench, n_boot, seed, meta=None, use_controls=False):
-    """The bootstrap as one fit_benchmark and estimate_wash per draw."""
-    rng = np.random.default_rng(seed)
-    replicates = []
-    attempts = 0
-    while len(replicates) < n_boot:
-        attempts += 1
-        if attempts > 10 * n_boot:
-            raise EstimationError("too many singular replicates")
-        sample = [bench[i] for i in rng.integers(0, len(bench), len(bench))]
-        try:
-            model = fit_benchmark(sample, meta=meta, use_controls=use_controls)
-            est = estimate_wash(target, model, meta=meta)
-        except (EstimationError, InsufficientDataError):
-            continue
-        replicates.append(est.wash_percent)
-    return replicates, attempts
-
-
-def noisy_panel(ex, weeks, seed, pair="BTC/USD", ratio=2.5):
-    rng = np.random.default_rng(seed)
-    rows = []
-    for w in range(weeks):
-        v = float(np.exp(rng.normal(2.0, 1.0)))
-        rows.append(split(ex, w, v, ratio * v * float(np.exp(rng.normal(0.0, 0.2))), pair))
-    return rows
-
-
-def wash_target(weeks=12, pair="BTC/USD"):
-    return [split("U1", w, 1.0 + w % 5, 9.0 * (1.0 + w % 5), pair) for w in range(weeks)]
-
-
-def controls_meta():
-    meta = {
-        f"R{i}": ExchangeMeta(f"R{i}", RegulatoryClass.REGULATED, age_years=i, rank=3 * i % 7 + 1,
-                              traffic_pct=i * i % 5 + 1, unique_visitors=10 + i**3 % 11)
-        for i in range(1, 7)
-    }
-    meta["U1"] = ExchangeMeta("U1", RegulatoryClass.UNREGULATED_TIER2, age_years=2.5, rank=4.0,
-                              traffic_pct=3.0, unique_visitors=12.0)
-    return meta
-
-
-def oracle_panels():
-    per_pair = [r for i in (1, 2, 3) for r in noisy_panel(f"R{i}", 12, i)]
-    two_pairs = per_pair + [r for i in (1, 2, 3) for r in noisy_panel(f"R{i}", 12, 10 + i, "ETH/USD", 1.5)]
-    rare_pair = per_pair + noisy_panel("R1", 2, 20, "ETH/USD", 1.5)
-    six = [r for i in range(1, 7) for r in noisy_panel(f"R{i}", 20, 30 + i, ratio=2.0 + 0.1 * i)]
-    zeros = per_pair + [split("R1", 90, 0.0, 3.0), split("R2", 91, 4.0, 0.0), split("R3", 92, 0.0, 0.0)]
-    zero_target = wash_target() + [split("U1", 50, 0.0, 7.0), split("U1", 51, 0.0, 2.0)]
-    # eight weeks at one round volume: a draw without R2's week 1 is singular,
-    # and one with three or more of R2's zero-round week 2 is short of rows
-    singular = [split("R1", w, 3.0, 7.0 + w) for w in range(8)]
-    singular += [split("R2", 1, 5.0, 11.0), split("R2", 2, 0.0, 1.0)]
-    return {
-        "per-pair": (wash_target(), per_pair, {}),
-        "pooled": (wash_target(pair="ETH/USD"), two_pairs, {}),
-        "rare-pair": (wash_target(pair="ETH/USD"), rare_pair, {}),
-        "controls": (wash_target(), six, {"meta": controls_meta(), "use_controls": True}),
-        "zero-weeks": (zero_target, zeros, {}),
-        "singular": (wash_target(), singular, {}),
-    }
-
-
 class TestBatchedBootstrap:
     @pytest.mark.parametrize("name", sorted(oracle_panels()))
     def test_matches_one_refit_per_replicate(self, name):
         target, bench, kwargs = oracle_panels()[name]
         expected, expected_attempts = loop_replicates(target, bench, 200, 7, **kwargs)
-        replicates, attempts = _bootstrap_replicates(target, bench, n_boot=200, seed=7, **kwargs)
+        replicates, attempts = batched_replicates(target, bench, 200, 7, **kwargs)
         np.testing.assert_allclose(replicates, expected, rtol=1e-12, atol=0)
         assert attempts == expected_attempts
         sd = bootstrap_wash_sd(target, bench, n_boot=200, seed=7, **kwargs)
@@ -329,9 +379,9 @@ class TestBatchedBootstrap:
 
     def test_oracle_panels_reach_the_redraw_paths(self):
         panels = oracle_panels()
-        _, attempts = _bootstrap_replicates(*panels["singular"][:2], n_boot=200, seed=7)
+        _, attempts = batched_replicates(*panels["singular"][:2], 200, 7)
         assert attempts > 300  # about 40% of draws are redrawn
-        _, attempts = _bootstrap_replicates(*panels["zero-weeks"][:2], n_boot=200, seed=7)
+        _, attempts = batched_replicates(*panels["zero-weeks"][:2], 200, 7)
         assert attempts == 200
         # draws without an ETH/USD row are fitted as per-pair BTC/USD models
         rng = np.random.default_rng(7)
@@ -339,13 +389,18 @@ class TestBatchedBootstrap:
         draws = rng.integers(0, len(rare), (200, len(rare)))
         has_eth = np.isin(draws, [len(rare) - 2, len(rare) - 1]).any(axis=1)
         assert 0 < np.count_nonzero(has_eth) < 200
+        # every draw is kept, with no term for its base pair or a pair it lacks
+        names, coefficients, attempts = fit_bootstrap(rare, n_boot=200, seed=7)
+        assert names == ["const", "ln_round", "pair=BTC/USD", "pair=ETH/USD"] and attempts == 200
+        assert not coefficients[:, 2].any()
+        assert np.array_equal(coefficients[:, 3] != 0, has_eth)
 
     def test_chunks_do_not_change_the_replicates(self, monkeypatch):
         target, bench, kwargs = oracle_panels()["singular"]
-        whole, attempts = _bootstrap_replicates(target, bench, n_boot=200, seed=3, **kwargs)
+        whole, attempts = batched_replicates(target, bench, 200, 3, **kwargs)
         # seven replicates a chunk: three design columns of float64 per row
         monkeypatch.setattr("washdetect.washest.BOOTSTRAP_GATHER_BYTES", 7 * len(bench) * 3 * 8)
-        chunked, chunked_attempts = _bootstrap_replicates(target, bench, n_boot=200, seed=3, **kwargs)
+        chunked, chunked_attempts = batched_replicates(target, bench, 200, 3, **kwargs)
         np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0)
         assert chunked_attempts == attempts
 
