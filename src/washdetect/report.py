@@ -226,6 +226,7 @@ def _wash_section(
         if ex_rep.exchange_id in regulated:
             continue
         per_pair: list[we.WashEstimate] = []
+        scored: dict[str, list[WeeklyVolumeSplit]] = {}  # the rows of the estimated pairs, by scope
         for pair_rep in ex_rep.pairs:
             target = panel.get((ex_rep.exchange_id, pair_rep.pair))
             if not target:
@@ -252,10 +253,15 @@ def _wash_section(
             elif config.bootstrap:
                 est = replace(est, bootstrap_sd=we.replicate_sd(target, fits[scope], meta=meta))
             per_pair.append(est)
+            scored.setdefault(scope, []).extend(target)
         ex_rep.wash_by_pair = per_pair
         wash_volume = sum(e.wash_volume for e in per_pair)
         total_volume = sum(e.total_volume for e in per_pair)
         if total_volume > 0:
+            # Pairs scored on one scope's fit share its draws, so their summed
+            # wash has a replicate sd; the fits of several scopes draw apart.
+            (scope, rows), *others = scored.items()
+            fit = None if others else fits.get(scope)
             ex_rep.wash_aggregate = we.WashEstimate(
                 exchange_id=ex_rep.exchange_id,
                 scope="aggregate",
@@ -264,6 +270,7 @@ def _wash_section(
                 total_volume=total_volume,
                 n_weeks=sum(e.n_weeks for e in per_pair),
                 controls_used=any(e.controls_used for e in per_pair),
+                bootstrap_sd=None if fit is None or isinstance(fit, str) else we.replicate_sd(rows, fit, meta=meta),
                 flags=tuple(sorted({f for e in per_pair for f in e.flags})),
             )
             if ex_rep.wash_aggregate.wash_percent < 100.0:

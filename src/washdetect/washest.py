@@ -275,9 +275,11 @@ def fit_benchmark(
     """Fit ln(unrounded volume) on ln(round volume) over exchange-weeks.
 
     Rows with a zero on either side are dropped (their logs are undefined)
-    and counted. A panel whose usable rows span more than one pair is pooled:
-    it gets an indicator term for each pair after the first. Controls add the
-    four exchange covariates and require metadata for every exchange.
+    and counted. The model lists the pairs of the usable rows as its
+    ``pair_levels``. A panel whose usable rows span more than one pair is
+    pooled: it gets an indicator term for each pair after the first.
+    Controls add the four exchange covariates and require metadata for every
+    exchange.
     """
     all_rows = list(rows)
     usable = [r for r in all_rows if _usable(r)]
@@ -287,7 +289,6 @@ def fit_benchmark(
             f"insufficient benchmark data: {len(usable)} usable exchange-weeks, need {MIN_BENCHMARK_OBS}"
         )
     pairs = sorted({r.pair for r in usable})
-    pair_levels = tuple(pairs) if len(pairs) > 1 else ()
     feature_names = _feature_names(pairs, use_controls)
     x = _design_matrix(usable, feature_names, meta)
     y = np.array([math.log(r.unrounded_volume) for r in usable])
@@ -302,11 +303,11 @@ def fit_benchmark(
         feature_names=tuple(feature_names),
         coefficients=tuple(float(b) for b in beta),
         resid_se=resid_se,
-        scope="pooled" if pair_levels else "per-pair",
+        scope="pooled" if len(pairs) > 1 else "per-pair",
         n_obs=len(usable),
         n_dropped=n_dropped,
         controls_used=use_controls,
-        pair_levels=pair_levels,
+        pair_levels=tuple(pairs),
     )
 
 
@@ -367,8 +368,10 @@ def estimate_wash(
     """Excess unrounded volume of one exchange over the benchmark prediction.
 
     Flooring it per week keeps legitimate weeks from offsetting fabricated
-    ones; a week with no round volume flags the estimate. A pair outside a
-    pooled model's ``pair_levels`` raises :class:`EstimationError`.
+    ones; a week with no round volume flags the estimate. A pair outside the
+    model's ``pair_levels`` raises :class:`EstimationError`; a model file
+    that lists no pairs, as files written before models recorded them, is
+    taken to cover any pair.
     """
     panel = list(rows)
     pairs = sorted({r.pair for r in panel})

@@ -384,7 +384,7 @@ _WASH_BRANCHES = {
         estimates=[
             ("BTC/USD", 12, 77.12191808317883, 1.8654489593588115, []),
             ("ETH/USD", 12, 77.3295326622237, 2.0057834310752733, []),
-            ("aggregate", 24, 77.31060430701496, None, []),
+            ("aggregate", 24, 77.31060430701496, 1.9796598621362396, []),
         ],
         cross_validation=None,
     ),

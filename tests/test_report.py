@@ -226,6 +226,35 @@ class TestBootstrapOncePerScope:
                          for r in rows]
                 lone = bootstrap_wash_sd(panel[ex.exchange_id, est.scope], bench, n_boot=100, seed=3, meta=meta)
                 assert est.bootstrap_sd == lone == est_again.bootstrap_sd
+            # the aggregate has an sd only where its pairs share the draws
+            if not pool_pairs:
+                assert ex.wash_aggregate.bootstrap_sd is None
+                continue
+            bench = [r for (reg, _), rows in panel.items() if reg[0] == "R" for r in rows]
+            names, coefficients, _ = fit(bench, n_boot=100, seed=3, meta=meta)
+            wash = total = 0.0
+            for pair in ("BTC/USD", "ETH/USD"):
+                pair_wash, pair_total = washest._wash_volumes(panel[ex.exchange_id, pair], names, coefficients, meta)
+                wash, total = wash + pair_wash, total + pair_total
+            summed = float(np.std(100.0 * wash / total, ddof=1))
+            assert ex.wash_aggregate.bootstrap_sd == pytest.approx(summed, rel=1e-12)
+            assert ex.wash_aggregate.bootstrap_sd == again.wash_aggregate.bootstrap_sd
+
+    @pytest.mark.parametrize("pool_pairs", [False, True], ids=["per-pair", "pooled"])
+    def test_a_one_pair_aggregate_has_its_pairs_sd(self, pool_pairs):
+        # U1 also trades ETH/USD, which no regulated exchange does: even the
+        # pooled model, fitted on BTC/USD alone, does not cover it
+        ds = make_dataset([("R1", 1, 20_000, 0.0), ("R2", 2, 20_000, 0.0), ("R3", 3, 20_000, 0.0), ("U1", 4, 20_000, 0.8)])
+        eth = GeneratorConfig(seed=5, exchange_id="U1", pair="ETH/USD", n_trades=20_000, wash_fraction=0.8)
+        ds.groups.update(gen_exchange(eth).dataset.groups)
+        meta = make_meta(["R1", "R2", "R3"], ["U1"])
+        rep = run_battery(ds, REG, meta, RunConfig(bootstrap=100, pool_pairs=pool_pairs))
+        assert [m.pair_levels for m in rep.benchmark_models.values()] == [("BTC/USD",)]
+        u1 = rep.exchanges[3]
+        assert "wash estimate failed for ETH/USD: no benchmark model covers this pair" in u1.flags
+        (est,) = u1.wash_by_pair
+        assert est.bootstrap_sd is not None
+        assert u1.wash_aggregate.bootstrap_sd == est.bootstrap_sd
 
 
 class TestAgainstScipy:

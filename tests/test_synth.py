@@ -2,9 +2,11 @@
 
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from washdetect.benford import chi_squared_benford, digit_histogram
 from washdetect.clustering import run_cluster_test
@@ -102,6 +104,92 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_a_tape_crosses_a_chunk(self, fmt):
         assert max(n for _, _, _, n, _, _, f, _, _ in GOLDEN_TAPES if f == fmt) > synth._WRITE_ROWS[fmt]
+
+
+def float_lines(values, json_names):
+    """``_float_text`` of ``values``, one per line."""
+    text = synth._float_text(values, json_names)
+    return synth._rows_text([text, synth._const("\n")], values.size)
+
+
+def oracle_floats(seed, n):
+    """About ``9 * n`` floats in the classes a price formatter can get wrong."""
+    rng = np.random.default_rng(seed)
+    near = 10.0 ** rng.uniform(-5, 16, n)
+    powers = 2.0 ** np.arange(-1074, 1024)
+    return np.concatenate([
+        9000.0 * np.exp(np.cumsum(rng.normal(0.0, 0.002, n))),  # random walks, as synth's prices
+        10.0 ** rng.uniform(-6, 17, n),  # log-uniform over 1e-6..1e17
+        np.rint(rng.uniform(0, 1e5, n) * 100) / 100,  # 2-decimal prices
+        np.rint(rng.uniform(0, 1e3, n) * 10.0 ** (k := rng.integers(0, 8, n))) / 10.0**k,  # short decimals
+        rng.integers(0, 2**53, n).astype(np.float64),  # integers
+        np.nextafter(near, np.inf), np.nextafter(near, 0.0),  # neighbours of random doubles
+        np.nextafter(powers, np.inf), np.nextafter(powers, 0.0), powers,
+        np.nextafter(10.0 ** np.arange(-8, 23), np.inf), np.nextafter(10.0 ** np.arange(-8, 23), 0.0),
+        rng.normal(0, 1, n) * 10.0 ** rng.integers(-5, 20, n),  # both signs, every notation
+        [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, np.finfo(float).max],
+    ])
+
+
+# repr's own edges: its notation switches, ties in the last decimal, the
+# extremes of the double.
+FLOAT_EDGES = [
+    1e-4, np.nextafter(1e-4, 0), 2.0**52 - 1, 2.0**52 - 0.5, 2.0**52, 1e16, 0.1, 0.2, 0.3, 0.1 + 0.2, 9.5, 0.5,
+    2.5, 0.125, 1 / 3, 2 / 3, 9000.0, 9999.999999999998, 10000.0, 1e15 + 0.25, 4503599627370495.5, 0.0, -0.0,
+    -1.5, float("nan"), float("inf"), -float("inf"), 5e-324, 2.2250738585072014e-308, np.finfo(float).max,
+]
+
+
+class TestFloatText:
+    """``_float_text`` writes exactly what ``repr`` and ``json.dumps`` do."""
+
+    @pytest.mark.parametrize("json_names", [False, True])
+    def test_a_million_floats_match_repr_and_json(self, json_names):
+        values = oracle_floats(0, 125_000)
+        assert values.size > 1_000_000
+        texts = map(repr, values.tolist()) if not json_names else json.dumps(values.tolist())[1:-1].split(", ")
+        expected = "\n".join(texts) + "\n"
+        chunk = synth._WRITE_ROWS["csv"]
+        got = "".join(float_lines(values[lo : lo + chunk], json_names) for lo in range(0, values.size, chunk))
+        assert got == expected
+
+    @pytest.mark.parametrize("json_names", [False, True])
+    def test_edges(self, json_names):
+        values = np.array(FLOAT_EDGES + [2.0**k for k in range(-20, 60)] + [k + 0.5 for k in range(20)])
+        expected = "".join((json.dumps(v) if json_names else repr(v)) + "\n" for v in values.tolist())
+        assert float_lines(values, json_names) == expected
+
+    @given(st.lists(st.floats(), min_size=1, max_size=50), st.booleans())
+    def test_any_floats(self, floats, json_names):
+        expected = "".join((json.dumps(v) if json_names else repr(v)) + "\n" for v in floats)
+        assert float_lines(np.array(floats, dtype=np.float64), json_names) == expected
+
+    def test_an_empty_chunk(self):
+        assert float_lines(np.array([], dtype=np.float64), False) == ""
+
+    def test_a_tie_is_left_to_repr(self):
+        # 1e15 + 0.25 times 10 ends in .5: its one-decimal neighbours are
+        # equally near, and repr breaks the tie
+        _, _, tie = synth._shortest_decimals(np.array([1e15 + 0.25, 1e15 + 0.5, 0.1, 9000.01]))
+        assert tie.tolist() == [True, False, False, False]
+
+    # synth's own prices: the quick start's tapes and tape-roundtrip's, as
+    # bench/workloads.py draws them at its seeds 0-2
+    @pytest.mark.parametrize("bench_seed", [0, 1, 2])
+    def test_synth_prices_never_take_repr(self, bench_seed):
+        configs = [
+            GeneratorConfig(seed=4 * bench_seed + k + 1, n_trades=n, exchange_id=ex, wash_fraction=w, profile="stable-panel")
+            for k, (ex, n, w) in enumerate((("R1", 75_000, 0.0), ("R2", 50_000, 0.0), ("R3", 37_500, 0.0), ("U1", 50_000, 0.8)))
+        ] + [
+            GeneratorConfig(seed=10 * bench_seed + k, n_trades=25_000, exchange_id=ex, pair=pair, wash_fraction=w)
+            for k, (ex, pair, w) in enumerate(
+                (("X1", "BTC/USD", 0.0), ("X2", "ETH/USD", 0.3), ("X3", "LTC/USD", 0.0), ("X4", "XRP/USD", 0.5))
+            )
+        ]
+        for cfg in configs:
+            prices = gen_exchange(cfg).group.prices
+            assert ((prices >= synth._FIXED_LOW) & (prices < synth._FIXED_HIGH)).all()
+            assert not synth._shortest_decimals(prices)[2].any()
 
 
 class TestAuthenticFlow:

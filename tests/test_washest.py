@@ -319,6 +319,21 @@ class TestEstimateWash:
             estimate_wash(wash_target() + wash_target(pair="ETH/USD"), model)
         assert estimate_wash(wash_target(pair="LTC/USD"), model).scope == "LTC/USD"
 
+    def test_a_pair_outside_a_one_pair_model_raises(self, tmp_path):
+        # a pooled fit whose usable rows hold one pair has no pair term; it
+        # would score ETH/USD with BTC/USD's intercept
+        model = fit_benchmark([r for i in (1, 2, 3) for r in noisy_panel(f"R{i}", 12, i)])
+        assert (model.scope, model.pair_levels) == ("per-pair", ("BTC/USD",))
+        with pytest.raises(EstimationError, match="no benchmark model covers this pair"):
+            estimate_wash(wash_target(pair="ETH/USD"), model)
+        assert estimate_wash(wash_target(), model).scope == "BTC/USD"
+        # a model file that lists no pairs, as older files, loads and covers any pair
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"BTC/USD": {k: v for k, v in model.to_json().items() if k != "pair_levels"}}))
+        old = load_models(path)["BTC/USD"]
+        assert old.pair_levels == ()
+        assert estimate_wash(wash_target(pair="ETH/USD"), old).scope == "ETH/USD"
+
     def test_all_zero_round_weeks_count_in_full(self):
         model = fit_benchmark(identity_panel("R1"))
         est = estimate_wash([split("U1", 0, 0.0, 1.0), split("U1", 1, 0.0, 2.0)], model)
