@@ -21,8 +21,8 @@ left out, make an integer N, and N / 10**k is divided in long double and
 rounded to float64: the correctly rounded value, as ``float()`` gives it,
 wherever N and 10**k are exact in long double and the quotient is not a
 float64 midpoint. The rest take ``float()`` on their bytes: prices of more
-than 18 digits, and those whose quotient falls on a midpoint, about 4 in
-100,000 of the prices ``synth`` writes.
+than 18 digits, and those whose quotient falls on a midpoint, which no
+two-decimal price of ``synth``'s does.
 
 Every other line goes, in line order, through one scalar path: the ``csv``
 module reads the record starting there, and ``_validate_row`` (with

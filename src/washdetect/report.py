@@ -222,6 +222,16 @@ def _wash_section(
     report.benchmark_models = models
 
     fits: dict[str, Any] = {}  # each scope's bootstrap fit, or the flag its targets get instead
+
+    def with_sd(est: we.WashEstimate, rows: list[WeeklyVolumeSplit], fit) -> we.WashEstimate:
+        """``est`` with the replicate sd of ``rows`` on ``fit``, or with the flag that says why it has none."""
+        if not isinstance(fit, str):
+            try:
+                return replace(est, bootstrap_sd=we.replicate_sd(rows, fit, meta=meta))
+            except EstimationError as exc:
+                fit = f"bootstrap failed: {exc}"
+        return replace(est, flags=tuple(dict.fromkeys((*est.flags, fit))))  # an aggregate has its pairs' flags
+
     for ex_rep in report.exchanges:
         if ex_rep.exchange_id in regulated:
             continue
@@ -248,10 +258,8 @@ def _wash_section(
                     ) if bench else "bootstrap skipped: no benchmark rows"
                 except EstimationError as exc:
                     fits[scope] = f"bootstrap failed: {exc}"
-            if isinstance(fits.get(scope), str):
-                est = replace(est, flags=est.flags + (fits[scope],))
-            elif config.bootstrap:
-                est = replace(est, bootstrap_sd=we.replicate_sd(target, fits[scope], meta=meta))
+            if config.bootstrap:
+                est = with_sd(est, target, fits[scope])
             per_pair.append(est)
             scored.setdefault(scope, []).extend(target)
         ex_rep.wash_by_pair = per_pair
@@ -261,7 +269,6 @@ def _wash_section(
             # Pairs scored on one scope's fit share its draws, so their summed
             # wash has a replicate sd; the fits of several scopes draw apart.
             (scope, rows), *others = scored.items()
-            fit = None if others else fits.get(scope)
             ex_rep.wash_aggregate = we.WashEstimate(
                 exchange_id=ex_rep.exchange_id,
                 scope="aggregate",
@@ -270,9 +277,10 @@ def _wash_section(
                 total_volume=total_volume,
                 n_weeks=sum(e.n_weeks for e in per_pair),
                 controls_used=any(e.controls_used for e in per_pair),
-                bootstrap_sd=None if fit is None or isinstance(fit, str) else we.replicate_sd(rows, fit, meta=meta),
                 flags=tuple(sorted({f for e in per_pair for f in e.flags})),
             )
+            if not others and scope in fits:
+                ex_rep.wash_aggregate = with_sd(ex_rep.wash_aggregate, rows, fits[scope])
             if ex_rep.wash_aggregate.wash_percent < 100.0:
                 ex_rep.rank_improvement = vd.counterfactual_rank(
                     total_volume, ex_rep.wash_aggregate.wash_percent

@@ -7,7 +7,8 @@ base units (trade-size clustering), and mixes in Pareto draws for the upper
 tail (a Pareto-Levy tail). Wash-bot flow draws sizes uniformly over a
 sub-decade band at full 8-decimal precision: concentrated first digits,
 essentially never round, no power tail; trades are emitted as buy/sell
-bursts a few milliseconds apart.
+bursts a few milliseconds apart. Prices follow a small random walk around
+``BASE_PRICE`` and sit on a 0.01 tick; no test of the battery reads them.
 
 Everything is driven by one numpy Generator seeded from the config, so a
 (seed, config) pair fully determines the tape, byte for byte.
@@ -32,6 +33,8 @@ MS_PER_WEEK = 7 * MS_PER_DAY
 # Monday 2019-07-08 00:00:00 UTC
 START_MS = 1_562_544_000_000
 BASE_PRICE = 9000.0
+# Prices are quoted on a tick of 10**-PRICE_DECIMALS, as exchanges quote BTC/USD
+PRICE_DECIMALS = 2
 # sd of the log weekly activity level: some weeks are busier than others
 WEEKLY_VOLUME_SD = 0.5
 # the two legs of a wash burst are this many milliseconds apart, inclusive
@@ -252,7 +255,7 @@ def _wash_subunits(rng: np.random.Generator, p: _WashParams, unit: int, n: int) 
 
 def _price_path(rng: np.random.Generator, n: int) -> np.ndarray:
     walk = np.clip(np.cumsum(rng.normal(0.0, 0.002, size=n)), -0.15, 0.15)
-    return BASE_PRICE * np.exp(walk)
+    return np.rint(BASE_PRICE * np.exp(walk) * 10**PRICE_DECIMALS) / 10**PRICE_DECIMALS
 
 
 def _finish_group(cfg, timestamps, subunits, labels, rng):
@@ -339,24 +342,19 @@ def gen_exchange(cfg: GeneratorConfig) -> LabeledTape:
 
 
 # Rows assembled per write, by format: bounds the transient byte matrices of
-# a large tape near 11 MB (about 330 bytes a CSV row, 630 a JSONL row).
+# a large tape near 11 MB (about 325 bytes a CSV row, 570 a JSONL row).
 _WRITE_ROWS = {"csv": 1 << 15, "jsonl": 1 << 14}
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 
 
-def _digits(values: np.ndarray, width: int, dot: np.ndarray | None = None) -> np.ndarray:
-    """Non-negative integers as ASCII digits, right-aligned and zero-padded in
-    ``width`` columns. With ``dot``, row i has a ``.`` in column ``dot[i]``
-    and its digits laid around it."""
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """Non-negative integers as ASCII digits, right-aligned and zero-padded in ``width`` columns."""
     out = np.empty((width, values.size), np.uint8)  # a column per row, so each store is contiguous
-    dots = range(0) if dot is None or not dot.size else range(dot.min(), dot.max() + 1)
     for c in range(width - 1, -1, -1):
         q = values // 10  # floor division by a scalar is vectorised; divmod is not
         out[c] = values - q * 10
-        values = np.where(dot == c, values, q) if c in dots else q
+        values = q
     out += np.uint8(48)
-    if dots:
-        out[dot, np.arange(values.size)] = ord(".")
     return out.T
 
 
@@ -373,128 +371,29 @@ def _int_text(values: np.ndarray):
     return m, first, width
 
 
-def _amount_text(amounts: np.ndarray):
+def _amount_text(amounts: np.ndarray) -> list:
     """Sub-unit counts as canonical decimals: no trailing fractional zeros, and no dot
-    when the fraction is 0. A byte matrix ``units.fraction`` and each row's span."""
+    when the fraction is 0. The parts of units, dot and fraction."""
     if amounts.size and amounts.min() <= 0:
         raise AmountError(f"non-positive amount {amounts[amounts <= 0][0]}")
     units, frac = np.divmod(amounts, SUBUNITS_PER_UNIT)
-    unit_digits, first, dot = _int_text(units)
-    m = np.empty((amounts.size, dot + 1 + AMOUNT_DECIMALS), np.uint8)
-    m[:, :dot] = unit_digits
-    m[:, dot] = ord(".")
-    m[:, dot + 1 :] = _digits(frac, AMOUNT_DECIMALS)
-    trailing_zeros = (m[:, : dot : -1] != ord("0")).argmax(axis=1)
-    return m, first, np.where(frac > 0, m.shape[1] - trailing_zeros, dot)
+    digits = _digits(frac, AMOUNT_DECIMALS)
+    # the fraction's digits up to its last non-zero one, none when it is 0
+    stop = np.where(frac > 0, AMOUNT_DECIMALS - (digits[:, ::-1] != ord("0")).argmax(axis=1), 0)
+    return [_int_text(units), (_const(".")[0], 0, np.minimum(stop, 1)), (digits, 0, stop)]
 
 
-# Floats in [1e-4, 2**52) are the ones repr writes in fixed notation with
-# at least one decimal and at most 20: x * 10**s stays below 1e17 at every
-# s searched, and every power of ten to 1e22 is a double.
-_FIXED_LOW, _FIXED_HIGH = 1e-4, 2.0**52
-_TEN = 10.0 ** np.arange(23)
-# A row whose x * 10**s is this close to a half at the kept s is left to
-# repr; the computed distance is off by at most 2**-53.
-_EDGE = 2.0**-40
-
-
-def _split(a: np.ndarray):
-    """Veltkamp's split: ``a == hi + lo``, each with at most 26 significant bits."""
-    c = a * (2.0**27 + 1)
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_TEN_SPLIT = _split(_TEN)
-
-
-def _nearest(x: np.ndarray, x_split, s: np.ndarray):
-    """N = round(x * 10**s) as int64, and x * 10**s - N.
-
-    x * 10**s is first formed exactly, as the double-double ``hi + lo`` of
-    Dekker's two-product (Dekker 1971).
-    """
-    (xh, xl), th, tl = x_split, _TEN_SPLIT[0][s], _TEN_SPLIT[1][s]
-    hi = x * _TEN[s]
-    lo = ((xh * th - hi) + xh * tl + xl * th) + xl * tl
-    whole = np.rint(hi)
-    rest = (hi - whole) + lo
-    step = np.rint(rest)
-    return whole.astype(np.int64) + step.astype(np.int64), rest - step
-
-
-def _shortest_decimals(x: np.ndarray):
-    """For each x in [1e-4, 2**52): the fewest decimals s >= 1 and the N such
-    that N / 10**s reads back as x, the shortest round trip that repr
-    writes; and whether the row must be left to repr, as a tie.
-
-    N is the nearest integer to x * 10**s, and it reads back when
-    |N - x * 10**s| is under the bound: half the gap to x's neighbour on
-    that side, times 10**s. The bound is a power of two times 10**s, so
-    exact; the gap below a power of two is half the gap above it. The search
-    starts at the least s whose bound on both sides is at least 1/2, where N
-    always reads back, and steps s down while N still does: reading back is
-    monotone in s.
-
-    No N lies on the bound, where reading back would hang on
-    round-half-even. With x = k * 2**q and t = -(q + s), x * 10**s is whole
-    for t <= 0; else |N - x * 10**s| is a multiple of 2**-t and the bound
-    5**s times 2**-(t + 1) or 2**-(t + 2), so the two differ by at least
-    5**-s of the bound, 1e-14 for s <= 20, and the computed distance is off
-    by at most 2**-51 of itself.
-
-    A tie is left to repr: x * 10**s within ``_EDGE`` of a half at the kept
-    s, where two N are equally near.
-    """
-    x_split = _split(x)
-    mantissa, exponent = np.frexp(x)  # x = mantissa * 2**exponent, mantissa in [0.5, 1)
-    power_of_two = mantissa == 0.5
-    half_gap = np.ldexp(1.0, exponent - 54)
-    low_gap = np.ldexp(1.0, exponent - 54 - power_of_two)
-    # 0.5 / low_gap is 2**m for m in 1..67, and m * log10(2) is never within
-    # 0.01 of an integer there, so the ceiling is exact
-    s = np.ceil((53 - exponent + power_of_two) * math.log10(2)).astype(np.intp)
-    n, frac = _nearest(x, x_split, s)
-    tie = np.abs(np.abs(frac) - 0.5) <= _EDGE
-    rows = np.flatnonzero(s > 1)
-    while rows.size:
-        sr = s[rows] - 1
-        nr, fr = _nearest(x[rows], (x_split[0][rows], x_split[1][rows]), sr)
-        off = np.abs(fr)
-        reads = off < np.where(fr > 0, low_gap[rows], half_gap[rows]) * _TEN[sr]
-        rows, sr = rows[reads], sr[reads]
-        n[rows], s[rows], tie[rows] = nr[reads], sr, np.abs(off[reads] - 0.5) <= _EDGE
-        rows = rows[sr > 1]
-    return n, s, tie
-
-
-def _float_text(x: np.ndarray, json_names: bool):
-    """Floats as ``repr`` writes them, or as ``json.dumps`` does (``NaN``,
-    ``Infinity``): a byte matrix, and each row's first column and stop.
-
-    A row in [1e-4, 2**52) is the digits of N with a dot before the last s,
-    from :func:`_shortest_decimals`. Every other row, and every row that
-    search leaves open, is formatted by ``repr`` (``json.dumps``).
-    """
-    fast = np.flatnonzero((x >= _FIXED_LOW) & (x < _FIXED_HIGH))
-    n, s, tie = _shortest_decimals(x[fast])
-    fast, n, s = fast[~tie], n[~tie], s[~tie]
-    n_digits = np.searchsorted(_POW10, n.view(np.uint64), side="right")
-    width = int(max(n_digits.max(initial=0), s.max(initial=0) + 1)) + 1
-    dot = width - 1 - s
-    text, first = _digits(n, width, dot), np.minimum(dot - 1, width - 1 - n_digits)
-    if fast.size == x.size:
-        return text, first, width
-    slow = np.ones(x.size, bool)
-    slow[fast] = False
-    # one call formats the whole list, each float as it would alone
-    data = np.array((json.dumps if json_names else repr)(x[slow].tolist())[1:-1].split(", "), "S")
-    out = np.zeros((x.size, max(width, data.itemsize)), np.uint8)
-    out[fast, :width] = text
-    out[slow, : data.itemsize] = data.view(np.uint8).reshape(-1, data.itemsize)
-    starts, stops = np.zeros(x.size, np.intp), np.full(x.size, width)
-    starts[fast], stops[slow] = first, np.char.str_len(data)
-    return out, starts, stops
+def _price_text(prices: np.ndarray) -> list:
+    """Prices as ``units.cc``, their whole count of ticks with a dot placed, which reads back as
+    the same double: the parts of units, dot and decimals. A price off the tick (not the double
+    nearest a positive multiple of it) raises ValueError."""
+    scale = 10**PRICE_DECIMALS
+    ticks = np.rint(prices * scale)
+    off = ~((ticks > 0) & (ticks < 2.0**53) & (ticks / scale == prices))
+    if off.any():
+        raise ValueError(f"price {prices[off][0]} is not a positive multiple of the {10.0**-PRICE_DECIMALS} tick")
+    units, frac = np.divmod(ticks.astype(np.int64), scale)
+    return [_int_text(units), _const("."), (_digits(frac, PRICE_DECIMALS), 0, PRICE_DECIMALS)]
 
 
 def _rows_text(parts: list, n: int) -> str:
@@ -548,13 +447,9 @@ def write_tape(tape: LabeledTape, out: TextIO, fmt: str = "csv", include_labels:
     should be written without it.
 
     Rows are assembled a chunk at a time as byte matrices, one column block
-    per field. A price is written as ``repr`` writes it, from its shortest
-    round-trip decimals (:func:`_float_text`); ``repr`` itself, or
-    ``json.dumps`` in JSONL, formats only the prices that search leaves to
-    it: one not finite or outside [1e-4, 2**52), or one exactly halfway
-    between its two nearest shortest decimals. Synth's prices, doubles
-    between 7,700 and 10,500, are all in range and meet such a tie about
-    once in 10**8.
+    per field. Prices sit on the 0.01 tick and are written with two
+    decimals, in JSONL as a bare number; a price off the tick raises
+    ValueError (:func:`_price_text`).
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -563,7 +458,7 @@ def write_tape(tape: LabeledTape, out: TextIO, fmt: str = "csv", include_labels:
         out.write(",".join(CSV_HEADER) + (",label" if include_labels else "") + "\n")
         head, comma = _const(_csv_fields(g.exchange_id, g.pair) + ","), _const(",")
         ends = (",authentic\n", ",wash\n") if include_labels else ("\n", "\n")
-    else:  # the line json.dumps(row, sort_keys=True) writes
+    else:  # the line json.dumps(row, sort_keys=True) writes, but for the price's two decimals
         opening, after_amount = _const('{"amount": "'), _const(f'", "exchange": {json.dumps(g.exchange_id)}, ')
         before_price = _const(f'"pair": {json.dumps(g.pair)}, "price": ')
         before_ts, closing = _const(', "timestamp_ms": '), _const("}\n")
@@ -572,11 +467,11 @@ def write_tape(tape: LabeledTape, out: TextIO, fmt: str = "csv", include_labels:
         rows = slice(lo, lo + _WRITE_ROWS[fmt])
         timestamps = g.timestamps[rows]
         ts = _int_text(timestamps)
-        price = _float_text(g.prices[rows], json_names=fmt == "jsonl")
+        price = _price_text(g.prices[rows])
         amount = _amount_text(g.amounts[rows])
         label = _choice(ends, tape.labels[rows])
         if fmt == "csv":
-            parts = [head, ts, comma, price, comma, amount, label]
+            parts = [head, ts, comma, *price, comma, *amount, label]
         else:
-            parts = [opening, amount, after_amount, label, before_price, price, before_ts, ts, closing]
+            parts = [opening, *amount, after_amount, label, before_price, *price, before_ts, ts, closing]
         out.write(_rows_text(parts, timestamps.size))

@@ -413,12 +413,20 @@ def bootstrap_wash_sd(
 
 def replicate_sd(
     target_rows: Sequence[WeeklyVolumeSplit],
-    fit: tuple[list[str], np.ndarray, int],
+    fit: tuple[list[str], np.ndarray, dict[str, np.ndarray], int],
     *,
     meta: dict[str, ExchangeMeta] | None = None,
 ) -> float:
-    """Standard deviation of the target's wash percentage over a fit's replicates."""
-    wash, total = _wash_volumes(list(target_rows), fit[0], fit[1], meta)
+    """Standard deviation of the target's wash percentage over the replicates of a fit
+    that fitted every pair of the target; EstimationError if fewer than ``MIN_REPLICATES`` did."""
+    names, coefficients, fitted, _ = fit
+    pairs = sorted({r.pair for r in target_rows})
+    scored = np.ones(len(coefficients), dtype=bool)
+    for pair in pairs:
+        scored &= fitted.get(pair, False)
+    if (k := np.count_nonzero(scored)) < MIN_REPLICATES:
+        raise EstimationError(f"only {k} of {len(scored)} replicates fitted {', '.join(pairs)}, need {MIN_REPLICATES}")
+    wash, total = _wash_volumes(list(target_rows), names, coefficients[scored], meta)
     return float(np.std(100.0 * wash / total, ddof=1))
 
 
@@ -433,12 +441,13 @@ def fit_bootstrap(
     seed: int = 0,
     meta: dict[str, ExchangeMeta] | None = None,
     use_controls: bool = False,
-) -> tuple[list[str], np.ndarray, int]:
+) -> tuple[list[str], np.ndarray, dict[str, np.ndarray], int]:
     """The benchmark refitted on ``n_boot`` resamples of its rows, for every
     target of a scope: the regressor names, with an indicator for each pair
     of the usable rows; the kept replicates' coefficients, a row each in draw
-    order, zero where the replicate's own fit has no term; and the draws made.
-    Draw ``i`` is the ``i``-th ``integers(0, n, n)`` of the seeded stream. A
+    order, zero where the replicate's own fit has no term; per pair, which
+    kept replicates had a usable row of it to fit; and the draws made. Draw
+    ``i`` is the ``i``-th ``integers(0, n, n)`` of the seeded stream. A
     replicate is kept exactly when :func:`fit_benchmark` on its rows would
     succeed, else redrawn, up to 10x ``n_boot`` draws. Draws are refitted a
     chunk at a time, one stacked SVD per set of pairs present.
@@ -457,11 +466,11 @@ def fit_bootstrap(
     y[usable] = [math.log(r.unrounded_volume) for r in rows]
     pair_of = x[:, len(base):] > 0
 
-    def refit(idx: np.ndarray) -> np.ndarray:
-        """The coefficients of each draw whose refit succeeds."""
+    def refit(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficients of each draw whose refit succeeds, and the pairs it fitted."""
         n_usable = usable[idx].sum(axis=1)
         beta = np.zeros((len(idx), len(names)))
-        kept = np.zeros(len(idx), dtype=bool)
+        fitted = np.zeros((len(idx), len(pairs)), dtype=bool)  # the pairs each draw fitted, none if it failed
         fits = np.flatnonzero(n_usable >= MIN_BENCHMARK_OBS)
         pair_sets, which = np.unique(pair_of[idx[fits]].any(axis=1), axis=0, return_inverse=True)
         for s, pair_set in enumerate(pair_sets):
@@ -473,13 +482,14 @@ def fit_bootstrap(
             u, sv, vt, sel = u[ok], sv[ok], vt[ok], sel[ok]
             uty = np.einsum("rnk,rn->rk", u, y[idx[sel]])
             beta[np.ix_(sel, cols)] = np.einsum("rkj,rk->rj", vt, uty / sv)
-            kept[sel] = True
-        return beta[kept]
+            fitted[sel] = pair_set
+        kept = fitted.any(axis=1)
+        return beta[kept], fitted[kept]
 
     rng = np.random.default_rng(seed)
     n = len(bench)
     chunk = max(1, BOOTSTRAP_GATHER_BYTES // (8 * max(n, 1) * len(names)))
-    kept: list[np.ndarray] = []
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
     n_kept = attempts = 0
     while n_kept < n_boot:
         m = min(chunk, n_boot - n_kept, 10 * n_boot - attempts)
@@ -487,8 +497,9 @@ def fit_bootstrap(
             raise EstimationError("too many singular replicates")
         kept.append(refit(rng.integers(0, n, (m, n))))
         attempts += m
-        n_kept += len(kept[-1])
-    return names, np.concatenate(kept), attempts
+        n_kept += len(kept[-1][0])
+    beta, fitted = (np.concatenate(part) for part in zip(*kept))
+    return names, beta, dict(zip(pairs, fitted.T)), attempts
 
 
 def cross_validate_regulated(

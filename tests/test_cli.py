@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -496,6 +497,35 @@ def test_report_does_not_depend_on_the_hash_seed(tmp_path):
         assert done.returncode in (EXIT_OK, EXIT_FLAGGED), done.stderr
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_report_is_a_function_of_the_rows(tmp_path):
+    """Shuffling each file's rows, splitting a regulated tape across two
+    files and listing the files in another order leave report.json
+    byte-identical."""
+    meta = {"R1": {"regulatory_class": "regulated"}, "R2": {"regulatory_class": "regulated"},
+            "R3": {"regulatory_class": "regulated"}, "U1": {"regulatory_class": "tier2"}}
+    specs = [("R1", "BTC/USD", 1, 4_000, 0.0), ("R2", "BTC/USD", 2, 3_000, 0.0),
+             ("R3", "BTC/USD", 3, 3_000, 0.0), ("U1", "BTC/USD", 4, 4_000, 0.8)]
+    tapes = synth_market(tmp_path, specs, meta)
+    rng = random.Random(0)
+    moved = []
+    for path in tapes:
+        header, *rows = Path(path).read_text().splitlines(keepends=True)
+        rng.shuffle(rows)
+        parts = [rows[: len(rows) // 2], rows[len(rows) // 2 :]] if Path(path).name.startswith("R1_") else [rows]
+        for k, part in enumerate(parts):
+            moved.append(tmp_path / f"moved{k}_{Path(path).name}")
+            moved[-1].write_text(header + "".join(part))
+    codes, reports = [], []
+    for inputs in (tapes, moved[::-1]):
+        out = tmp_path / f"out{len(reports)}"
+        argv = ["report", *map(str, inputs), "--meta", str(tmp_path / "meta.json"), "--bootstrap", "200", "--out", str(out)]
+        codes.append(main(argv))
+        reports.append((out / "report.json").read_bytes())
+    u1 = next(ex for ex in json.loads(reports[0])["exchanges"] if ex["exchange_id"] == "U1")
+    assert u1["wash_by_pair"][0]["bootstrap_sd"] > 0
+    assert codes[1] == codes[0] and reports[1] == reports[0]
 
 
 class TestPlotData:

@@ -231,7 +231,7 @@ class TestBootstrapOncePerScope:
                 assert ex.wash_aggregate.bootstrap_sd is None
                 continue
             bench = [r for (reg, _), rows in panel.items() if reg[0] == "R" for r in rows]
-            names, coefficients, _ = fit(bench, n_boot=100, seed=3, meta=meta)
+            names, coefficients, _, _ = fit(bench, n_boot=100, seed=3, meta=meta)
             wash = total = 0.0
             for pair in ("BTC/USD", "ETH/USD"):
                 pair_wash, pair_total = washest._wash_volumes(panel[ex.exchange_id, pair], names, coefficients, meta)
@@ -255,6 +255,27 @@ class TestBootstrapOncePerScope:
         (est,) = u1.wash_by_pair
         assert est.bootstrap_sd is not None
         assert u1.wash_aggregate.bootstrap_sd == est.bootstrap_sd
+
+
+    def test_too_few_draws_with_the_target_pair_is_a_bootstrap_flag(self):
+        # R1 alone trades ETH/USD, for two weeks: about one pooled draw in
+        # eight holds neither week, and so does not fit ETH/USD
+        ds = make_dataset([("R1", 1, 20_000, 0.0), ("R2", 2, 20_000, 0.0), ("R3", 3, 20_000, 0.0)])
+        for ex, seed, weeks, wash in (("R1", 4, 2, 0.0), ("U1", 5, 12, 0.8)):
+            cfg = GeneratorConfig(seed=seed, exchange_id=ex, pair="ETH/USD", n_trades=5_000, n_weeks=weeks,
+                                  wash_fraction=wash, profile="stable-panel")
+            ds.groups.update(gen_exchange(cfg).dataset.groups)
+        meta = make_meta(["R1", "R2", "R3"], ["U1"])
+        rep = run_battery(ds, REG, meta, RunConfig(bootstrap=100, pool_pairs=True))
+        names, _, fitted, _ = washest.fit_bootstrap(
+            [r for r in ingest.weekly_split(ds, REG) if r.exchange_id != "U1"], n_boot=100, seed=0
+        )
+        assert names[-1] == "pair=ETH/USD" and 0 < fitted["ETH/USD"].sum() < 100
+        flag = f"bootstrap failed: only {fitted['ETH/USD'].sum()} of 100 replicates fitted ETH/USD, need 100"
+        u1 = rep.exchanges[3]
+        (est,) = u1.wash_by_pair
+        assert est.bootstrap_sd is None and est.flags == (flag,)
+        assert u1.wash_aggregate.bootstrap_sd is None and u1.wash_aggregate.flags == (flag,)
 
 
 class TestAgainstScipy:

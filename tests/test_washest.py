@@ -55,11 +55,13 @@ def reference_wash(rows, model, meta=None):
 
 
 def loop_replicates(target, bench, n_boot, seed, meta=None, use_controls=False):
-    """The bootstrap as one fit_benchmark and reference_wash per draw."""
+    """The bootstrap as one fit_benchmark and reference_wash per draw: the
+    wash percentages of the kept draws whose model fitted every pair of the
+    target, and the draws made."""
     rng = np.random.default_rng(seed)
     replicates = []
-    attempts = 0
-    while len(replicates) < n_boot:
+    kept = attempts = 0
+    while kept < n_boot:
         attempts += 1
         if attempts > 10 * n_boot:
             raise EstimationError("too many singular replicates")
@@ -68,7 +70,9 @@ def loop_replicates(target, bench, n_boot, seed, meta=None, use_controls=False):
             model = fit_benchmark(sample, meta=meta, use_controls=use_controls)
         except (EstimationError, InsufficientDataError):
             continue
-        replicates.append(reference_wash(target, model, meta)[1])
+        kept += 1
+        if {r.pair for r in target} <= set(model.pair_levels):
+            replicates.append(reference_wash(target, model, meta)[1])
     return replicates, attempts
 
 
@@ -118,9 +122,11 @@ def oracle_panels():
 
 
 def batched_replicates(target, bench, n_boot, seed, meta=None, use_controls=False):
-    """The wash percentages of fit_bootstrap's replicates, and its draws."""
-    names, coefficients, draws = fit_bootstrap(bench, n_boot=n_boot, seed=seed, meta=meta, use_controls=use_controls)
-    wash, total = _wash_volumes(target, names, coefficients, meta)
+    """The wash percentages of fit_bootstrap's replicates that fitted every
+    pair of the target, and its draws."""
+    names, coefficients, fitted, draws = fit_bootstrap(bench, n_boot=n_boot, seed=seed, meta=meta, use_controls=use_controls)
+    scored = np.all([fitted[pair] for pair in {r.pair for r in target}], axis=0)
+    wash, total = _wash_volumes(target, names, coefficients[scored], meta)
     return 100.0 * wash / total, draws
 
 
@@ -404,11 +410,27 @@ class TestBatchedBootstrap:
         draws = rng.integers(0, len(rare), (200, len(rare)))
         has_eth = np.isin(draws, [len(rare) - 2, len(rare) - 1]).any(axis=1)
         assert 0 < np.count_nonzero(has_eth) < 200
-        # every draw is kept, with no term for its base pair or a pair it lacks
-        names, coefficients, attempts = fit_bootstrap(rare, n_boot=200, seed=7)
+        # every draw is kept, with no term for its base pair or a pair it
+        # lacks, and records the pairs it fitted
+        names, coefficients, fitted, attempts = fit_bootstrap(rare, n_boot=200, seed=7)
         assert names == ["const", "ln_round", "pair=BTC/USD", "pair=ETH/USD"] and attempts == 200
         assert not coefficients[:, 2].any()
         assert np.array_equal(coefficients[:, 3] != 0, has_eth)
+        assert sorted(fitted) == ["BTC/USD", "ETH/USD"]
+        assert fitted["BTC/USD"].all() and np.array_equal(fitted["ETH/USD"], has_eth)
+
+    def test_a_target_is_scored_only_on_draws_that_fitted_its_pair(self):
+        target, rare, _ = oracle_panels()["rare-pair"]
+        rng = np.random.default_rng(7)
+        draws = rng.integers(0, len(rare), (200, len(rare)))
+        has_eth = np.isin(draws, [len(rare) - 2, len(rare) - 1]).any(axis=1)
+        names, coefficients, _, _ = fit_bootstrap(rare, n_boot=200, seed=7)
+        wash, total = _wash_volumes(target, names, coefficients[has_eth], None)
+        sd = bootstrap_wash_sd(target, rare, n_boot=200, seed=7)
+        assert sd == float(np.std(100.0 * wash / total, ddof=1))
+        # too few such draws is an error, as any failed bootstrap is
+        with pytest.raises(EstimationError, match=r"only \d+ of 100 replicates fitted ETH/USD, need 100"):
+            bootstrap_wash_sd(target, rare, n_boot=100, seed=7)
 
     def test_chunks_do_not_change_the_replicates(self, monkeypatch):
         target, bench, kwargs = oracle_panels()["singular"]
