@@ -16,13 +16,14 @@ block at a time. Every numeric field is decoded the same way: its digits,
 right-aligned in a byte matrix with a dot read as a 0 digit, times a vector
 of powers of ten (a float64 matmul, exact because the digits above and below
 10**9 are summed apart, each sum below 2**53, and joined in int64).
-Timestamps and amounts are those exact integers. A price's digits, its dot
-left out, make an integer N, and N / 10**k is divided in long double and
-rounded to float64: the correctly rounded value, as ``float()`` gives it,
-wherever N and 10**k are exact in long double and the quotient is not a
-float64 midpoint. The rest take ``float()`` on their bytes: prices of more
-than 18 digits, and those whose quotient falls on a midpoint, which no
-two-decimal price of ``synth``'s does.
+Timestamps are those exact integers. An amount's or a price's digits, its
+dot left out, make an integer N, and k digits follow the dot: the amount is
+N * 10**(8 - k) sub-units, and the price N / 10**k divided once in float64.
+Wherever N < 2**53, both operands are exact in float64 (10**k is, up to
+k = 22), so the one division rounds once and gives the correctly rounded
+value, as ``float()`` does, on every platform: Clinger's fast path. The rest
+take ``float()`` on their bytes: prices of more than 18 digits, or whose N
+is 2**53 or more, which no two-decimal price of ``synth``'s is.
 
 Every other line goes, in line order, through one scalar path: the ``csv``
 module reads the record starting there, and ``_validate_row`` (with
@@ -158,36 +159,13 @@ _PAD = np.zeros(_KEY_MAX, np.uint8)
 # Row k keeps the first, or the last, k of _KEY_MAX columns.
 _KEEP_FIRST = np.tri(_KEY_MAX + 1, _KEY_MAX, -1, np.uint8)
 _KEEP_LAST = np.ascontiguousarray(_KEEP_FIRST[:, ::-1])
-_POW10 = 10 ** np.arange(10, dtype=np.int64)
+_POW10 = 10 ** np.arange(_AMOUNT_MAX - 1, dtype=np.int64)
 # Place weights of a digit matrix right-aligned in _AMOUNT_MAX columns, for
 # its digits above and below 10**9. A float64 matmul by them is exact: every
 # product and partial sum is an integer below 10**10 < 2**53.
 _HALVES = np.zeros((_AMOUNT_MAX, 2))
 _HALVES[: _AMOUNT_MAX - 9, 0] = 10.0 ** np.arange(_AMOUNT_MAX - 10, -1, -1)
 _HALVES[_AMOUNT_MAX - 9 :, 1] = 10.0 ** np.arange(8, -1, -1)
-
-
-def _exact_scale(wide: type) -> tuple[np.ndarray, int]:
-    """The powers of ten 10**0, 10**1, ... that the float type ``wide`` holds
-    exactly, and the bound below which it holds every int64 exactly.
-
-    10**k = 2**k * 5**k is exact while 5**k fits the significand.
-    """
-    bits = np.finfo(wide).nmant + 1
-    k = 0
-    while 5 ** (k + 1) < 2**bits:
-        k += 1
-    return np.cumprod(np.array([1] + [10] * k, dtype=wide)), min(2**bits, int(_INT64.max))
-
-
-# A price N / 10**k is decoded as the quotient of N and 10**k in the widest
-# float numpy has, rounded to float64. With both exact, the quotient is
-# correctly rounded, and so is its float64 rounding unless the quotient lies
-# on a float64 midpoint. Where long double is a double, this is Clinger's
-# fast path: N below 2**53, k at most 22. Only IEEE long doubles (64-, 80- and
-# 128-bit) are used: PowerPC's double-double does not round its quotients.
-_IEEE_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (52, 63, 112)
-_WIDE_POW10, _WIDE_INT_END = _exact_scale(np.longdouble if _IEEE_LONG_DOUBLE else np.float64)
 
 
 def _chunks(source) -> Iterator[bytes]:
@@ -286,10 +264,11 @@ def _aligned(window: np.ndarray, lo: np.ndarray, hi: np.ndarray, most: int, righ
     return window[lo + _KEY_MAX, :w], _KEEP_FIRST[:, :w].take(inside, axis=0), length
 
 
-def _halves(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A right-aligned digit matrix's number, as its digits above and below 10**9."""
+def _integer(d: np.ndarray) -> np.ndarray:
+    """The int64 number of each row of a right-aligned digit matrix, its
+    digits above and below 10**9 summed apart and joined."""
     high_low = (d @ _HALVES[_AMOUNT_MAX - d.shape[1] :]).astype(np.int64)
-    return high_low[:, 0], high_low[:, 1]
+    return high_low[:, 0] * 10**9 + high_low[:, 1]
 
 
 def _read_dot(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,30 +282,15 @@ def _read_dot(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(has_dot, d.shape[1] - 1 - dot, 0), has_dot
 
 
-def _decimal_floats(d: np.ndarray, frac: np.ndarray, has_dot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """float64 values of right-aligned decimal digit rows, each with its dot,
-    if any, read as a 0 digit and ``frac`` digits after it.
-
-    Returns the values and the mask of the rows whose value is the correctly
-    rounded one: those whose digits, dot removed, make an integer N that the
-    wide type holds, with a power 10**frac that it holds, and whose wide
-    quotient is not a float64 midpoint. The other rows need another decode.
-    """
-    # N's digit matrix: the digits right of the dot where they are, and those
-    # left of it one column to the right, over the dot's 0
+def _fixed_point(d: np.ndarray, frac: np.ndarray, has_dot: np.ndarray) -> np.ndarray:
+    """The integer N that each right-aligned digit row makes with its dot,
+    read as a 0 digit ``frac`` columns from the right, left out: the digits
+    right of the dot stay where they are, and those left of it move one
+    column right, over the dot's 0."""
     shifted = np.zeros_like(d)
     shifted[:, 1:] = d[:, :-1]
     right = _KEEP_LAST[:, _KEY_MAX - d.shape[1] :].take(np.where(has_dot, frac, _KEY_MAX), axis=0)
-    high, low = _halves(shifted + (d - shifted) * right)
-    n = high * 10**9 + low
-    k = np.minimum(frac, _WIDE_POW10.size - 1)
-    q = n.astype(_WIDE_POW10.dtype) / _WIDE_POW10[k]
-    x = q.astype(np.float64)
-    # q is a midpoint when twice it is x plus x's neighbour on q's side
-    wide_x = x.astype(q.dtype)
-    neighbour = np.nextafter(x, np.where(q > wide_x, np.inf, -np.inf)).astype(q.dtype)
-    exact = (n < _WIDE_INT_END) & (k == frac) & ((q == wide_x) | (2 * q != wide_x + neighbour))
-    return x, exact
+    return _integer(shifted + (d - shifted) * right)
 
 
 def _columnar_rows(a: np.ndarray, starts: np.ndarray, ends: np.ndarray, nexts: np.ndarray):
@@ -340,11 +304,11 @@ def _columnar_rows(a: np.ndarray, starts: np.ndarray, ends: np.ndarray, nexts: n
     ``exchange,pair`` key bytes, timestamp, price and sub-unit amount.
 
     Timestamps, amounts and prices are decoded from right-aligned digit
-    matrices by a matmul with place weights: a price as the integer its digits
-    make, divided by a power of ten in long double (``_decimal_floats``). The
-    few prices that decode cannot round exactly (more than 18 digits, or a
-    quotient on a float64 midpoint) take ``float()`` on their bytes, as on the
-    scalar path.
+    matrices by a matmul with place weights. An amount or a price is first the
+    integer N its digits make with the dot left out (``_fixed_point``): the
+    amount is N * 10**(8 - frac), and the price N / 10**frac in float64. The
+    prices that division may not round correctly (more than 18 digits, or N
+    of 2**53 or more) take ``float()`` on their bytes, as on the scalar path.
     """
     n = starts.size
     fits = np.zeros(n, bool)
@@ -374,21 +338,18 @@ def _columnar_rows(a: np.ndarray, starts: np.ndarray, ends: np.ndarray, nexts: n
     m, keep, length = _aligned(window, c1 + 1, c2, _TS_MAX, right=True)
     d = (m - np.uint8(48)) * keep
     ok &= (length > 0) & (length <= _TS_MAX) & (d < 10).all(axis=1)
-    high, low = _halves(d)
-    row_ts = high * 10**9 + low
+    row_ts = _integer(d)
 
-    # The amount is read as one number with its dot as a 0 digit; the digits
-    # right of that 0 are the fraction.
+    # The amount is the integer its digits make, dot left out, scaled to
+    # sub-units: below 10**18 on an accepted row. The clamp keeps the rejected
+    # rows' indices in range.
     m, keep, length = _aligned(window, c3 + 1, e, _AMOUNT_MAX, right=True)
     d = (m - np.uint8(48)) * keep
     frac, has_dot = _read_dot(d)
     ok &= (length <= _AMOUNT_MAX) & (d < 10).all(axis=1) & (frac <= AMOUNT_DECIMALS)
     ok &= (length - frac - has_dot > 0) & (length - frac - has_dot <= _INT_MAX)
-    high, low = _halves(d)
-    frac = np.minimum(frac, AMOUNT_DECIMALS)  # keeps the rejected rows' indices in range
-    shift = frac + has_dot
-    units = high * _POW10[9 - shift] + low // _POW10[shift]
-    row_amounts = units * SUBUNITS_PER_UNIT + low % _POW10[shift] * _POW10[AMOUNT_DECIMALS - frac]
+    frac = np.minimum(frac, AMOUNT_DECIMALS)
+    row_amounts = _fixed_point(d, frac, has_dot) * _POW10[AMOUNT_DECIMALS - frac]
     ok &= row_amounts > 0
 
     # The price: a digit first and last, and only digits between but for one
@@ -398,12 +359,15 @@ def _columnar_rows(a: np.ndarray, starts: np.ndarray, ends: np.ndarray, nexts: n
     frac, has_dot = _read_dot(d)
     ok &= (length <= _PRICE_MAX) & (a[c2 + 1] - np.uint8(48) < 10) & (a[c3 - 1] - np.uint8(48) < 10)
     ok &= (d < 10).all(axis=1)
-    # Decoded from its last _AMOUNT_MAX columns: a price of at most 18 digits
-    # lies within them, and its integer fits int64. The clamp keeps the other
-    # rows' indices in range.
+    # N / 10**frac, both converted to float64 and divided once, is correctly
+    # rounded where N < 2**53 (10**17 and below are exact): Clinger's fast
+    # path. A price of at most 18 digits lies within the last _AMOUNT_MAX
+    # columns and its N fits int64; the clamp keeps the other rows' indices
+    # in range.
     frac = np.minimum(frac, _AMOUNT_MAX - 2)
-    row_prices, exact = _decimal_floats(d[:, -_AMOUNT_MAX:], frac, has_dot)
-    exact &= length - has_dot < _AMOUNT_MAX
+    n_price = _fixed_point(d[:, -_AMOUNT_MAX:], frac, has_dot)
+    row_prices = n_price / _POW10[frac]
+    exact = (length - has_dot < _AMOUNT_MAX) & (n_price < 2**53)
     for i in np.flatnonzero(ok & ~exact).tolist():
         row_prices[i] = float(a[c2[i] + 1 : c3[i]].tobytes())
     ok &= row_prices > 0

@@ -36,11 +36,15 @@ MIN_BENCHMARK_OBS = 8
 def roundness_distribution(amounts_subunits: np.ndarray, spec: PairSpec) -> np.ndarray:
     """Counts over the eight roundness-level buckets (least round first).
 
-    The buckets are those of ``trades.roundness_level_indices``. Bucket 1
-    starts at ``lo`` trailing zeros, a hundredth of a base unit, and each
-    bucket after it at one more, so the counts follow from how many amounts
-    have at least ``lo``, ``lo + 1``, ..., ``lo + 6`` trailing zeros. Each of
-    those filters only the amounts the one before kept, divided down.
+    A size's place is the power of ten, in base units, of its last non-zero
+    digit. Bucket ``place + 3`` holds it, the extreme places pooled into the
+    two boundary buckets: 0 thousandths or less, 1 hundredths, 2 tenths,
+    3 ones, 4 tens, 5 hundreds, 6 thousands, 7 ten-thousands or more.
+
+    Bucket 1 starts at ``lo`` trailing zeros, a hundredth of a base unit,
+    and each bucket after it at one more, so the counts follow from how many
+    amounts have at least ``lo``, ``lo + 1``, ..., ``lo + 6`` trailing zeros.
+    Each of those filters only the amounts the one before kept, divided down.
     """
     x = np.asarray(amounts_subunits, dtype=np.int64)
     if x.size == 0:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from test_trades import first_significant_digits
 
 from washdetect.benford import (
     DigitHistogram,
@@ -18,7 +19,7 @@ from washdetect.benford import (
     histogram_rows,
 )
 from washdetect.errors import AmountError, EstimationError, InsufficientDataError
-from washdetect.trades import BUILTIN_PAIR_SPECS, SortedAmounts, exact_sum, first_significant_digits
+from washdetect.trades import BUILTIN_PAIR_SPECS, SortedAmounts, exact_sum
 from washdetect.verdicts import P_FLOOR
 
 

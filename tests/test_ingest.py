@@ -9,7 +9,6 @@ import sys
 import threading
 from datetime import date, datetime, timezone
 from decimal import Decimal
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -481,7 +480,7 @@ def oracle_parse(text, dedupe):
     return groups, rejects, n_dup
 
 
-# Prices at the edges of the columnar price decoder (``ingest._decimal_floats``).
+# Prices at the edges of the columnar price decoder (``ingest._columnar_rows``).
 PRICE_EDGES = [
     # integers around 2**53, where a double stops holding every integer, with and without a dot
     "9007199254740991",
@@ -513,19 +512,21 @@ PRICE_EDGES = [
     "2251799813685248.24",
     "2251799813685248.25",
     "2251799813685248.26",
-    # decimals that are not midpoints but whose 64-bit quotient rounds onto
-    # one, so that rounding it again to float64 would give the wrong float
-    # for the first four
+    # decimals that are not midpoints but whose quotient rounded to 64 bits
+    # is one, so that a decode rounding twice, through an 80-bit long
+    # double, would give the wrong float for the first four
     "0.70155649322356467",
     "548583.554976780375",
     "68890740.1515179649",
     "61748787306.8900795",
     "6649061821924.54541",
-    # odd forms, and prices of 19 to 32 characters
+    # odd forms, the largest divisor the fast path uses (10**17), and prices
+    # of 19 to 32 characters
     "0000.5",
     "00000000000000000.5",
     "007",
     "1.0",
+    "0.00000000000000001",
     "0.000000000000000001",
     "1000000000000000000",
     "12345678901234567.89",
@@ -535,31 +536,13 @@ PRICE_EDGES = [
 ]
 
 
-def _rounded(value, bits):
-    """A positive Fraction rounded to ``bits`` significant bits, ties to even."""
-    e = value.numerator.bit_length() - value.denominator.bit_length()
-    e -= Fraction(2) ** e > value
-    scale = Fraction(2) ** (bits - 1 - e)
-    return round(value * scale) / scale
-
-
-def decode_falls_back(text, wide):
-    """Whether a columnar price takes ``float()`` on its bytes, with ``wide``
-    as the decoder's wide type.
-
-    It does when its digits, dot removed, are more than 18 or make an integer
-    that ``wide`` does not hold, or when their quotient by 10**k, rounded to
-    ``wide``'s precision, is a float64 midpoint. (Every 10**k of at most 18
-    digits is exact in a double.)
+def decode_falls_back(text):
+    """Whether a columnar price takes ``float()`` on its bytes: when its
+    digits, dot removed, are more than 18 or make an integer of 2**53 or more.
+    (Every 10**k of at most 18 digits is exact in a double.)
     """
     digits = text.replace(".", "")
-    bits = np.finfo(wide).nmant + 1
-    if len(digits) > 18 or int(digits) >= min(2**bits, 2**63 - 1):
-        return True
-    q = _rounded(Fraction(text), bits)
-    x = float(q)
-    neighbour = float(np.nextafter(x, math.inf if q > x else -math.inf))
-    return q != x and q == (Fraction(x) + Fraction(neighbour)) / 2
+    return len(digits) > 18 or int(digits) >= 2**53
 
 
 def near_midpoint(x, digits):
@@ -641,12 +624,6 @@ def tapes(draw):
     return buf.getvalue()
 
 
-def wide_type(wide):
-    """Patch the price decoder to divide in ``wide`` instead of long double."""
-    powers, int_end = ingest._exact_scale(wide)
-    return mock.patch.multiple(ingest, _WIDE_POW10=powers, _WIDE_INT_END=int_end)
-
-
 def assert_same_parse(ds, report, text, dedupe):
     """The dataset and report equal the reference parse of ``text``."""
     groups, rejects, n_dup = oracle_parse(text, dedupe)
@@ -669,17 +646,15 @@ class TestColumnarEquivalence:
         st.booleans(),
         st.sampled_from([1, 7, 64, 1 << 16]),
         st.booleans(),
-        st.sampled_from([np.longdouble, np.float64]),
     )
-    def test_matches_reference_parse(self, text, dedupe, block_bytes, as_text, wide):
+    def test_matches_reference_parse(self, text, dedupe, block_bytes, as_text):
         source = io.StringIO(text) if as_text else text.encode()
-        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), wide_type(wide):
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
             ds, report = parse_trades(source, dedupe=dedupe)
         assert_same_parse(ds, report, text, dedupe)
 
-    @pytest.mark.parametrize("wide", [np.longdouble, np.float64])
     @pytest.mark.parametrize("block_bytes", [1, 7, 64, 1 << 16])
-    def test_price_decoder_edges_match_reference_parse(self, block_bytes, wide):
+    def test_price_decoder_edges_match_reference_parse(self, block_bytes):
         lines = [",".join(CSV_HEADER)] + [f"R1,BTC/USD,{t},{price},1.5" for t, price in enumerate(PRICE_EDGES)]
         text = "\n".join(lines) + "\n"
         read = []
@@ -688,17 +663,10 @@ class TestColumnarEquivalence:
             read.append(data.decode())
             return float(data)
 
-        # float64 stands in for a platform whose long double is a double
-        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), wide_type(wide):
-            with mock.patch.object(ingest, "float", counting, create=True):
-                ds, report = parse_trades(text.encode())
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), mock.patch.object(ingest, "float", counting, create=True):
+            ds, report = parse_trades(text.encode())
         assert_same_parse(ds, report, text, False)
-        assert read == [price for price in PRICE_EDGES if decode_falls_back(price, wide)]
-
-    def test_double_scale_is_clingers_fast_path(self):
-        powers, int_end = ingest._exact_scale(np.float64)
-        assert powers.dtype == np.float64 and int_end == 2**53
-        assert powers.tolist() == [10.0**k for k in range(23)]
+        assert read == [price for price in PRICE_EDGES if decode_falls_back(price)]
 
     @pytest.mark.parametrize("block_bytes", [1, 7, 64, 1 << 16])
     def test_dedupe_compares_whole_rows_within_timestamp_runs(self, block_bytes):

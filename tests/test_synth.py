@@ -3,10 +3,11 @@
 import csv
 import io
 import json
+from itertools import zip_longest
 
 import numpy as np
 import pytest
-from test_trades import canonical_amount
+from test_trades import canonical_amount, first_significant_digits
 
 from washdetect.benford import chi_squared_benford, digit_histogram
 from washdetect.clustering import run_cluster_test
@@ -20,7 +21,7 @@ from washdetect.synth import (
     write_tape,
 )
 from washdetect.tailfit import fit_tail
-from washdetect.trades import PairRegistry, first_significant_digits, is_round_mask
+from washdetect.trades import PairRegistry, is_round_mask
 
 
 def tape_csv(cfg, include_labels=False):
@@ -29,10 +30,20 @@ def tape_csv(cfg, include_labels=False):
     return buf.getvalue()
 
 
+def first_difference(got, want):
+    """None if two texts (or byte strings) are equal, else their first line
+    that differs: its number and both versions. An assertion on this reports
+    one line, where pytest's diff of two whole tapes runs for minutes."""
+    if got == want:
+        return None
+    lines = zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    return next((i, g, w) for i, (g, w) in enumerate(lines, 1) if g != w)
+
+
 class TestDeterminism:
     def test_identical_seeds_byte_identical(self):
         cfg = GeneratorConfig(seed=7, n_trades=50_000, wash_fraction=0.7)
-        assert tape_csv(cfg) == tape_csv(cfg)
+        assert first_difference(tape_csv(cfg), tape_csv(cfg)) is None
 
     def test_different_seeds_differ(self):
         a = GeneratorConfig(seed=7, n_trades=10_000)
@@ -137,9 +148,7 @@ class TestGoldenBytes:
         tape = gen_exchange(cfg)
         buf = io.StringIO()
         write_tape(tape, buf, fmt, labels)
-        got, want = buf.getvalue().splitlines(), oracle_tape(tape, fmt, labels).splitlines()
-        # the first line that differs, not a diff of two whole tapes
-        assert got == want, next((line, w) for line, w in zip(got + [None], want + [None]) if line != w)
+        assert first_difference(buf.getvalue(), oracle_tape(tape, fmt, labels)) is None
         assert -(-n // synth._WRITE_ROWS[fmt]) == chunks
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

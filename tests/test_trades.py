@@ -10,6 +10,7 @@ from washdetect.errors import AmountError, ConfigError, PairConfigError
 from washdetect.ingest import TradeDataset, TradeGroup, parse_trades
 from washdetect.synth import GeneratorConfig, LabeledTape, write_tape
 from washdetect.trades import (
+    AMOUNT_DECIMALS,
     BASE_UNIT_EXPONENT_MAX,
     BASE_UNIT_EXPONENT_MIN,
     BUILTIN_PAIR_SPECS,
@@ -17,11 +18,8 @@ from washdetect.trades import (
     PairRegistry,
     PairSpec,
     exact_sum,
-    first_significant_digits,
     is_round_mask,
     parse_amount,
-    roundness_level_indices,
-    trailing_zero_counts,
 )
 from washdetect.washest import roundness_distribution
 
@@ -66,6 +64,63 @@ def string_place(subunits, spec):
     s = str(subunits)
     place = len(s) - len(s.rstrip("0")) - (8 + spec.base_unit_exponent)
     return max(-3, min(4, place))
+
+
+# The vectorized references the tests check the battery's digit and
+# roundness kernels against; nothing in the package needs them.
+
+
+def first_significant_digits(subunits: np.ndarray) -> np.ndarray:
+    """Leading non-zero decimal digit (1..9) of each positive int64 amount.
+
+    Invariant under multiplication by powers of ten, so the sub-unit integer
+    carries the same leading digit as the native-unit decimal.
+    """
+    x = np.asarray(subunits, dtype=np.int64)
+    if x.size and x.min() <= 0:
+        raise AmountError("first significant digit undefined for non-positive amount")
+    e = np.floor(np.log10(x.astype(np.float64))).astype(np.int64)
+    # float log10 can misround next to powers of ten; fix with exact integer division
+    lead = x // 10**e
+    too_low = lead == 0
+    if too_low.any():
+        e[too_low] -= 1
+        lead[too_low] = x[too_low] // 10 ** e[too_low]
+    too_high = lead >= 10
+    if too_high.any():
+        e[too_high] += 1
+        lead[too_high] = x[too_high] // 10 ** e[too_high]
+    return lead.astype(np.int64)
+
+
+def trailing_zero_counts(subunits: np.ndarray) -> np.ndarray:
+    """Count of trailing decimal zeros of each positive int64 amount.
+
+    Strips 10**16, 10**8, 10**4, 10**2 and 10**1 where they divide: a
+    positive int64 has at most 18 trailing zeros, fewer than their sum.
+    """
+    x = np.asarray(subunits, dtype=np.int64)
+    if x.size and x.min() <= 0:
+        raise AmountError("trailing zeros undefined for non-positive amount")
+    zeros = np.zeros(x.shape, dtype=np.int64)
+    for step in (16, 8, 4, 2, 1):
+        divides = x % 10**step == 0
+        x = np.where(divides, x // 10**step, x)
+        zeros += step * divides
+    return zeros
+
+
+def roundness_level_indices(subunits: np.ndarray, spec: PairSpec) -> np.ndarray:
+    """Roundness bucket 0..7 of each positive int64 amount.
+
+    A size's place is the power of ten, in base units, of its last non-zero
+    digit. Bucket ``place + 3`` holds it, with the extreme places pooled into
+    the two boundary buckets, so the eight buckets run from least to most
+    round: 0 thousandths or less, 1 hundredths, 2 tenths, 3 ones, 4 tens,
+    5 hundreds, 6 thousands, 7 ten-thousands or more.
+    """
+    place = trailing_zero_counts(subunits) - (AMOUNT_DECIMALS + spec.base_unit_exponent)
+    return np.clip(place, -3, 4) + 3
 
 
 class TestAmountParsing:
