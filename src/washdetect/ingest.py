@@ -4,19 +4,19 @@ Input is CSV (header ``exchange,pair,timestamp_ms,price,amount``) or JSONL
 with the same keys, one object per line. Files are read as bytes, in blocks
 of whole lines (``BLOCK_BYTES``, 256 KiB), so the transient memory of a
 parse follows the block size and not the file size: a 2M-row tape peaks at
-60 bytes a row under tracemalloc, 24 of them the parsed trades, and parses
-at 0.73–1.09M rows/s on a 2-core x86-64 host. A line ends at ``\\n``,
-``\\r\\n`` or a lone ``\\r``; lines are numbered from 1, the CSV header's
-line.
+56 bytes a row under tracemalloc, 24 of them the parsed trades, and parses
+at 2.0–2.6M rows/s on a 2-core x86-64 host. Lines end at ``\\n``, ``\\r\\n``
+or a lone ``\\r``, and are numbered from 1, the CSV header's line.
 
 Most CSV lines match a strict ASCII grammar: four commas, no quote, no
 control or non-ASCII byte, a digits-only timestamp and plain decimal price
 and amount. Those lines are split into columns and converted with numpy, a
-block at a time. Every numeric field is decoded the same way: its digits,
-right-aligned in a byte matrix with a dot read as a 0 digit, times a vector
-of powers of ten (a float64 matmul, exact because the digits above and below
-10**9 are summed apart, each sum below 2**53, and joined in int64).
-Timestamps are those exact integers. An amount's or a price's digits, its
+block at a time, from one scan that marks each comma, quote, control and
+non-ASCII byte, line ends among them. Every numeric field is decoded the same
+way: its digits, right-aligned in a byte matrix with a dot read as a 0 digit,
+times a vector of powers of ten (a float64 matmul, exact because the digits
+above and below 10**9 are summed apart, each sum below 2**53, and joined in
+uint64). Timestamps are that integer. An amount's or a price's digits, its
 dot left out, make an integer N, and k digits follow the dot: the amount is
 N * 10**(8 - k) sub-units, and the price N / 10**k divided once in float64.
 Wherever N < 2**53, both operands are exact in float64 (10**k is, up to
@@ -34,19 +34,20 @@ on and a reason, and skipped, or abort the parse in strict mode.
 
 The sources of a list are parsed side by side, each on one thread with its
 own columns and reject log, on up to as many threads as the process has
-usable cores (``_side_by_side``, which also runs the battery's groups). The
-numpy calls on a 256 KiB block run long enough to overlap under the
-interpreter lock; on 64 KiB blocks two threads were slower than one. Each
-thread holds one block at a time, so the transient memory is bounded per
-thread. The sources' columns are then joined in list order, their group
-codes renumbered in place, and their reject logs concatenated.
+usable cores (``_side_by_side``, which also runs the battery's groups); each
+thread holds one block at a time. On a 2-core x86-64 host that gains
+nothing: a quick-start pass took 102 ms on one thread and 105 ms on two.
+The sources' columns are then joined in list order, their group codes
+renumbered in place, and their reject logs concatenated.
 
 Trades are grouped by (exchange, pair). Each group keeps compact parallel
 numpy arrays (timestamps, sub-unit amounts, prices) sorted by timestamp, so
 a million-row tape costs tens of megabytes and every downstream statistic can
-run vectorized. One sort groups the rows of every source, and it also finds
-exact duplicates for ``dedupe``: they can only share a (group, timestamp)
-run, whichever source they come from.
+run vectorized. A stable sort of the group codes groups the rows of every
+source, and only groups out of timestamp order are sorted again; rows
+already in order stay put, each group a slice of the joined columns. That
+order finds the exact duplicates of ``dedupe`` too: they share a (group,
+timestamp) run, whichever source they come from.
 """
 
 from __future__ import annotations
@@ -154,12 +155,17 @@ _INT64 = np.iinfo(np.int64)
 _BOM = "\ufeff".encode("utf-8")
 # one decoder, since json.loads with options builds a new one per call
 _JSON = json.JSONDecoder(parse_float=Decimal)
-# Zero bytes on each side of a block, so that every field's window is in it.
-_PAD = np.zeros(_KEY_MAX, np.uint8)
+# Bytes on each side of a block, so that every field's window is in it:
+# spaces, which are no marks (see _lines).
+_PAD = b" " * _KEY_MAX
 # Row k keeps the first, or the last, k of _KEY_MAX columns.
 _KEEP_FIRST = np.tri(_KEY_MAX + 1, _KEY_MAX, -1, np.uint8)
 _KEEP_LAST = np.ascontiguousarray(_KEEP_FIRST[:, ::-1])
 _POW10 = 10 ** np.arange(_AMOUNT_MAX - 1, dtype=np.int64)
+# V - V // _DIV[k] * _NINES[k] takes the 0 digit k places from the right out
+# of V < 10**19, moving the digits left of it one place right; k = 19 keeps V.
+_DIV = np.array([10 ** min(k + 1, 19) for k in range(20)], np.uint64)
+_NINES = np.array([9 * 10**k for k in range(19)] + [0], np.uint64)
 # Place weights of a digit matrix right-aligned in _AMOUNT_MAX columns, for
 # its digits above and below 10**9. A float64 matmul by them is exact: every
 # product and partial sum is an integer below 10**10 < 2**53.
@@ -204,13 +210,19 @@ def _last_line_end(buf: bytearray) -> int:
     return max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1)) + 1
 
 
-def _feed(chunks: Iterator[bytes], parse_block) -> None:
-    """Hand ``parse_block(block, eof)`` the input as blocks of whole lines.
+def _padded(buf: bytearray, n: int) -> bytes:
+    """The first ``n`` bytes of ``buf`` between two ``_PAD``, in one copy."""
+    with memoryview(buf) as view:
+        return b"".join((_PAD, view[:n], _PAD))
 
-    ``parse_block`` returns how many leading bytes it used. What it leaves (a
-    quoted record still open at the block's end) comes back with the next
-    block, once the carry has doubled, so a record or line of any length
-    costs linear time.
+
+def _feed(chunks: Iterator[bytes], parse_block) -> None:
+    """Hand ``parse_block(block, eof)`` the input as blocks of whole lines,
+    padded (``_padded``); it returns how many bytes of the input it used.
+
+    What it leaves (a quoted record still open at the block's end) comes back
+    with the next block, once the carry has doubled, so a record or line of
+    any length costs linear time.
     """
     pending = bytearray()
     wait = 0
@@ -219,167 +231,124 @@ def _feed(chunks: Iterator[bytes], parse_block) -> None:
         if len(pending) < wait:
             continue
         cut = _last_line_end(pending)
-        used = parse_block(bytes(pending[:cut]), False) if cut else 0
+        used = parse_block(_padded(pending, cut), False) if cut else 0
         del pending[:used]
         # with nothing cut or a record left open, wait for twice the data
         wait = 0 if used == cut > 0 else 2 * len(pending)
     if pending:
-        parse_block(bytes(pending), True)
+        parse_block(_padded(pending, len(pending)), True)
 
 
-def _line_bounds(a: np.ndarray, eof: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start, content end and next-line start of each line of a block.
-
-    A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as with Python's
-    universal newlines. Only the file's last line may lack an end.
-    """
-    newline = a == 10
-    cr = a == 13
+def _lines(a: np.ndarray, eof: bool) -> tuple[np.ndarray, ...]:
+    """The marks of a padded block (offsets of commas, quotes, control and
+    non-ASCII bytes), and per line the marks up to its end, its start,
+    content end and next-line start. A line ends at ``\\n``, ``\\r\\n`` or a
+    lone ``\\r``, as with Python's universal newlines, so its end is among the
+    marks; only the file's last line may lack one."""
+    marks = np.flatnonzero(((a - np.uint8(32)) > 94) | (a == 34) | (a == 44))
+    kind = a[marks]
+    upto = np.flatnonzero((kind == 10) | (kind == 13))
+    ends = marks[upto]
+    cr = kind[upto] == 13
     if cr.any():
-        lone_cr = cr.copy()
-        lone_cr[:-1] &= ~newline[1:]
-        last = np.flatnonzero(newline | lone_cr)
-        ends = last - (newline[last] & cr[last - 1] & (last > 0))
+        # the \r of a \r\n ends its line's content, and the \n the line
+        crlf = cr[:-1] & ~cr[1:] & (ends[1:] == ends[:-1] + 1)
+        line_end = ~np.append(crlf, False)
+        upto, nexts = upto[line_end], ends[line_end] + 1
+        ends = (ends - np.insert(crlf, 0, False))[line_end]
     else:
-        last = ends = np.flatnonzero(newline)
-    nexts = last + 1
-    if eof and (nexts[-1] if nexts.size else 0) < a.size:
-        ends = np.append(ends, a.size)
-        nexts = np.append(nexts, a.size)
-    return np.concatenate(([0], nexts[:-1])), ends, nexts
+        nexts = ends + 1
+    upto += 1
+    end = a.size - _KEY_MAX
+    if eof and (nexts[-1] if nexts.size else _KEY_MAX) < end:
+        ends, nexts, upto = np.append(ends, end), np.append(nexts, end), np.append(upto, marks.size)
+    return marks, upto, np.concatenate(([_KEY_MAX], nexts[:-1])), ends, nexts
 
 
-def _aligned(window: np.ndarray, lo: np.ndarray, hi: np.ndarray, most: int, right: bool = False):
-    """Bytes [lo, hi) of each row, left- or right-aligned in a matrix as wide
-    as the longest of them, up to ``most`` columns.
+def _gather(data: bytes, at: np.ndarray, w: int) -> np.ndarray:
+    """The ``w`` bytes of ``data`` from each offset in ``at``, as matrix rows."""
+    return np.ndarray((len(data) - w + 1,), f"V{w}", data, strides=(1,))[at].view(np.uint8).reshape(-1, w)
 
-    Returns the uint8 matrix, a 0/1 matrix of the cells inside each row's
-    bytes, and their lengths.
-    """
+
+def _decimal(data: bytes, lo: np.ndarray, hi: np.ndarray, most: int):
+    """Bytes [lo, hi) of each row as a decimal, right-aligned in up to ``most``
+    columns. Returns N, the uint64 number its last ``_AMOUNT_MAX`` columns
+    make with the dot left out; the digits right of its dot (0 without one);
+    whether it has a dot; whether every other byte is a digit; its length."""
     length = hi - lo
-    w = max(1, min(most, int(length.max())))
-    inside = np.minimum(length, _KEY_MAX)
-    if right:
-        return window[hi + (_KEY_MAX - w), :w], _KEEP_LAST[:, _KEY_MAX - w :].take(inside, axis=0), length
-    return window[lo + _KEY_MAX, :w], _KEEP_FIRST[:, :w].take(inside, axis=0), length
+    w = max(1, min(most, int(length.max(initial=0))))
+    d = _gather(data, hi - w, w) - np.uint8(48)
+    if length.min(initial=w) < w:  # zero the cells left of a shorter row's bytes
+        d *= _KEEP_LAST[:, _KEY_MAX - w :].take(np.minimum(length, w), axis=0)
+    flat = d.ravel()
+    odd = np.flatnonzero(flat > 9)  # the few non-digits; '.' - '0' wraps to 254
+    row, col = np.divmod(odd, w)
+    is_dot = flat[odd] == 254
+    flat[odd] = 0
+    dots = row[is_dot]
+    n_dots = np.bincount(dots, minlength=length.size)
+    clean = (np.bincount(row, minlength=length.size) == n_dots) & (n_dots < 2)
+    has_dot = n_dots > 0
+    frac = np.zeros(length.size, np.intp)
+    frac[dots] = w - 1 - col[is_dot]
+    d = d[:, -_AMOUNT_MAX:]
+    high_low = (d @ _HALVES[_AMOUNT_MAX - d.shape[1] :]).astype(np.uint64)
+    n = high_low[:, 0] * np.uint64(10**9) + high_low[:, 1]
+    if dots.size:  # the clamp keeps the index of a row with a dot too far left in range
+        k = np.where(has_dot, np.minimum(frac, _AMOUNT_MAX - 1), _AMOUNT_MAX)
+        n -= n // _DIV[k] * _NINES[k]
+    return n, frac, has_dot, clean, length
 
 
-def _integer(d: np.ndarray) -> np.ndarray:
-    """The int64 number of each row of a right-aligned digit matrix, its
-    digits above and below 10**9 summed apart and joined."""
-    high_low = (d @ _HALVES[_AMOUNT_MAX - d.shape[1] :]).astype(np.int64)
-    return high_low[:, 0] * 10**9 + high_low[:, 1]
-
-
-def _read_dot(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zero the first '.' in each row of a right-aligned digit matrix, where
-    '.' - '0' wrapped to 254; return the digits right of it and whether the
-    row had one. A second dot stays a non-digit."""
-    r = np.arange(d.shape[0])
-    dot = (d == 254).argmax(axis=1)
-    has_dot = d[r, dot] == 254
-    d[r[has_dot], dot[has_dot]] = 0
-    return np.where(has_dot, d.shape[1] - 1 - dot, 0), has_dot
-
-
-def _fixed_point(d: np.ndarray, frac: np.ndarray, has_dot: np.ndarray) -> np.ndarray:
-    """The integer N that each right-aligned digit row makes with its dot,
-    read as a 0 digit ``frac`` columns from the right, left out: the digits
-    right of the dot stay where they are, and those left of it move one
-    column right, over the dot's 0."""
-    shifted = np.zeros_like(d)
-    shifted[:, 1:] = d[:, :-1]
-    right = _KEEP_LAST[:, _KEY_MAX - d.shape[1] :].take(np.where(has_dot, frac, _KEY_MAX), axis=0)
-    return _integer(shifted + (d - shifted) * right)
-
-
-def _columnar_rows(a: np.ndarray, starts: np.ndarray, ends: np.ndarray, nexts: np.ndarray):
-    """Parse every line of a block that fits the columnar grammar.
+def _columnar_rows(data: bytes, a: np.ndarray, marks, upto, starts, ends, nexts):
+    """Parse every line of a padded block that fits the columnar grammar.
 
     The grammar: exactly four commas; no quote, control or non-ASCII byte;
     non-empty exchange and pair; timestamp ``[0-9]{1,18}``; price
     ``[0-9]+(\\.[0-9]+)?``; amount ``[0-9]{1,10}(\\.[0-9]{0,8})?``; price and
     amount above zero. On such a line the scalar path gives the same values,
-    so it is parsed here. Returns, per line, the mask of those lines and their
-    ``exchange,pair`` key bytes, timestamp, price and sub-unit amount.
-
-    Timestamps, amounts and prices are decoded from right-aligned digit
-    matrices by a matmul with place weights. An amount or a price is first the
-    integer N its digits make with the dot left out (``_fixed_point``): the
-    amount is N * 10**(8 - frac), and the price N / 10**frac in float64. The
-    prices that division may not round correctly (more than 18 digits, or N
-    of 2**53 or more) take ``float()`` on their bytes, as on the scalar path.
+    so it is parsed here. Returns the indices of those lines, in order, and
+    their ``exchange,pair`` key bytes, timestamps, prices and sub-unit amounts.
     """
-    n = starts.size
-    fits = np.zeros(n, bool)
-    keys = np.zeros(n, "S1")
-    ts = np.zeros(n, np.int64)
-    prices = np.zeros(n, np.float64)
-    amounts = np.zeros(n, np.int64)
-
-    # One scan for commas, quotes, control and non-ASCII bytes. A line's end
-    # is among them, so a line fits with four of them before its end, all commas.
-    marks = np.flatnonzero(((a - np.uint8(32)) > 94) | (a == 34) | (a == 44))
-    upto = np.searchsorted(marks, nexts)
+    # a line fits with four marks before its end, all commas
     n_marks = np.diff(upto, prepend=0)
     rows = np.flatnonzero(n_marks == 4 + nexts - ends)
-    if not rows.size:
-        return fits, keys, ts, prices, amounts
     c0, c1, c2, c3 = commas = marks[(upto - n_marks)[rows] + np.arange(4)[:, None]]
     s, e = starts[rows], ends[rows]
-    padded = np.concatenate((_PAD, a, _PAD))
-    window = np.lib.stride_tricks.as_strided(padded, (padded.size - _KEY_MAX + 1, _KEY_MAX), (1, 1), writeable=False)
     ok = (a[commas] == 44).all(axis=0) & (c0 > s) & (c1 > c0 + 1)
 
-    m, keep, length = _aligned(window, s, c1, _KEY_MAX)
-    key = m * keep
+    length = c1 - s
+    w = max(1, min(_KEY_MAX, int(length.max(initial=0))))
+    key = _gather(data, s, w)
+    if length.min(initial=w) < w:
+        key *= _KEEP_FIRST[:, :w].take(np.minimum(length, w), axis=0)
     ok &= length <= _KEY_MAX
 
-    m, keep, length = _aligned(window, c1 + 1, c2, _TS_MAX, right=True)
-    d = (m - np.uint8(48)) * keep
-    ok &= (length > 0) & (length <= _TS_MAX) & (d < 10).all(axis=1)
-    row_ts = _integer(d)
+    n, _, has_dot, clean, length = _decimal(data, c1 + 1, c2, _TS_MAX)
+    ok &= (length > 0) & (length <= _TS_MAX) & clean & ~has_dot
+    row_ts = n.view(np.int64)
 
-    # The amount is the integer its digits make, dot left out, scaled to
-    # sub-units: below 10**18 on an accepted row. The clamp keeps the rejected
-    # rows' indices in range.
-    m, keep, length = _aligned(window, c3 + 1, e, _AMOUNT_MAX, right=True)
-    d = (m - np.uint8(48)) * keep
-    frac, has_dot = _read_dot(d)
-    ok &= (length <= _AMOUNT_MAX) & (d < 10).all(axis=1) & (frac <= AMOUNT_DECIMALS)
-    ok &= (length - frac - has_dot > 0) & (length - frac - has_dot <= _INT_MAX)
-    frac = np.minimum(frac, AMOUNT_DECIMALS)
-    row_amounts = _fixed_point(d, frac, has_dot) * _POW10[AMOUNT_DECIMALS - frac]
+    # The amount is N scaled to sub-units: below 10**18 on an accepted row. The
+    # clamp keeps the rejected rows' indices in range.
+    n, frac, has_dot, clean, length = _decimal(data, c3 + 1, e, _AMOUNT_MAX)
+    whole = length - frac - has_dot
+    ok &= clean & (length <= _AMOUNT_MAX) & (frac <= AMOUNT_DECIMALS) & (whole > 0) & (whole <= _INT_MAX)
+    row_amounts = n.view(np.int64) * _POW10[AMOUNT_DECIMALS - np.minimum(frac, AMOUNT_DECIMALS)]
     ok &= row_amounts > 0
 
-    # The price: a digit first and last, and only digits between but for one
-    # dot, read as a 0 digit as in the amount.
-    m, keep, length = _aligned(window, c2 + 1, c3, _PRICE_MAX, right=True)
-    d = (m - np.uint8(48)) * keep
-    frac, has_dot = _read_dot(d)
-    ok &= (length <= _PRICE_MAX) & (a[c2 + 1] - np.uint8(48) < 10) & (a[c3 - 1] - np.uint8(48) < 10)
-    ok &= (d < 10).all(axis=1)
-    # N / 10**frac, both converted to float64 and divided once, is correctly
-    # rounded where N < 2**53 (10**17 and below are exact): Clinger's fast
-    # path. A price of at most 18 digits lies within the last _AMOUNT_MAX
-    # columns and its N fits int64; the clamp keeps the other rows' indices
-    # in range.
-    frac = np.minimum(frac, _AMOUNT_MAX - 2)
-    n_price = _fixed_point(d[:, -_AMOUNT_MAX:], frac, has_dot)
-    row_prices = n_price / _POW10[frac]
-    exact = (length - has_dot < _AMOUNT_MAX) & (n_price < 2**53)
-    for i in np.flatnonzero(ok & ~exact).tolist():
-        row_prices[i] = float(a[c2[i] + 1 : c3[i]].tobytes())
+    # The price: a digit first and last, and only digits but one dot between.
+    n, frac, has_dot, clean, length = _decimal(data, c2 + 1, c3, _PRICE_MAX)
+    ok &= clean & (length <= _PRICE_MAX) & (a[c2 + 1] - np.uint8(48) < 10) & (a[c3 - 1] - np.uint8(48) < 10)
+    # N / 10**frac, both exact in float64 where N < 2**53, is correctly rounded:
+    # Clinger's fast path. A price of at most 18 digits lies within N's
+    # columns; the clamp keeps the other rows' indices in range.
+    row_prices = n.view(np.int64) / _POW10[np.minimum(frac, _AMOUNT_MAX - 2)]
+    exact = (length - has_dot < _AMOUNT_MAX) & (n < 2**53)
+    slow = np.flatnonzero(ok & ~exact)
+    for i, lo, hi in zip(slow.tolist(), (c2[slow] + 1).tolist(), c3[slow].tolist()):
+        row_prices[i] = float(data[lo:hi])
     ok &= row_prices > 0
-
-    rows = rows[ok]
-    fits[rows] = True
-    keys = np.zeros(n, f"S{key.shape[1]}")
-    keys[rows] = key[ok].view(keys.dtype).ravel()
-    ts[rows] = row_ts[ok]
-    prices[rows] = row_prices[ok]
-    amounts[rows] = row_amounts[ok]
-    return fits, keys, ts, prices, amounts
+    return rows[ok], key[ok].view(f"S{key.shape[1]}").ravel(), row_ts[ok], row_prices[ok], row_amounts[ok]
 
 
 def _validate_row(exchange: str, pair: str, ts_text: str, price_text: str, amount_text: str) -> tuple[int, float, int]:
@@ -454,6 +423,30 @@ def _json_text(value) -> str:
     return str(value)
 
 
+def _grouping(codes: np.ndarray, ts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """The rows sorted by (code, timestamp) and then line, or None where that
+    is their order already, and the codes with rows (``counts``) in order of
+    their first row. A stable sort groups the rows (by radix for 16-bit
+    codes); then only the groups whose timestamps fall are sorted by them."""
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    present = np.flatnonzero(counts)
+    order = None
+    if (codes[1:] < codes[:-1]).any():
+        order = np.argsort(codes.astype(np.uint16) if counts.size < 1 << 16 else codes, kind="stable")
+        present = present[np.argsort(order[starts[present]])]
+    ranked = ts if order is None else ts[order]
+    fall = np.flatnonzero(ranked[1:] < ranked[:-1]) + 1
+    group = np.searchsorted(stops, fall, side="right")
+    bad = np.unique(group[fall > starts[group]])
+    if bad.size:  # their rows by timestamp, then by code, both stable
+        order = np.arange(codes.size) if order is None else order
+        at = np.repeat(starts[bad] - np.cumsum(counts[bad]) + counts[bad], counts[bad]) + np.arange(counts[bad].sum())
+        rows = order[at][np.argsort(ts[order[at]], kind="stable")]
+        order[at] = rows[np.argsort(codes[rows], kind="stable")]
+    return order, present
+
+
 def _first_occurrences(order: np.ndarray, codes: np.ndarray, ts: np.ndarray, *columns: np.ndarray) -> np.ndarray:
     """``order``, the rows sorted by (code, timestamp) and then line, without
     the rows that repeat an earlier line's code, timestamp and ``columns``.
@@ -512,19 +505,22 @@ class _Columns:
             return ds
         codes, ts, prices, amounts = (np.concatenate(col) for col in zip(*self.blocks))
         self.blocks.clear()
-        # stable, so rows with equal timestamps stay in source and line order
-        order = np.lexsort((ts, codes))
+        counts = np.bincount(codes, minlength=len(self.codes))
+        order, present = _grouping(codes, ts, counts)
         if dedupe:
+            order = np.arange(codes.size) if order is None else order
             # prices are positive and finite, so equal bits mean equal floats
             order = _first_occurrences(order, codes, ts, prices.view(np.int64), amounts)
             report.n_deduplicated = int(codes.size - order.size)
-        report.n_accepted = int(order.size)
-        starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
-        stops = np.append(starts[1:], order.size)
+            counts = np.bincount(codes[order], minlength=counts.size)
+        report.n_accepted = int(counts.sum())
+        stops = np.cumsum(counts).tolist()
         names = list(self.codes)
-        for k in np.argsort(np.minimum.reduceat(order, starts)):  # in order of first appearance
-            rows = order[starts[k] : stops[k]]
-            exchange, pair = names[codes[rows[0]]]
+        for k in present.tolist():
+            # rows already grouped and in order are a slice, with no gather
+            span = slice(stops[k] - counts[k], stops[k])
+            rows = span if order is None else order[span]
+            exchange, pair = names[k]
             ds.groups[(exchange, pair)] = TradeGroup(exchange, pair, ts[rows], amounts[rows], prices[rows])
         return ds
 
@@ -560,7 +556,7 @@ class _Parser:
     def csv_block(self, data: bytes, eof: bool) -> int:
         """Parse a block of CSV lines; return how many leading bytes it used."""
         a = np.frombuffer(data, np.uint8)
-        starts, ends, nexts = _line_bounds(a, eof)
+        marks, upto, starts, ends, nexts = _lines(a, eof)
         first = 0
         if not self.header_seen:
             record = _csv_record(data, starts, nexts, 0, eof)
@@ -573,21 +569,24 @@ class _Parser:
                 raise ParseError(f"bad CSV header {header!r}, expected {','.join(CSV_HEADER)}")
             self.header_seen = True
 
-        accepted, keys, ts, prices, amounts = _columnar_rows(a, starts, ends, nexts)
-        accepted[:first] = False
+        lines, keys, ts, prices, amounts = _columnar_rows(data, a, marks, upto, starts, ends, nexts)
+        fits = np.zeros(starts.size, bool)
+        fits[lines] = True
+        gone = np.zeros(starts.size, bool)  # lines whose columnar rows drop out
+        gone[:first] = True
         scalar = []
         n_lines = starts.size
         resume = first
-        for i in np.flatnonzero(~accepted & (ends > starts)).tolist():
+        for i in np.flatnonzero(~fits & (ends > starts)).tolist():
             if i < resume:
                 continue
             record = _csv_record(data, starts, nexts, i, eof)
             if record is None:  # parse this record again with the next block
-                accepted[i:] = False
+                gone[i:] = True
                 n_lines = i
                 break
             fields, used, reason = record
-            accepted[i + 1 : i + used] = False  # lines inside a quoted field
+            gone[i + 1 : i + used] = True  # lines inside a quoted field
             resume = i + used
             if reason is not None:
                 self.reject(self.line + i, reason)
@@ -595,25 +594,28 @@ class _Parser:
                 row = self.scalar_row(self.line + i, fields)
                 if row is not None:
                     scalar.append((i, *row))
+        if gone.any():
+            kept = ~gone[lines]
+            lines, keys, ts, prices, amounts = (col[kept] for col in (lines, keys, ts, prices, amounts))
 
-        codes = np.zeros(starts.size, np.int32)
-        if accepted.any():
+        codes = np.zeros(keys.size, np.int32)
+        if keys.size:
             # keys come in runs, so only the first key of each run is looked up
-            keys = keys[accepted]
             heads = np.flatnonzero(np.insert(keys[1:] != keys[:-1], 0, True))
             names, inverse = np.unique(keys[heads], return_inverse=True)
             table = [self.columns.code(*name.decode("ascii").split(",", 1)) for name in names]
-            codes[accepted] = np.repeat(np.array(table, np.int32)[inverse], np.diff(heads, append=keys.size))
-        for i, code, t, price, subunits in scalar:
-            accepted[i] = True
-            codes[i], ts[i], prices[i], amounts[i] = code, t, price, subunits
-        self.columns.add(codes[accepted], ts[accepted], prices[accepted], amounts[accepted])
+            codes = np.repeat(np.array(table, np.int32)[inverse], np.diff(heads, append=keys.size))
+        if scalar:  # merged into line order
+            at = np.searchsorted(lines, [row[0] for row in scalar])
+            columns = zip((codes, ts, prices, amounts), list(zip(*scalar))[1:])
+            codes, ts, prices, amounts = (np.insert(col, at, values) for col, values in columns)
+        self.columns.add(codes, ts, prices, amounts)
         self.line += n_lines
-        return int(starts[n_lines]) if n_lines < starts.size else len(data)
+        return int(nexts[n_lines - 1]) - _KEY_MAX if n_lines else 0
 
     def jsonl_block(self, data: bytes, eof: bool) -> int:
         """Parse a block of JSONL lines, one by one; all of it is used."""
-        starts, ends, _ = _line_bounds(np.frombuffer(data, np.uint8), eof)
+        _, _, starts, ends, _ = _lines(np.frombuffer(data, np.uint8), eof)
         rows = []
         for k, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
             line = self.line + k
@@ -634,12 +636,10 @@ class _Parser:
             if row is not None:
                 rows.append(row)
         if rows:
-            codes, ts, prices, amounts = zip(*rows)
-            self.columns.add(
-                np.array(codes, np.int32), np.array(ts, np.int64), np.array(prices, np.float64), np.array(amounts, np.int64)
-            )
+            codes, ts, prices, amounts = map(np.array, zip(*rows))
+            self.columns.add(codes.astype(np.int32), ts.astype(np.int64), prices, amounts.astype(np.int64))
         self.line += starts.size
-        return len(data)
+        return len(data) - 2 * _KEY_MAX
 
 
 def _parse_source(source, fmt: str, strict: bool) -> _Parser:

@@ -489,6 +489,11 @@ PRICE_EDGES = [
     "900719925474099.2",
     "0.9007199254740993",
     "9007199254740993.00",
+    # 18 digits, the most the decoder divides, at N = 2**53 - 1 and 2**53
+    "009007199254740.991",
+    "009007199254740.992",
+    "00900719925474099.1",
+    "00900719925474099.2",
     # repr prices of 17, 18 and 19 characters
     "9000.500000000002",
     "12345.678901234567",
@@ -721,6 +726,62 @@ class TestColumnarEquivalence:
         assert g.amounts.tobytes() == amounts_.tobytes()
         assert g.prices.tobytes() == prices.tobytes()
 
+    # Odd dots in every numeric field, at the edges of the columnar decoder's
+    # scan for cells that are not digits: two of them, one first or last, and
+    # a letter beside one.
+    KERNEL_EDGES = [
+        ("5", "1.2.3", "1"),
+        ("6", "1", "1.2.3"),
+        ("7", "1", "1..5"),
+        ("1.", "1", "1"),
+        (".1", "1", "1"),
+        ("8", ".5", "1"),
+        ("9", "5.", "1"),
+        ("10", "1", ".5"),
+        ("11", "1", "5."),
+        ("12", "1.x5", "1"),
+        ("13", "1x.5", "1"),
+        ("14", "1", "1.x5"),
+        ("15", "1", "1x.5"),
+        ("16", "1", "x1.5"),
+        ("17", ".", "."),
+    ]
+
+    @pytest.mark.parametrize("block_bytes", [1, 7, 64, 1 << 16])
+    def test_kernel_edges_match_reference_parse(self, block_bytes):
+        # line ends cycle through \n, \r\n and a lone \r, so that blocks of
+        # every size end on each of them; two quoted records span lines
+        ends = ["\n", "\r\n", "\r"]
+        rows = [f"R1,BTC/USD,{t},{price},{amount}" for t, price, amount in self.KERNEL_EDGES]
+        rows[3:3] = ['R1,BTC/USD,20,1.5,"2\r\n"', '"R1\nX",BTC/USD,21,1.5,1', "R1,BTC/USD,22,1.5,0.5"]
+        text = ",".join(CSV_HEADER) + "\r\n" + "".join(row + ends[i % 3] for i, row in enumerate(rows))
+        for dedupe in (False, True):
+            with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+                ds, report = parse_trades(text.encode(), dedupe=dedupe)
+            assert_same_parse(ds, report, text, dedupe)
+        assert [line for line, _ in report.rejected] == [2, 3, 4, 10, 11, 14, 16, 17, 18, 19, 20, 21]
+        assert ds.group("R1", "BTC/USD").timestamps.tolist() == [8, 9, 11, 20, 22]
+
+    def test_repr_prices_that_fall_back_match_reference_parse(self):
+        # repr prices near 9000 have 16 or 17 digits: those above 9007.199...
+        # or of 17 digits make N >= 2**53 and take float() on their bytes
+        rng = np.random.default_rng(11)
+        prices = [repr(float(p)) for p in rng.normal(9000, 60, 30_000)]
+        lines = [",".join(CSV_HEADER)] + [f"R1,BTC/USD,{i},{p},1.5" for i, p in enumerate(prices)]
+        text = "\n".join(lines) + "\n"
+        assert len(text) > 4 * ingest.BLOCK_BYTES
+        read = []
+
+        def counting(data):
+            read.append(data)
+            return float(data)
+
+        with mock.patch.object(ingest, "float", counting, create=True):
+            ds, report = parse_trades(text.encode())
+        assert_same_parse(ds, report, text, False)
+        assert read == [p.encode() for p in prices if decode_falls_back(p)]
+        assert 0.25 < len(read) / len(prices) < 0.5
+
     def test_multi_block_tape_matches_reference_parse(self):
         rng = np.random.default_rng(7)
         lines = [",".join(CSV_HEADER)]
@@ -764,6 +825,100 @@ class TestColumnarEquivalence:
                 return
         assert isinstance(ds, TradeDataset)
         assert ds.n_trades == report.n_accepted
+
+
+def lexsort_groups(texts, dedupe):
+    """Groups, in order of first appearance, and duplicate count of CSV texts
+    read as one input: the reference parse's rows, in text and line order,
+    put in order by ``np.lexsort((ts, codes))``, with codes numbered by first
+    appearance."""
+    keys, rows = {}, []
+    for text in texts:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        next(reader)
+        for record in reader:
+            try:
+                key, ts, price, amount = _oracle_fields(record)
+            except AmountError:
+                continue
+            rows.append((keys.setdefault(key, len(keys)), ts, price, amount))
+    if not rows:
+        return {}, 0
+    codes, ts, prices, amounts = (np.array(col, t) for col, t in zip(zip(*rows), (np.int64, np.int64, float, np.int64)))
+    order = np.lexsort((ts, codes))
+    if dedupe:  # a row equal to an earlier line's, price bits included
+        repeat, seen = np.zeros(len(rows), bool), set()
+        for i, row in enumerate(zip(codes.tolist(), ts.tolist(), prices.view(np.int64).tolist(), amounts.tolist())):
+            repeat[i] = row in seen
+            seen.add(row)
+        order = order[~repeat[order]]
+    ranked = codes[order]
+    cut = np.flatnonzero(np.diff(ranked)) + 1
+    names = list(keys)
+    groups = {
+        names[code]: (ts[group], amounts[group], prices[group])
+        for code, group in zip(ranked[np.r_[0, cut]].tolist(), np.split(order, cut))
+    }
+    return groups, len(rows) - order.size
+
+
+def assert_same_groups(ds, report, groups, n_dup):
+    assert report.n_deduplicated == n_dup
+    assert report.n_accepted == sum(ts.size for ts, _, _ in groups.values())
+    assert list(ds.groups) == list(groups)
+    for key, (ts, amounts, prices) in groups.items():
+        g = ds.groups[key]
+        assert g.timestamps.tobytes() == ts.tobytes()
+        assert g.amounts.tobytes() == amounts.tobytes()
+        assert g.prices.tobytes() == prices.tobytes()
+
+
+class TestGrouping:
+    """Groups equal a lexsort of the reference parse, however the rows arrive."""
+
+    KEYS = ["R1,BTC/USD", "U1,BTC/USD", "R1,ETH/USD", '"R2",BTC/USD']  # the last takes the scalar path
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 3),
+                    st.integers(0, 6),
+                    st.sampled_from(["1.5", "2", "0.3"]),
+                    st.sampled_from(["1", "0.5"]),
+                ),
+                max_size=30,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.booleans(),
+        st.sampled_from([7, 1 << 16]),
+    )
+    def test_groups_match_a_lexsort_of_the_reference_parse(self, sources, dedupe, block_bytes):
+        # keys interleaved row by row, timestamps out of order and tied across
+        # sources, and exact duplicates within and across sources
+        texts = [
+            "".join([",".join(CSV_HEADER) + "\n"] + [f"{self.KEYS[k]},{t},{p},{a}\n" for k, t, p, a in rows])
+            for rows in sources
+        ]
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+            ds, report = parse_trades([text.encode() for text in texts], dedupe=dedupe)
+        assert_same_groups(ds, report, *lexsort_groups(texts, dedupe))
+
+    @pytest.mark.parametrize("dedupe", [False, True])
+    def test_more_groups_than_16_bit_codes_match_a_lexsort(self, dedupe):
+        n = (1 << 16) + 10
+        rng = np.random.default_rng(5)
+        # one row per group, then one more per group in reverse group order
+        # at a random timestamp, then repeats of every 1000th of those rows
+        rows = [f"E{k},P,{10 + k % 3},1.5,1" for k in range(n)]
+        rows += [f"E{k},P,{t},2.5,1" for k, t in zip(range(n - 1, -1, -1), rng.integers(0, 20, n).tolist())]
+        rows += rows[::1000]
+        text = "\n".join([",".join(CSV_HEADER), *rows]) + "\n"
+        ds, report = parse_trades(text.encode(), dedupe=dedupe)
+        assert len(ds.groups) == n
+        assert_same_groups(ds, report, *lexsort_groups([text], dedupe))
 
 
 class TestWeekIndex:
