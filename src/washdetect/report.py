@@ -13,10 +13,12 @@ failure rate and counterfactual rank improvement summarize each exchange.
 
 The groups are tested side by side, on as many threads as a parse runs
 (``ingest._WORKERS``), and their results assembled in sorted key order, so
-the report is the same on any number of threads. Each group's amounts are
-sorted once (``trades.SortedAmounts``) for the Benford histogram and both
-clustering grids, and its roundness counts, taken once, serve both its own
-roundness test and the pooled regulated benchmark of its pair.
+the report is the same on any number of threads. On a 2-core x86-64 host a
+second thread took the quick start's battery from 35 to 27 ms, and a
+paper-scale market's (87 groups) from 0.35 to 0.32 s. Each group's amounts
+are sorted once (``trades.SortedAmounts``) for the Benford histogram and
+both clustering grids, and its roundness counts, taken once, serve both its
+own roundness test and the pooled regulated benchmark of its pair.
 """
 
 from __future__ import annotations
@@ -360,13 +362,7 @@ def run_battery(
 
     keys = dataset.sorted_keys()
     groups = [dataset.groups[key] for key in keys]
-    # the groups side by side, on as many threads as a parse's sources
-    done = _side_by_side(
-        lambda i: _pair_battery(groups[i], registry.get(keys[i][1]), config), [[i] for i in range(len(keys))]
-    )
-    for result in done:
-        if isinstance(result, Exception):
-            raise result
+    done = list(_side_by_side(lambda i: _pair_battery(groups[i], registry.get(keys[i][1]), config), len(keys)))
 
     # each pair's regulated roundness benchmark pools its regulated groups' counts
     pooled_roundness: dict[str, np.ndarray] = {}

@@ -1,12 +1,12 @@
 """Parsing, grouping, weekly volume splits, and the unrounded subset."""
 
-import contextlib
 import csv
 import decimal
 import io
 import math
-import sys
+import signal
 import threading
+import time
 from datetime import date, datetime, timezone
 from decimal import Decimal
 from unittest import mock
@@ -21,6 +21,7 @@ from washdetect.ingest import (
     CSV_HEADER,
     ParseReport,
     TradeDataset,
+    parse_each,
     parse_trades,
     unrounded_subset,
     week_index,
@@ -121,18 +122,6 @@ class TestParse:
         assert g.timestamps.tolist() == [5, 10, 20, 30]
         assert g.amounts.tolist() == [parse_amount(a) for a in "4231"]
         assert g.prices.tolist() == [4.0, 2.0, 3.0, 1.0]
-
-
-@contextlib.contextmanager
-def fast_thread_switches():
-    """A 1 µs switch interval, so that threads take turns at nearly every
-    bytecode."""
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(old)
 
 
 def parse_at_worker_caps(make_sources, *, most=3, **kwargs):
@@ -236,7 +225,7 @@ class TestSources:
         assert parse_error_at_worker_caps(lambda: [ok, missing, ok]) == f"{missing}: No such file or directory"
 
     @pytest.mark.parametrize("stream", [io.BytesIO, io.StringIO])
-    def test_a_stream_listed_twice_is_read_by_one_thread_in_list_order(self, stream):
+    def test_a_stream_listed_twice_is_read_by_one_thread_in_list_order(self, stream, fast_thread_switches):
         long = self.FIRST + "".join(f"X,BTC/USD,{t},1.0,1\n" for t in range(200))
 
         def make():
@@ -245,8 +234,11 @@ class TestSources:
             return [first, self.SECOND.encode(), first, self.FIRST.encode()]
 
         # small reads, so that two threads reading the stream would interleave
-        with fast_thread_switches(), mock.patch.object(ingest, "BLOCK_BYTES", 16):
+        with mock.patch.object(ingest, "BLOCK_BYTES", 16):
             ds, report = parse_at_worker_caps(make)
+            for workers in (1, 3):
+                with mock.patch.object(ingest, "_WORKERS", workers):
+                    assert [each.n_accepted for _, each in parse_each(make())] == [203, 3, 0, 3]
         alone, alone_report = parse_trades([long.encode(), self.SECOND.encode(), self.FIRST.encode()])
         assert report == alone_report and report.n_rejected == 0
         assert {key: g.prices.tolist() for key, g in ds.groups.items()} == {
@@ -263,20 +255,39 @@ class TestSources:
         assert threading.active_count() == before
 
     def test_one_thread_per_source_up_to_the_cap(self):
-        started = []
+        parse, parsed_on = ingest._parse_source, {}
 
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
+        def recorded(*args):
+            parsed_on[threading.get_ident()] = threading.current_thread()
+            return parse(*args)
 
-        for n_sources, workers, n_started in ((1, 3, 0), (2, 3, 1), (5, 3, 2), (5, 1, 0)):
-            started.clear()
-            with mock.patch.object(ingest, "_WORKERS", workers), mock.patch.object(ingest.threading, "Thread", Counted):
+        for n_sources, workers in ((1, 3), (2, 3), (5, 3), (5, 1)):
+            parsed_on.clear()
+            with mock.patch.object(ingest, "_WORKERS", workers), mock.patch.object(ingest, "_parse_source", recorded):
                 _, report = parse_trades([self.FIRST.encode()] * n_sources)
             assert report.n_accepted == 3 * n_sources
-            assert len(started) == n_started
-            assert not any(thread.is_alive() for thread in started)
+            assert 1 <= len(parsed_on) <= min(n_sources, workers)
+            assert not any(thread.is_alive() for thread in parsed_on.values())
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="SIGINT cannot be sent to the main thread")
+    def test_an_interrupt_starts_no_queued_source(self):
+        parse, parsed = ingest._parse_source, []
+
+        def interrupt_at_the_first(source, *args):
+            parsed.append(source)
+            if len(parsed) == 1:
+                time.sleep(0.2)  # until the main thread has queued every source
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                time.sleep(0.5)  # while it takes the interrupt and empties the queue
+            return parse(source, *args)
+
+        sources = [text.encode() for text in (self.FIRST, self.SECOND, self.BAD, self.FIRST)]
+        before = threading.active_count()
+        with mock.patch.object(ingest, "_WORKERS", 1), mock.patch.object(ingest, "_parse_source", interrupt_at_the_first):
+            with pytest.raises(KeyboardInterrupt):
+                parse_trades(sources)
+        assert parsed == sources[:1]
+        assert threading.active_count() == before
 
     def test_usable_cores_with_and_without_affinity(self, monkeypatch):
         monkeypatch.setattr(ingest.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
@@ -288,9 +299,9 @@ class TestSources:
         monkeypatch.setattr(ingest.os, "cpu_count", lambda: None)
         assert ingest._usable_cores() == 1
 
-    def test_many_sources_on_more_threads_than_cores(self):
+    def test_many_sources_on_more_threads_than_cores(self, fast_thread_switches):
         texts = [self.FIRST, self.SECOND, self.BAD] * 8
-        with fast_thread_switches(), mock.patch.object(ingest, "BLOCK_BYTES", 16):
+        with mock.patch.object(ingest, "BLOCK_BYTES", 16):
             _, report = parse_at_worker_caps(
                 lambda: [text.encode() for text in texts], most=ingest._usable_cores() + 2, dedupe=True
             )

@@ -2,7 +2,6 @@
 
 import json
 import math
-import sys
 import threading
 from importlib import resources
 from unittest import mock
@@ -142,18 +141,6 @@ class TestBattery:
         assert [ex.failure_rate for ex in rep.exchanges[3:]] == [1.0, 1.0, 1.0]
         assert rep.wash_failure_fit is None
         assert "wash-failure fit skipped: singular regression: all failure rates equal" in rep.warnings
-
-
-@pytest.fixture
-def fast_thread_switches():
-    """A 1 µs switch interval, so that threads take turns at nearly every
-    bytecode."""
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(old)
 
 
 class TestGroupsSideBySide:
