@@ -50,7 +50,6 @@ from .trades import (
     PairRegistry,
     PairSpec,
     RegulatoryClass,
-    parse_amount,
 )
 from .verdicts import (
     FisherResult,

@@ -8,29 +8,18 @@ parse follows the block size and not the file size: a 2M-row tape peaks at
 at 2.0–2.6M rows/s on a 2-core x86-64 host. Lines end at ``\\n``, ``\\r\\n``
 or a lone ``\\r``, and are numbered from 1, the CSV header's line.
 
-Most CSV lines match a strict ASCII grammar: four commas, no quote, no
-control or non-ASCII byte, a digits-only timestamp and plain decimal price
-and amount. Those lines are split into columns and converted with numpy, a
-block at a time, from one scan that marks each comma, quote, control and
-non-ASCII byte, line ends among them. Every numeric field is decoded the same
-way: its digits, right-aligned in a byte matrix with a dot read as a 0 digit,
-times a vector of powers of ten (a float64 matmul, exact because the digits
-above and below 10**9 are summed apart, each sum below 2**53, and joined in
-uint64). Timestamps are that integer. An amount's or a price's digits, its
-dot left out, make an integer N, and k digits follow the dot: the amount is
-N * 10**(8 - k) sub-units, and the price N / 10**k divided once in float64.
-Wherever N < 2**53, both operands are exact in float64 (10**k is, up to
-k = 22), so the one division rounds once and gives the correctly rounded
-value, as ``float()`` does, on every platform: Clinger's fast path. The rest
-take ``float()`` on their bytes: prices of more than 18 digits, or whose N
-is 2**53 or more, which no two-decimal price of ``synth``'s is.
-
-Every other line goes, in line order, through one scalar path: the ``csv``
-module reads the record starting there, and ``_validate_row`` (with
-``trades.parse_amount``) checks it. That path decides which odd rows are
-accepted and gives every reject reason; JSONL rows all take it. Bad rows,
-undecodable bytes included, are recorded with the line their record starts
-on and a reason, and skipped, or abort the parse in strict mode.
+One grammar, stated in README's *Input format*, decides which rows are
+trades, and one numpy kernel checks it, a block at a time (``_numbers``). A
+CSV line that holds a row as it stands (four commas; no quote, control or
+non-ASCII byte) is checked in place, from one scan that marks each comma,
+quote, control and non-ASCII byte, line ends among them. Any other line is
+read by the ``csv`` module, or the JSON decoder for JSONL, which only unquote
+and decode; its numeric fields, stripped of ASCII whitespace, go through the
+same kernel in one batch per block. Amounts are decoded as exact integers of
+1e-8 sub-units, and prices correctly rounded, as ``float()`` rounds them
+(see ``_decimal``). Bad rows, undecodable bytes included, are recorded with
+the line their record starts on and the reason of their first failing
+field, and skipped, or abort the parse in strict mode.
 
 The sources of a list are parsed side by side, each with its own columns
 and reject log, on a pool of up to as many threads as the process has usable
@@ -56,8 +45,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
+import threading
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
@@ -65,8 +54,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import AmountError, ParseError
-from .trades import AMOUNT_DECIMALS, SUBUNITS_PER_UNIT, PairRegistry, exact_sum, is_round_mask, parse_amount
+from .errors import ParseError
+from .trades import AMOUNT_DECIMALS, MAX_AMOUNT_SUBUNITS, SUBUNITS_PER_UNIT, PairRegistry, exact_sum, is_round_mask
 
 CSV_HEADER = ("exchange", "pair", "timestamp_ms", "price", "amount")
 
@@ -146,12 +135,12 @@ class ParseReport:
 # parse follows the block size, not the file size.
 BLOCK_BYTES = 1 << 18
 
-# Widest field the columnar grammar takes; wider ones go the scalar path.
-# The key is "exchange,pair"; an amount is up to 10 integer digits, a dot and
-# 8 fractional digits.
-_KEY_MAX, _TS_MAX, _PRICE_MAX, _AMOUNT_MAX = 64, 18, 32, 19
+# Widest field the grammar takes; the key "exchange,pair" only on lines parsed
+# as they stand. An amount is up to 11 integer digits, a dot and 8 decimals.
+_KEY_MAX, _TS_MAX, _PRICE_MAX, _AMOUNT_MAX = 64, 19, 32, 20
 _INT_MAX = _AMOUNT_MAX - 1 - AMOUNT_DECIMALS
-_INT64 = np.iinfo(np.int64)
+# Columns whose digits, a dot left out, make an exact uint64 N (see _decimal).
+_N_COLS = 19
 _BOM = "\ufeff".encode("utf-8")
 # one decoder, since json.loads with options builds a new one per call
 _JSON = json.JSONDecoder(parse_float=Decimal)
@@ -161,17 +150,24 @@ _PAD = b" " * _KEY_MAX
 # Row k keeps the first, or the last, k of _KEY_MAX columns.
 _KEEP_FIRST = np.tri(_KEY_MAX + 1, _KEY_MAX, -1, np.uint8)
 _KEEP_LAST = np.ascontiguousarray(_KEEP_FIRST[:, ::-1])
-_POW10 = 10 ** np.arange(_AMOUNT_MAX - 1, dtype=np.int64)
+_POW10 = 10 ** np.arange(_N_COLS, dtype=np.uint64)
 # V - V // _DIV[k] * _NINES[k] takes the 0 digit k places from the right out
 # of V < 10**19, moving the digits left of it one place right; k = 19 keeps V.
 _DIV = np.array([10 ** min(k + 1, 19) for k in range(20)], np.uint64)
 _NINES = np.array([9 * 10**k for k in range(19)] + [0], np.uint64)
-# Place weights of a digit matrix right-aligned in _AMOUNT_MAX columns, for
-# its digits above and below 10**9. A float64 matmul by them is exact: every
+# Place weights of a digit matrix right-aligned in _N_COLS columns, for its
+# digits above and below 10**9. A float64 matmul by them is exact: every
 # product and partial sum is an integer below 10**10 < 2**53.
-_HALVES = np.zeros((_AMOUNT_MAX, 2))
-_HALVES[: _AMOUNT_MAX - 9, 0] = 10.0 ** np.arange(_AMOUNT_MAX - 10, -1, -1)
-_HALVES[_AMOUNT_MAX - 9 :, 1] = 10.0 ** np.arange(8, -1, -1)
+_HALVES = np.zeros((_N_COLS, 2))
+_HALVES[: _N_COLS - 9, 0] = 10.0 ** np.arange(_N_COLS - 10, -1, -1)
+_HALVES[_N_COLS - 9 :, 1] = 10.0 ** np.arange(8, -1, -1)
+# The reject reasons of the numeric fields, in the order _numbers checks
+# them, formatted with a row's timestamp, price and amount text.
+_REASONS = (
+    "bad timestamp {0!r}", "timestamp out of range {0!r}", "bad price {1!r}", "non-positive price {1!r}",
+    "malformed amount {2!r}", "precision overflow: {2!r} has more than 8 decimals", "amount overflow {2!r}",
+    "non-positive amount {2!r}",
+)
 
 
 def _chunks(source) -> Iterator[bytes]:
@@ -272,8 +268,8 @@ def _gather(data: bytes, at: np.ndarray, w: int) -> np.ndarray:
 
 def _decimal(data: bytes, lo: np.ndarray, hi: np.ndarray, most: int):
     """Bytes [lo, hi) of each row as a decimal, right-aligned in up to ``most``
-    columns. Returns N, the uint64 number its last ``_AMOUNT_MAX`` columns
-    make with the dot left out; the digits right of its dot (0 without one);
+    columns. Returns N, the uint64 its digits make without the dot, exact up
+    to 19 digits and 20 columns; the digits right of its dot (0 without one);
     whether it has a dot; whether every other byte is a digit; its length."""
     length = hi - lo
     w = max(1, min(most, int(length.max(initial=0))))
@@ -291,30 +287,68 @@ def _decimal(data: bytes, lo: np.ndarray, hi: np.ndarray, most: int):
     has_dot = n_dots > 0
     frac = np.zeros(length.size, np.intp)
     frac[dots] = w - 1 - col[is_dot]
-    d = d[:, -_AMOUNT_MAX:]
-    high_low = (d @ _HALVES[_AMOUNT_MAX - d.shape[1] :]).astype(np.uint64)
+    high_low = (d[:, -_N_COLS:] @ _HALVES[_N_COLS - min(w, _N_COLS) :]).astype(np.uint64)
     n = high_low[:, 0] * np.uint64(10**9) + high_low[:, 1]
     if dots.size:  # the clamp keeps the index of a row with a dot too far left in range
-        k = np.where(has_dot, np.minimum(frac, _AMOUNT_MAX - 1), _AMOUNT_MAX)
+        k = np.where(has_dot, np.minimum(frac, _N_COLS - 1), _N_COLS)
         n -= n // _DIV[k] * _NINES[k]
+    if w > _N_COLS:  # the 20th column, one place right once the dot is out
+        n += d[:, -_N_COLS - 1] * np.uint64(10**18)
     return n, frac, has_dot, clean, length
 
 
-def _columnar_rows(data: bytes, a: np.ndarray, marks, upto, starts, ends, nexts):
-    """Parse every line of a padded block that fits the columnar grammar.
-
-    The grammar: exactly four commas; no quote, control or non-ASCII byte;
-    non-empty exchange and pair; timestamp ``[0-9]{1,18}``; price
-    ``[0-9]+(\\.[0-9]+)?``; amount ``[0-9]{1,10}(\\.[0-9]{0,8})?``; price and
-    amount above zero. On such a line the scalar path gives the same values,
-    so it is parsed here. Returns the indices of those lines, in order, and
-    their ``exchange,pair`` key bytes, timestamps, prices and sub-unit amounts.
+def _numbers(data: bytes, a: np.ndarray, t0, t1, p0, p1, m0, m1):
+    """Check and decode each row's timestamp, price and amount, the bytes
+    [t0, t1), [p0, p1) and [m0, m1) of a padded block, against README's
+    grammar: ``[0-9]{1,19}`` below 2**63; ``[0-9]+(\\.[0-9]+)?`` of up to 32
+    bytes, above zero (after a minus sign, non-positive); ``[0-9]+(\\.[0-9]*)?``
+    of up to 20 bytes, 8 decimals and 11 integer digits, in (0, 2**62)
+    sub-units. Returns the timestamps, prices and sub-unit amounts, and per
+    row 0, or 1 plus the index in ``_REASONS`` of the first check it fails.
     """
+    n, _, has_dot, clean, length = _decimal(data, t0, t1, _TS_MAX)
+    row_ts = n.view(np.int64)
+    fails = [~clean | has_dot | (length == 0) | (length > _TS_MAX), row_ts < 0]
+
+    # The price: a digit first and last, and only digits but one dot between.
+    minus = a[p0] == 45
+    p0 = p0 + minus
+    n, frac, has_dot, clean, length = _decimal(data, p0, p1, _PRICE_MAX)
+    fails.append(~clean | (length > _PRICE_MAX) | (a[p0] - np.uint8(48) > 9) | (a[p1 - 1] - np.uint8(48) > 9))
+    # N / 10**frac, both exact in float64 where N < 2**53, is correctly rounded:
+    # Clinger's fast path. A price of at most 18 digits lies within N's
+    # columns; the clamp keeps the other rows' indices in range.
+    row_prices = n / _POW10[np.minimum(frac, _N_COLS - 1)]
+    exact = (length - has_dot < _N_COLS) & (n < 2**53)
+    slow = np.flatnonzero(~fails[-1] & ~exact)
+    for i, lo, hi in zip(slow.tolist(), p0[slow].tolist(), p1[slow].tolist()):
+        row_prices[i] = float(data[lo:hi])
+    fails.append(minus | (row_prices == 0))
+
+    # The amount is N scaled to sub-units: below 10**19 with at most 11
+    # integer digits. The clamp keeps the other rows' indices in range.
+    n, frac, has_dot, clean, length = _decimal(data, m0, m1, _AMOUNT_MAX)
+    whole = length - frac - has_dot
+    row_amounts = n * _POW10[AMOUNT_DECIMALS - np.minimum(frac, AMOUNT_DECIMALS)]
+    fails += [~clean | (length > _AMOUNT_MAX) | (whole == 0), frac > AMOUNT_DECIMALS]
+    fails += [(whole > _INT_MAX) | (row_amounts >= np.uint64(MAX_AMOUNT_SUBUNITS)), row_amounts == 0]
+    failed = np.zeros(row_ts.size, np.intp)
+    for k in range(len(fails), 0, -1):  # the first failing check is set last
+        failed[fails[k - 1]] = k
+    return row_ts, row_prices, row_amounts.view(np.int64), failed
+
+
+def _columnar_rows(data: bytes, a: np.ndarray, marks, upto, starts, ends, nexts):
+    """Parse every line of a padded block that holds a row as it stands: four
+    commas; no quote, control or non-ASCII byte; an ``exchange,pair`` key of
+    non-empty ids and at most ``_KEY_MAX`` bytes; fields ``_numbers`` passes.
+    Returns those lines' indices, in order, keys, timestamps, prices and
+    sub-unit amounts."""
     # a line fits with four marks before its end, all commas
     n_marks = np.diff(upto, prepend=0)
     rows = np.flatnonzero(n_marks == 4 + nexts - ends)
     c0, c1, c2, c3 = commas = marks[(upto - n_marks)[rows] + np.arange(4)[:, None]]
-    s, e = starts[rows], ends[rows]
+    s = starts[rows]
     ok = (a[commas] == 44).all(axis=0) & (c0 > s) & (c1 > c0 + 1)
 
     length = c1 - s
@@ -324,69 +358,37 @@ def _columnar_rows(data: bytes, a: np.ndarray, marks, upto, starts, ends, nexts)
         key *= _KEEP_FIRST[:, :w].take(np.minimum(length, w), axis=0)
     ok &= length <= _KEY_MAX
 
-    n, _, has_dot, clean, length = _decimal(data, c1 + 1, c2, _TS_MAX)
-    ok &= (length > 0) & (length <= _TS_MAX) & clean & ~has_dot
-    row_ts = n.view(np.int64)
-
-    # The amount is N scaled to sub-units: below 10**18 on an accepted row. The
-    # clamp keeps the rejected rows' indices in range.
-    n, frac, has_dot, clean, length = _decimal(data, c3 + 1, e, _AMOUNT_MAX)
-    whole = length - frac - has_dot
-    ok &= clean & (length <= _AMOUNT_MAX) & (frac <= AMOUNT_DECIMALS) & (whole > 0) & (whole <= _INT_MAX)
-    row_amounts = n.view(np.int64) * _POW10[AMOUNT_DECIMALS - np.minimum(frac, AMOUNT_DECIMALS)]
-    ok &= row_amounts > 0
-
-    # The price: a digit first and last, and only digits but one dot between.
-    n, frac, has_dot, clean, length = _decimal(data, c2 + 1, c3, _PRICE_MAX)
-    ok &= clean & (length <= _PRICE_MAX) & (a[c2 + 1] - np.uint8(48) < 10) & (a[c3 - 1] - np.uint8(48) < 10)
-    # N / 10**frac, both exact in float64 where N < 2**53, is correctly rounded:
-    # Clinger's fast path. A price of at most 18 digits lies within N's
-    # columns; the clamp keeps the other rows' indices in range.
-    row_prices = n.view(np.int64) / _POW10[np.minimum(frac, _AMOUNT_MAX - 2)]
-    exact = (length - has_dot < _AMOUNT_MAX) & (n < 2**53)
-    slow = np.flatnonzero(ok & ~exact)
-    for i, lo, hi in zip(slow.tolist(), (c2[slow] + 1).tolist(), c3[slow].tolist()):
-        row_prices[i] = float(data[lo:hi])
-    ok &= row_prices > 0
-    return rows[ok], key[ok].view(f"S{key.shape[1]}").ravel(), row_ts[ok], row_prices[ok], row_amounts[ok]
+    ts, prices, amounts, failed = _numbers(data, a, c1 + 1, c2, c2 + 1, c3, c3 + 1, ends[rows])
+    ok &= failed == 0
+    return rows[ok], key[ok].view(f"S{key.shape[1]}").ravel(), ts[ok], prices[ok], amounts[ok]
 
 
-def _validate_row(exchange: str, pair: str, ts_text: str, price_text: str, amount_text: str) -> tuple[int, float, int]:
-    """Check one row's fields: (timestamp, price, sub-units), or AmountError.
+def _field_numbers(texts: list[str]):
+    """``_numbers`` of rows given as text, the timestamp, price and amount of
+    each in turn in one list: each stripped of ASCII whitespace, and laid out
+    with a comma between them in one padded buffer."""
+    raw = [text.encode("utf-8", "surrogatepass").strip() for text in texts]
+    lengths = np.array([len(field) for field in raw], np.intp)
+    hi = np.cumsum(lengths + 1) + (_KEY_MAX - 1)
+    (t0, p0, m0), (t1, p1, m1) = (hi - lengths).reshape(-1, 3).T, hi.reshape(-1, 3).T
+    data = b"".join((_PAD, b",".join(raw), _PAD))
+    return _numbers(data, np.frombuffer(data, np.uint8), t0, t1, p0, p1, m0, m1)
 
-    The scalar oracle every off-grammar row goes through; its messages are
-    the reject reasons. Numeric fields must be ASCII, because ``int()`` and
-    ``float()`` also read digits such as the Arabic-Indic '٥'.
-    """
-    if not exchange:
-        raise AmountError("missing exchange id")
-    if not pair:
-        raise AmountError("missing pair")
-    try:
-        if not ts_text.isascii():
-            raise ValueError
-        ts = int(ts_text)
-    except ValueError:
-        raise AmountError(f"bad timestamp {ts_text!r}") from None
-    if not _INT64.min <= ts <= _INT64.max:
-        raise AmountError(f"timestamp out of range {ts_text!r}")
-    try:
-        if not price_text.isascii():
-            raise ValueError
-        price = float(price_text)
-    except ValueError:
-        raise AmountError(f"bad price {price_text!r}") from None
-    if not math.isfinite(price):
-        raise AmountError(f"non-finite price {price_text!r}")
-    if not price > 0:
-        raise AmountError(f"non-positive price {price_text!r}")
-    return ts, price, parse_amount(amount_text)
+
+def _row_reason(fields: list) -> str | None:
+    """The reason to reject a row for its number of columns or its ids, if any."""
+    if len(fields) != len(CSV_HEADER):
+        return f"expected 5 columns, got {len(fields)}"
+    for key, value, missing in zip(CSV_HEADER, fields, ("missing exchange id", "missing pair")):
+        if not (isinstance(value, str) and value):  # a JSONL id may be any value
+            return missing if value == "" else f"bad JSONL row: {key} is not a string"
+    return None
 
 
 def _csv_record(data: bytes, starts: np.ndarray, nexts: np.ndarray, i: int, eof: bool):
     """Read the CSV record that starts at line ``i`` of a block with ``csv``.
 
-    Returns (fields, lines used, reject reason or None), or None when the
+    Returns (its fields or reject reason, lines used), or None when the
     record runs past the end of a block that is not the file's last.
     """
     used = 0
@@ -401,22 +403,22 @@ def _csv_record(data: bytes, starts: np.ndarray, nexts: np.ndarray, i: int, eof:
 
     reader = csv.reader(lines())
     try:
-        fields, reason = next(reader), None
+        fields = next(reader)
     except UnicodeDecodeError as exc:
-        fields, reason = [], f"undecodable line: {exc}"
+        fields = f"undecodable line: {exc}"
     except csv.Error as exc:
-        fields, reason = [], f"bad CSV record: {exc}"
+        fields = f"bad CSV record: {exc}"
     if ran_out and not eof:
         return None
-    return fields, used, reason
+    return fields, used
 
 
 def _json_text(value) -> str:
     """A JSONL value as field text; numbers keep their decimal digits.
 
     1e-7 becomes '0.0000001', where a float would give '1e-07'. Past 400
-    digits the exponent form is kept: no valid amount or timestamp is that
-    long, ``float()`` reads it, and '1e999999999' is not spelt out.
+    digits the exponent form is kept: no field of the grammar is that long,
+    and '1e999999999' is not spelt out.
     """
     if isinstance(value, Decimal) and abs(value.adjusted()) < 400:
         return format(value, "f")
@@ -534,47 +536,50 @@ class _Parser:
         self.strict = strict
         self.columns = _Columns()
         self.line = 1  # number of the block's first line
-        self.header_seen = False
 
     def reject(self, line: int, reason: str) -> None:
         if self.strict:
             raise ParseError(f"line {line}: {reason}")
         self.report.record_rejection(line, reason)
 
-    def scalar_row(self, line: int, fields: list[str]) -> tuple | None:
-        """(group code, timestamp, price, sub-units) of one row, or None if rejected."""
-        if len(fields) != 5:
-            self.reject(line, f"expected 5 columns, got {len(fields)}")
-            return None
-        try:
-            ts, price, subunits = _validate_row(*fields)
-        except AmountError as exc:
-            self.reject(line, str(exc))
-            return None
-        return self.columns.code(fields[0], fields[1]), ts, price, subunits
+    def read(self, found: list) -> tuple[np.ndarray, ...]:
+        """Check the rows of a block that ``csv`` or the JSON decoder read:
+        ``found`` holds, in line order, each one's line index and five fields,
+        or reject reason. Their numeric fields go through ``_numbers`` in one
+        batch. Logs the rejects in line order; returns the accepted rows' line
+        indices, group codes, timestamps, prices and sub-unit amounts."""
+        reasons = [fields if isinstance(fields, str) else _row_reason(fields) for _, fields in found]
+        rows = [(i, fields) for (i, fields), reason in zip(found, reasons) if reason is None]
+        ts, prices, amounts, failed = _field_numbers([text for _, fields in rows for text in fields[2:]])
+        checks = failed.tolist()
+        rejects = [(i, reason) for (i, _), reason in zip(found, reasons) if reason is not None]
+        rejects += [(i, _REASONS[check - 1].format(*fields[2:])) for (i, fields), check in zip(rows, checks) if check]
+        for i, reason in sorted(rejects):
+            self.reject(self.line + i, reason)
+        kept = [(i, self.columns.code(*fields[:2])) for (i, fields), check in zip(rows, checks) if not check]
+        lines, codes = np.array(kept, np.intp).reshape(-1, 2).T
+        return lines, codes.astype(np.int32), *(col[failed == 0] for col in (ts, prices, amounts))
 
     def csv_block(self, data: bytes, eof: bool) -> int:
         """Parse a block of CSV lines; return how many leading bytes it used."""
         a = np.frombuffer(data, np.uint8)
         marks, upto, starts, ends, nexts = _lines(a, eof)
         first = 0
-        if not self.header_seen:
+        if self.line == 1:  # the header
             record = _csv_record(data, starts, nexts, 0, eof)
             if record is None:
                 return 0
-            header, first, reason = record
-            if reason is not None:
-                raise ParseError(f"bad CSV header: {reason}")
+            header, first = record
+            if isinstance(header, str):
+                raise ParseError(f"bad CSV header: {header}")
             if tuple(h.strip() for h in header) != CSV_HEADER:
                 raise ParseError(f"bad CSV header {header!r}, expected {','.join(CSV_HEADER)}")
-            self.header_seen = True
 
         lines, keys, ts, prices, amounts = _columnar_rows(data, a, marks, upto, starts, ends, nexts)
         fits = np.zeros(starts.size, bool)
         fits[lines] = True
         gone = np.zeros(starts.size, bool)  # lines whose columnar rows drop out
-        gone[:first] = True
-        scalar = []
+        found = []
         n_lines = starts.size
         resume = first
         for i in np.flatnonzero(~fits & (ends > starts)).tolist():
@@ -585,15 +590,11 @@ class _Parser:
                 gone[i:] = True
                 n_lines = i
                 break
-            fields, used, reason = record
+            fields, used = record
             gone[i + 1 : i + used] = True  # lines inside a quoted field
             resume = i + used
-            if reason is not None:
-                self.reject(self.line + i, reason)
-            elif fields:
-                row = self.scalar_row(self.line + i, fields)
-                if row is not None:
-                    scalar.append((i, *row))
+            if fields:
+                found.append((i, fields))
         if gone.any():
             kept = ~gone[lines]
             lines, keys, ts, prices, amounts = (col[kept] for col in (lines, keys, ts, prices, amounts))
@@ -605,39 +606,34 @@ class _Parser:
             names, inverse = np.unique(keys[heads], return_inverse=True)
             table = [self.columns.code(*name.decode("ascii").split(",", 1)) for name in names]
             codes = np.repeat(np.array(table, np.int32)[inverse], np.diff(heads, append=keys.size))
-        if scalar:  # merged into line order
-            at = np.searchsorted(lines, [row[0] for row in scalar])
-            columns = zip((codes, ts, prices, amounts), list(zip(*scalar))[1:])
-            codes, ts, prices, amounts = (np.insert(col, at, values) for col, values in columns)
+        if found:  # merged into line order
+            read_lines, *read = self.read(found)
+            at = np.searchsorted(lines, read_lines)
+            codes, ts, prices, amounts = (np.insert(col, at, rows) for col, rows in zip((codes, ts, prices, amounts), read))
         self.columns.add(codes, ts, prices, amounts)
         self.line += n_lines
         return int(nexts[n_lines - 1]) - _KEY_MAX if n_lines else 0
 
     def jsonl_block(self, data: bytes, eof: bool) -> int:
-        """Parse a block of JSONL lines, one by one; all of it is used."""
+        """Parse a block of JSONL lines, decoded one by one; all of it is used."""
         _, _, starts, ends, _ = _lines(np.frombuffer(data, np.uint8), eof)
-        rows = []
+        found = []
         for k, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
-            line = self.line + k
             try:
                 text = data[lo:hi].decode("utf-8")
+                if not text.strip():
+                    continue
+                row = _JSON.decode(text)
+                if not isinstance(row, dict):
+                    raise TypeError("not an object")
+                fields = [row[key] for key in CSV_HEADER[:2]] + [_json_text(row[key]) for key in CSV_HEADER[2:]]
             except UnicodeDecodeError as exc:
-                self.reject(line, f"undecodable line: {exc}")
-                continue
-            if not text.strip():
-                continue
-            try:
-                obj = _JSON.decode(text)
-                fields = [_json_text(obj[key]) for key in CSV_HEADER]
+                fields = f"undecodable line: {exc}"
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                self.reject(line, f"bad JSONL row: {exc}")
-                continue
-            row = self.scalar_row(line, fields)
-            if row is not None:
-                rows.append(row)
-        if rows:
-            codes, ts, prices, amounts = map(np.array, zip(*rows))
-            self.columns.add(codes.astype(np.int32), ts.astype(np.int64), prices, amounts.astype(np.int64))
+                fields = f"bad JSONL row: {exc}"
+            found.append((k, fields))
+        if found:
+            self.columns.add(*self.read(found)[1:])
         self.line += starts.size
         return len(data) - 2 * _KEY_MAX
 
@@ -675,14 +671,17 @@ def _side_by_side(run, n: int) -> Iterator:
     # imported here: concurrent.futures imports logging, which a bare import of the CLI does not need
     from concurrent.futures import ThreadPoolExecutor, wait
 
-    pool = ThreadPoolExecutor(max(1, min(n, _WORKERS)))
+    prefix = f"washdetect-{threading.get_ident()}"  # unique among the calls running now
+    pool = ThreadPoolExecutor(max(1, min(n, _WORKERS)), prefix)
     try:
         futures = [pool.submit(run, i) for i in range(n)]
         wait(futures)  # not in Thread.join, where an interrupt marks a running thread stopped
-    except BaseException:
+    finally:
         pool.shutdown(cancel_futures=True)
-        raise
-    pool.shutdown()
+        # an interrupt inside submit leaves the thread it started out of the pool's own list
+        for thread in threading.enumerate():
+            if thread.name.startswith(f"{prefix}_") and thread.is_alive():
+                thread.join()
     return (future.result() for future in futures)
 
 

@@ -15,45 +15,18 @@ from __future__ import annotations
 
 import enum
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import AmountError, ConfigError, PairConfigError
+from .errors import ConfigError, PairConfigError
 
 AMOUNT_DECIMALS = 8
 SUBUNITS_PER_UNIT = 10**AMOUNT_DECIMALS
 
-# Largest representable amount in sub-units (fits comfortably in int64).
+# Amounts are below this many sub-units (fits comfortably in int64).
 MAX_AMOUNT_SUBUNITS = 2**62
-
-# ASCII digits and whitespace only: `\d` and `int()` would also take digits
-# such as the Arabic-Indic '٥'.
-_AMOUNT_RE = re.compile(r"^\s*([0-9]+)(?:\.([0-9]*))?\s*$", re.ASCII)
-
-
-def parse_amount(text: str) -> int:
-    """Parse a decimal amount string into an exact sub-unit count.
-
-    Rejects (rather than truncates) anything with more than 8 fractional
-    digits: silent truncation would manufacture roundness.
-    """
-    m = _AMOUNT_RE.match(text)
-    if m is None:
-        raise AmountError(f"malformed amount {text!r}")
-    int_part, frac_part = m.group(1).lstrip("0"), m.group(2) or ""
-    if len(frac_part) > AMOUNT_DECIMALS:
-        raise AmountError(f"precision overflow: {text!r} has more than {AMOUNT_DECIMALS} decimals")
-    if len(int_part) > 19:  # past MAX_AMOUNT_SUBUNITS; int() is kept off huge digit strings
-        raise AmountError(f"amount overflow {text!r}")
-    subunits = int(int_part or "0") * SUBUNITS_PER_UNIT + int(frac_part.ljust(AMOUNT_DECIMALS, "0") or "0")
-    if subunits <= 0:
-        raise AmountError(f"non-positive amount {text!r}")
-    if subunits >= MAX_AMOUNT_SUBUNITS:
-        raise AmountError(f"amount overflow {text!r}")
-    return subunits
 
 
 # ---------------------------------------------------------------------------

@@ -837,6 +837,16 @@ def test_cli_import_leaves_out_scipy_stats():
     assert out.stdout == "[]\n"
 
 
+def test_cli_import_leaves_out_the_thread_pool_and_logging():
+    """The parse and the battery import concurrent.futures, which imports
+    logging, when they first run, so that a bare import stays short."""
+    src = Path(washdetect.__file__).resolve().parents[1]
+    code = "import sys, washdetect.cli; print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
 # Runs the CLI with an import hook that refuses every scipy module.
 _WITHOUT_SCIPY = """
 import sys

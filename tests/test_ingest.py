@@ -3,7 +3,9 @@
 import csv
 import decimal
 import io
+import json
 import math
+import re
 import signal
 import threading
 import time
@@ -27,7 +29,7 @@ from washdetect.ingest import (
     week_index,
     weekly_split,
 )
-from washdetect.trades import SUBUNITS_PER_UNIT, PairRegistry, parse_amount
+from washdetect.trades import SUBUNITS_PER_UNIT, PairRegistry
 
 REG = PairRegistry()
 
@@ -66,7 +68,7 @@ class TestParse:
         assert report.n_rejected == 0
         assert set(ds.groups) == {("R2", "BTC/USD"), ("R2", "ETH/USD"), ("U8", "BTC/USD")}
         g = ds.group("R2", "BTC/USD")
-        assert g.amounts.tolist() == [parse_amount("0.0200"), parse_amount("0.0213")]
+        assert g.amounts.tolist() == [2_000_000, 2_130_000]
 
     def test_rejects_are_logged_with_line_numbers(self):
         text = CSV_SAMPLE + "U9,BTC/USD,1562630400000,8000.0,0.123456789\n"
@@ -103,7 +105,7 @@ class TestParse:
         ds, report = parse_trades(io.StringIO(lines), "jsonl")
         assert report.n_accepted == 1
         assert report.n_rejected == 1
-        assert ds.group("R2", "BTC/USD").amounts[0] == parse_amount("0.02")
+        assert ds.group("R2", "BTC/USD").amounts[0] == 2_000_000
 
     def test_dedupe_flag(self):
         text = CSV_SAMPLE + "R2,BTC/USD,1562630400000,8000.5,0.0200\n"
@@ -120,7 +122,7 @@ class TestParse:
         ds, _ = parse_trades([io.StringIO(first), second.encode()])
         g = ds.group("X", "BTC/USD")
         assert g.timestamps.tolist() == [5, 10, 20, 30]
-        assert g.amounts.tolist() == [parse_amount(a) for a in "4231"]
+        assert g.amounts.tolist() == [4 * 10**8, 2 * 10**8, 3 * 10**8, 10**8]
         assert g.prices.tolist() == [4.0, 2.0, 3.0, 1.0]
 
 
@@ -289,6 +291,26 @@ class TestSources:
         assert parsed == sources[:1]
         assert threading.active_count() == before
 
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="SIGINT cannot be sent to the main thread")
+    def test_an_interrupt_at_once_leaves_no_thread_running(self):
+        # the interrupt lands while the main thread still starts pool threads
+        parse, parsed = ingest._parse_source, []
+
+        def interrupt_at_the_first(source, *args):
+            parsed.append(source)
+            if len(parsed) == 1:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            return parse(source, *args)
+
+        sources = [text.encode() for text in (self.FIRST, self.SECOND, self.BAD, self.FIRST)]
+        for _ in range(10):
+            parsed.clear()
+            before = threading.active_count()
+            with mock.patch.object(ingest, "_WORKERS", 2), mock.patch.object(ingest, "_parse_source", interrupt_at_the_first):
+                with pytest.raises(KeyboardInterrupt):
+                    parse_trades(sources)
+            assert threading.active_count() == before
+
     def test_usable_cores_with_and_without_affinity(self, monkeypatch):
         monkeypatch.setattr(ingest.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
         monkeypatch.setattr(ingest.os, "cpu_count", lambda: 8)
@@ -340,7 +362,56 @@ class TestInputBoundary:
     def test_non_finite_price_is_rejected_before_the_amount(self, price):
         ds, report = parse_trades(io.StringIO(f"{','.join(CSV_HEADER)}\nX,BTC/USD,1,{price},x\n"))
         assert ds.groups == {}
-        assert report.rejected == [(2, f"non-finite price '{price}'")]
+        assert report.rejected == [(2, f"bad price '{price}'")]
+
+    # Forms that int(), float() or the former amount parser took, off the
+    # grammar, on a line that holds a row as it stands and on a quoted one.
+    @pytest.mark.parametrize(
+        "column, text, reason",
+        [
+            (2, "1_562_544_001_900", "bad timestamp"),
+            (2, "+1562544001904", "bad timestamp"),
+            (2, "-5", "bad timestamp"),
+            (2, "0" * 50 + "1", "bad timestamp"),
+            (2, "\x1c7", "bad timestamp"),
+            (3, "9_000.5", "bad price"),
+            (3, "9e3", "bad price"),
+            (3, "+9000", "bad price"),
+            (3, "1.", "bad price"),
+            (3, ".5", "bad price"),
+            (3, "0" * 50 + "1.5", "bad price"),
+            (4, "0" * 50 + "1", "malformed amount"),
+            pytest.param(4, "1" * 5000, "malformed amount", id="5000 ones"),
+            pytest.param(4, "0" * 5000 + "1", "malformed amount", id="5000 zeros and a one"),
+            (4, "0" * 12 + ".5", "amount overflow"),
+        ],
+    )
+    def test_off_grammar_forms_are_rejected_on_either_path(self, column, text, reason):
+        fields = ["X", "BTC/USD", "1562544001900", "9000.5", "1.5"]
+        fields[column] = text
+        for row in (",".join(fields), ",".join(f'"{field}"' for field in fields)):
+            ds, report = parse_trades(f"{','.join(CSV_HEADER)}\n{row}\n".encode())
+            assert ds.groups == {}
+            assert report.rejected == [(2, f"{reason} {text!r}")]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('{"exchange": null, "pair": "BTC/USD"}', "bad JSONL row: exchange is not a string"),
+            ('{"exchange": 5, "pair": "BTC/USD"}', "bad JSONL row: exchange is not a string"),
+            ('{"exchange": "X", "pair": ["BTC/USD"]}', "bad JSONL row: pair is not a string"),
+            ('{"exchange": "", "pair": true}', "missing exchange id"),
+            ('{"exchange": "X", "pair": ""}', "missing pair"),
+            ("[1, 2]", "bad JSONL row: not an object"),
+            ('"X"', "bad JSONL row: not an object"),
+        ],
+    )
+    def test_jsonl_ids_must_be_strings(self, line, reason):
+        if line.startswith("{"):
+            line = line[:-1] + ', "timestamp_ms": 1, "price": 1.5, "amount": "1"}'
+        ds, report = parse_trades(f"{line}\n".encode(), "jsonl")
+        assert ds.groups == {}
+        assert report.rejected == [(1, reason)]
 
     def test_timestamp_outside_int64_is_rejected(self):
         text = f"{','.join(CSV_HEADER)}\nX,BTC/USD,9223372036854775807,1.0,1\nX,BTC/USD,9223372036854775808,1.0,1\n"
@@ -409,25 +480,31 @@ class TestInputBoundary:
         _, report = parse_trades(text.encode(), "jsonl")
         assert [line for line, _ in report.rejected] == [2, 4]
 
-    def test_scalar_path_sees_only_off_grammar_rows(self):
-        calls = []
+    def test_only_off_grammar_rows_are_read_again(self):
+        read, field_numbers = [], ingest._field_numbers
 
-        def counting(text):
-            calls.append(text)
-            return parse_amount(text)
+        def counting(texts):
+            read.extend(texts)
+            return field_numbers(texts)
 
         quoted = 'R2,BTC/USD,1562630400000,8000.5,"0.5"\n'
-        with mock.patch.object(ingest, "parse_amount", counting):
+        with mock.patch.object(ingest, "_field_numbers", counting):
             ds, _ = parse_trades(io.StringIO(CSV_SAMPLE))
-            assert calls == []
+            assert read == []
             ds, _ = parse_trades(io.StringIO(CSV_SAMPLE + quoted))
-        assert calls == ["0.5"]
+        assert read == ["1562630400000", "8000.5", "0.5"]
         assert ds.group("R2", "BTC/USD").amounts.tolist() == [2_000_000, 50_000_000, 2_130_000]
 
 
 # ---------------------------------------------------------------------------
-# Equivalence with a reference parse built from csv.reader, int, float and
-# parse_amount, on tapes that mix canonical rows with edge forms.
+# Equivalence with a reference parse built from csv.reader and the grammar of
+# README's Input format as regular expressions, on tapes that mix canonical
+# rows with edge forms.
+
+TIMESTAMP = re.compile(r"[0-9]{1,19}")
+PRICE = re.compile(r"(-?)([0-9]+(?:\.[0-9]+)?)")
+AMOUNT = re.compile(r"([0-9]+)(?:\.([0-9]*))?")
+ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 
 
 def _oracle_fields(row):
@@ -438,21 +515,29 @@ def _oracle_fields(row):
         raise AmountError("missing exchange id")
     if not pair:
         raise AmountError("missing pair")
-    try:
-        ts = int(ts_text.encode("ascii"))  # UnicodeEncodeError is a ValueError
-    except ValueError:
-        raise AmountError(f"bad timestamp {ts_text!r}") from None
-    if not -(2**63) <= ts < 2**63:
+    ts, price, amount = (text.strip(ASCII_WHITESPACE) for text in row[2:])
+    if not TIMESTAMP.fullmatch(ts):
+        raise AmountError(f"bad timestamp {ts_text!r}")
+    if int(ts) >= 2**63:
         raise AmountError(f"timestamp out of range {ts_text!r}")
-    try:
-        price = float(price_text.encode("ascii"))
-    except ValueError:
-        raise AmountError(f"bad price {price_text!r}") from None
-    if not math.isfinite(price):
-        raise AmountError(f"non-finite price {price_text!r}")
-    if not price > 0:
+    m = PRICE.fullmatch(price)
+    if m is None or len(m.group(2)) > 32:
+        raise AmountError(f"bad price {price_text!r}")
+    value = float(m.group(2))
+    if m.group(1) or value == 0:
         raise AmountError(f"non-positive price {price_text!r}")
-    return (exchange, pair), ts, price, parse_amount(amount_text)
+    m = AMOUNT.fullmatch(amount)
+    if m is None or len(amount) > 20:
+        raise AmountError(f"malformed amount {amount_text!r}")
+    whole, frac = m.group(1), m.group(2) or ""
+    if len(frac) > 8:
+        raise AmountError(f"precision overflow: {amount_text!r} has more than 8 decimals")
+    subunits = int(whole) * SUBUNITS_PER_UNIT + int(frac.ljust(8, "0"))
+    if len(whole) > 11 or subunits >= 2**62:
+        raise AmountError(f"amount overflow {amount_text!r}")
+    if subunits == 0:
+        raise AmountError(f"non-positive amount {amount_text!r}")
+    return (exchange, pair), int(ts), value, subunits
 
 
 def oracle_parse(text, dedupe):
@@ -571,12 +656,14 @@ def near_midpoint(x, digits):
 TIMESTAMPS = st.one_of(
     st.integers(0, 10**18 - 1).map(str),
     st.integers(-(2**64), 2**64).map(str),
-    st.sampled_from(["+7", "-5", " 12 ", "1_000", "007", "", "x", "1.5", "٥", "9223372036854775807"]),
+    st.sampled_from(["+7", "-5", " 12 ", "1_000", "007", "", "x", "1.5", "٥", "9223372036854775807", "\x1c7"]),
+    st.sampled_from(["1_562_544_001_900", "+1562544001904", "0" * 50 + "1", "09223372036854775807", "\f12\v"]),
 )
 PRICES = st.one_of(
     st.from_regex(r"[0-9]{1,6}(\.[0-9]{1,12})?", fullmatch=True),
     st.floats(min_value=0, allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["1e-05", "inf", "-inf", "nan", "0", "0.0", "-1.5", " 2.5", "1.", ".5", "1e400", "", "0" * 40 + "1"]),
+    st.sampled_from(["9_000.5", "9e3", "+9000", "-0", "-0.0", "-", "--5", "-.5", "- 5", " -9000.5\t", "-" + "9" * 32]),
     st.sampled_from(PRICE_EDGES + ["1.62130217715707e+308", "0" * 33, "1" * 33]),
     st.builds(near_midpoint, st.floats(min_value=1e-3, max_value=1e15), st.integers(15, 19)),
 )
@@ -586,6 +673,7 @@ AMOUNTS = st.one_of(
     st.sampled_from(
         ["5.", " 7 ", "0", "0.0", "0.000000001", "46116860184.27387903", "46116860184.27387904", "1e-05", "-1", "", "1\n"]
     ),
+    st.sampled_from(["0" * 50 + "1", "1" * 12, "0" * 12 + ".5", "99999999999", "5\u00a0", "\t5\x0b", ".5", "1" * 21]),
 )
 EXCHANGES = st.sampled_from(["R1", "R1", "U1", "", " R1", "R 1", "Rü", "a,b", 'q"q', "X\nY", "X\nR1,BTC/USD,1,1.5,1\nY"])
 PAIRS = st.sampled_from(["BTC/USD", "BTC/USD", "ETH/USD", "", "BTC\r\nUSD"])
@@ -638,6 +726,22 @@ def tapes(draw):
         text = buf.getvalue()
         return text[: -len(end)] if text.endswith(end) else text
     return buf.getvalue()
+
+
+LINE_BREAK = re.compile("[\r\n]")
+# A JSON number that the decoder reads back as the same text: no exponent, and
+# not the integer -0, which reads as 0.
+JSON_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?")
+
+
+def synth_jsonl_line(fields):
+    """A row as a JSONL line in the layout ``synth`` writes: sorted keys, the
+    amount and ids as strings, the price and timestamp as bare numbers (as
+    strings where their text is no JSON number that reads back the same)."""
+    exchange, pair, ts, price, amount = fields
+    row = {"amount": amount, "exchange": exchange, "pair": pair, "price": price, "timestamp_ms": ts}
+    bare = {key for key in ("price", "timestamp_ms") if JSON_NUMBER.fullmatch(row[key]) and row[key] != "-0"}
+    return "{" + ", ".join(f'"{key}": {row[key] if key in bare else json.dumps(row[key])}' for key in row) + "}\n"
 
 
 def assert_same_parse(ds, report, text, dedupe):
@@ -695,7 +799,7 @@ class TestColumnarEquivalence:
             "R1,BTC/USD,3,0.3,1",
             "R1,BTC/USD,5,0.3,1",  # repeats line 2, not adjacent
             "U1,BTC/USD,5,0.3,1",  # repeats line 3
-            'R1,BTC/USD,5,"0.30000000000000004",1',  # repeats line 4 through the scalar path
+            'R1,BTC/USD,5,"0.30000000000000004",1',  # repeats line 4, read by csv
             "R1,BTC/USD,5,0.300,1.0",  # repeats line 2 in other digits
             "R1,ETH/USD,4,0.3,1",  # repeats line 6, the only row of its group before
             "R1,BTC/USD,2,0.3,1",
@@ -714,23 +818,17 @@ class TestColumnarEquivalence:
     @pytest.mark.parametrize("block_bytes", [1, 7, 64, 1 << 16])
     def test_digit_decoder_edges_match_reference_parse(self, block_bytes):
         # timestamps around 2**53, where a float sum of digits stops being
-        # exact; amounts at the widest, narrowest and odd columnar forms, and
-        # one with 11 integer digits, which only the scalar path reads
-        timestamps = [2**53 - 1, 2**53, 2**53 + 1, 10**17, 999999999999999999]
-        amounts = ["9999999999.99999999", "0.00000001", "1.", "0001.50", "10000000000"]
+        # exact, and the widest; amounts at the widest, narrowest and odd
+        # forms, 11 integer digits and the largest below 2**62 sub-units
+        timestamps = [2**53 - 1, 2**53, 2**53 + 1, 10**17, 999999999999999999, 10**18, 2**63 - 1]
+        amounts = ["9999999999.99999999", "0.00000001", "1.", "0001.50", "10000000000", "46116860184.27387903"]
         lines = [",".join(CSV_HEADER)] + [f"R1,BTC/USD,{t},9000.5,{a}" for t in timestamps for a in amounts]
         text = "\n".join(lines) + "\n"
-        calls = []
-
-        def counting(amount_text):
-            calls.append(amount_text)
-            return parse_amount(amount_text)
-
-        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), mock.patch.object(ingest, "parse_amount", counting):
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), mock.patch.object(ingest, "_field_numbers") as read:
             ds, report = parse_trades(text.encode())
+        read.assert_not_called()
         groups, rejects, _ = oracle_parse(text, False)
         assert report.rejected == rejects == []
-        assert calls == ["10000000000"] * len(timestamps)
         ts, amounts_, prices = groups[("R1", "BTC/USD")]
         g = ds.group("R1", "BTC/USD")
         assert g.timestamps.tobytes() == ts.tobytes()
@@ -770,8 +868,8 @@ class TestColumnarEquivalence:
             with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
                 ds, report = parse_trades(text.encode(), dedupe=dedupe)
             assert_same_parse(ds, report, text, dedupe)
-        assert [line for line, _ in report.rejected] == [2, 3, 4, 10, 11, 14, 16, 17, 18, 19, 20, 21]
-        assert ds.group("R1", "BTC/USD").timestamps.tolist() == [8, 9, 11, 20, 22]
+        assert [line for line, _ in report.rejected] == [2, 3, 4, 10, 11, 12, 13, 14, 16, 17, 18, 19, 20, 21]
+        assert ds.group("R1", "BTC/USD").timestamps.tolist() == [11, 20, 22]
 
     def test_repr_prices_that_fall_back_match_reference_parse(self):
         # repr prices near 9000 have 16 or 17 digits: those above 9007.199...
@@ -813,6 +911,24 @@ class TestColumnarEquivalence:
             assert g.timestamps.tobytes() == ts.tobytes()
             assert g.amounts.tobytes() == amounts.tobytes()
             assert g.prices.tobytes() == prices.tobytes()
+
+    @given(
+        st.lists(st.one_of(CANONICAL, edge_fields()).filter(lambda fields: not any(map(LINE_BREAK.search, fields)))),
+        st.sampled_from([7, 1 << 16]),
+    )
+    def test_csv_and_jsonl_share_one_grammar(self, rows, block_bytes):
+        csv_text = io.StringIO()
+        csv.writer(csv_text, lineterminator="\n").writerows([CSV_HEADER, *rows])
+        jsonl_text = "".join(synth_jsonl_line(fields) for fields in rows)
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+            ds, report = parse_trades(csv_text.getvalue().encode())
+            ds_jsonl, report_jsonl = parse_trades(jsonl_text.encode(), "jsonl")
+        assert report.rejected == [(line + 1, reason) for line, reason in report_jsonl.rejected]
+        assert report.n_accepted == report_jsonl.n_accepted
+        assert list(ds.groups) == list(ds_jsonl.groups)
+        for key, g in ds.groups.items():
+            for name in ("timestamps", "amounts", "prices"):
+                assert getattr(g, name).tobytes() == getattr(ds_jsonl.groups[key], name).tobytes()
 
     @given(
         st.lists(
@@ -887,7 +1003,7 @@ def assert_same_groups(ds, report, groups, n_dup):
 class TestGrouping:
     """Groups equal a lexsort of the reference parse, however the rows arrive."""
 
-    KEYS = ["R1,BTC/USD", "U1,BTC/USD", "R1,ETH/USD", '"R2",BTC/USD']  # the last takes the scalar path
+    KEYS = ["R1,BTC/USD", "U1,BTC/USD", "R1,ETH/USD", '"R2",BTC/USD']  # the last is read by csv
 
     @given(
         st.lists(
@@ -954,22 +1070,22 @@ class TestWeekIndex:
 
 class TestWeeklySplit:
     def test_round_unrounded_sums(self):
-        amounts = [parse_amount("0.0200"), parse_amount("0.0213")]
+        amounts = [2_000_000, 2_130_000]
         splits = weekly_split(one_group([ms(2019, 7, 9), ms(2019, 7, 10)], amounts), REG)
         assert len(splits) == 1
         s = splits[0]
-        assert s.round_subunits == parse_amount("0.0200")
-        assert s.unrounded_subunits == parse_amount("0.0213")
+        assert s.round_subunits == 2_000_000
+        assert s.unrounded_subunits == 2_130_000
         assert s.round_volume == pytest.approx(0.02)
 
     def test_all_round_gives_zero_unrounded(self):
-        amounts = [parse_amount("0.0100"), parse_amount("0.0500")]
+        amounts = [1_000_000, 5_000_000]
         splits = weekly_split(one_group([ms(2019, 7, 9), ms(2019, 7, 10)], amounts), REG)
         assert all(s.unrounded_subunits == 0 for s in splits)
 
     def test_week_boundary_splits_rows(self):
         stamps = [ms(2019, 7, 14, 23, 59), ms(2019, 7, 15, 0, 0)]
-        splits = weekly_split(one_group(stamps, [parse_amount("0.01")] * 2), REG)
+        splits = weekly_split(one_group(stamps, [1_000_000] * 2), REG)
         assert len(splits) == 2
         assert splits[0].week + 1 == splits[1].week
 
@@ -996,13 +1112,13 @@ class TestWeeklySplit:
 
 class TestUnroundedSubset:
     def test_partition_counts(self):
-        ds = one_group([1, 2, 3], [parse_amount(a) for a in ("0.0200", "0.0213", "0.05")])
+        ds = one_group([1, 2, 3], [2_000_000, 2_130_000, 5_000_000])
         sub = unrounded_subset(ds, REG)
         assert sub.group("X", "BTC/USD").n == 1
         assert ds.group("X", "BTC/USD").n == 3
 
     def test_all_round_group_dropped(self):
-        sub = unrounded_subset(one_group([1], [parse_amount("0.0200")]), REG)
+        sub = unrounded_subset(one_group([1], [2_000_000]), REG)
         assert sub.groups == {}
 
     @given(st.lists(st.integers(min_value=1, max_value=10**10), min_size=1, max_size=80))

@@ -8,7 +8,7 @@ import pytest
 
 from washdetect.errors import EstimationError, InsufficientDataError
 from washdetect.ingest import WeeklyVolumeSplit
-from washdetect.trades import BUILTIN_PAIR_SPECS, ExchangeMeta, RegulatoryClass, parse_amount
+from washdetect.trades import BUILTIN_PAIR_SPECS, ExchangeMeta, RegulatoryClass
 from washdetect.washest import (
     _design_matrix,
     _wash_volumes,
@@ -132,10 +132,7 @@ def batched_replicates(target, bench, n_boot, seed, meta=None, use_controls=Fals
 
 class TestRoundnessDistribution:
     def test_buckets_count_all_trades(self):
-        amounts = np.array(
-            [parse_amount("0.02"), parse_amount("0.0213"), parse_amount("0.00010001")],
-            dtype=np.int64,
-        )
+        amounts = np.array([2_000_000, 2_130_000, 10_001], dtype=np.int64)
         dist = roundness_distribution(amounts, BTC)
         assert dist.sum() == 3
         assert dist[5] == 1  # 200 base units -> hundreds
