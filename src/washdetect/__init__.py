@@ -11,7 +11,6 @@ from .benford import (
     DigitHistogram,
     benford_expected,
     chi_squared_benford,
-    chi_squared_pvalue,
     counterfactual_wash_benford,
     digit_histogram,
 )
@@ -70,7 +69,6 @@ from .synth import (
 from .washest import (
     BenchmarkModel,
     WashEstimate,
-    bootstrap_wash_sd,
     cross_validate_regulated,
     estimate_wash,
     fit_benchmark,

@@ -92,14 +92,6 @@ class ChiSquaredResult:
     reject: bool
 
 
-def chi_squared_pvalue(statistic: float, df: int) -> float:
-    """Upper-tail chi-squared probability (regularized incomplete gamma).
-
-    A negative statistic lies below the support and gets 1.0.
-    """
-    return chi2_sf(df, statistic)
-
-
 def chi_squared_gof(
     observed_freq: np.ndarray,
     expected_prob: np.ndarray,
@@ -123,7 +115,7 @@ def chi_squared_gof(
         raise EstimationError("expected probabilities must all be positive")
     statistic = float(effective_n * np.sum((f - p) ** 2 / p))
     df = f.size - 1
-    p_value = chi_squared_pvalue(statistic, df)
+    p_value = chi2_sf(df, statistic)
     return ChiSquaredResult(statistic, df, p_value, float(effective_n), p_value < alpha)
 
 

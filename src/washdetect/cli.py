@@ -3,10 +3,11 @@
 Subcommands: ingest-check, benford, cluster, tail, roundness, fit-benchmark,
 estimate-wash, fisher, report, synth, plot-data, rank. The analysis
 subcommands are views of ``report``: each runs ``report.run_battery`` with
-the configuration its flags give and prints its slice of the result. Each
-subcommand accepts only the flags it reads. Exit codes: 0 on success, 1 on a
-fatal error, 2 when a test or estimate that the subcommand prints was
-skipped or flagged.
+the configuration its flags give and prints its slice of the result; only
+plot-data writes the battery's fits to files. Each subcommand accepts only
+the flags it reads. Exit codes: 0 on success, 1 on a fatal error (an input,
+setting or output path that cannot be used), 2 when a test or estimate that
+the subcommand prints was skipped or flagged.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import csv
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import benford as bf
 from . import clustering as cl
@@ -88,6 +87,8 @@ def _load(args) -> tuple[TradeDataset, PairRegistry]:
     registry = PairRegistry.from_file(args.pairs) if args.pairs else PairRegistry()
     if getattr(args, "unrounded_only", False):
         ds = unrounded_subset(ds, registry)
+        if ds.n_trades == 0:
+            raise WashdetectError("no unrounded trades ingested")
     return ds, registry
 
 
@@ -110,7 +111,6 @@ def _battery(
         estimate_wash=estimate_wash,
         pool_pairs=getattr(args, "pooled", False),
         use_controls=getattr(args, "controls", False),
-        min_window_support=getattr(args, "min_support", rp.RunConfig.min_window_support),
     )
     report = rp.run_battery(ds, registry, meta, config, benchmark_models=models)
     for warning in report.warnings:
@@ -206,9 +206,6 @@ def cmd_ingest_check(args) -> int:
 
 
 def cmd_benford(args) -> int:
-    ds, registry = _load(args)
-    report = _battery(args, ds, registry)
-
     def line(p: rp.PairReport) -> tuple[str, bool]:
         if p.benford is None:
             return _flags(p, "benford skipped"), True
@@ -217,9 +214,7 @@ def cmd_benford(args) -> int:
             f"(raw-n chi2={p.benford_raw.statistic:.3f}) -> {'FAIL' if p.benford.reject else 'PASS'}"
         ), False
 
-    if args.out:
-        _export_fits(_outdir(args), ds, registry, report, "benford")
-    return _print_pairs(report, line)
+    return _print_pairs(_battery(args, *_load(args)), line)
 
 
 def cmd_cluster(args) -> int:
@@ -236,9 +231,6 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    ds, registry = _load(args)
-    report = _battery(args, ds, registry)
-
     def line(p: rp.PairReport) -> tuple[str, bool]:
         if p.tail is None:
             return _flags(p, "tail skipped"), True
@@ -248,9 +240,7 @@ def cmd_tail(args) -> int:
             f"{'Pareto-Levy' if p.tail.in_pareto_levy else 'OUTSIDE range'}"
         ), bool(_flags(p, "tail"))
 
-    if args.out:
-        _export_fits(_outdir(args), ds, registry, report, "tail")
-    return _print_pairs(report, line)
+    return _print_pairs(_battery(args, *_load(args)), line)
 
 
 def cmd_roundness(args) -> int:
@@ -401,7 +391,6 @@ def cmd_rank(args) -> int:
         args.volume,
         args.wash_percent,
         coeffs=vd.RankCoeffs(a=args.coeff_a, b=args.coeff_b),
-        log_base=args.log_base,
         reported_rank=args.rank,
     )
     print(f"rank improvement from inflated volume: {res.improvement} positions")
@@ -420,15 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     battery = "--pairs --alpha --effective-n"
     _subcommand(sub, "ingest-check", cmd_ingest_check, "parse inputs and report rejected rows", "--out")
 
-    _subcommand(
-        sub, "benford", cmd_benford, "first-digit chi-squared test per group", f"{battery} --out", unrounded=True
-    )
+    _subcommand(sub, "benford", cmd_benford, "first-digit chi-squared test per group", battery, unrounded=True)
 
     p = _subcommand(sub, "cluster", cmd_cluster, "round-size clustering t-test per group", "--pairs --alpha")
     p.add_argument("--step", type=int, choices=[100, 500], default=100)
-    p.add_argument("--min-support", type=int, default=rp.RunConfig.min_window_support)
 
-    _subcommand(sub, "tail", cmd_tail, "power-law tail fit per group", "--pairs --out", unrounded=True)
+    _subcommand(sub, "tail", cmd_tail, "power-law tail fit per group", "--pairs", unrounded=True)
 
     p = _subcommand(sub, "roundness", cmd_roundness, "roundness distribution vs regulated benchmark", battery)
     p.add_argument("--meta", required=True, help="exchange metadata JSON")
@@ -464,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--out-file", required=True)
 
-    p = _subcommand(sub, "plot-data", cmd_plot_data, "emit plot-ready CSVs", "--pairs --out")
+    p = _subcommand(sub, "plot-data", cmd_plot_data, "emit plot-ready CSVs", "--pairs --out", unrounded=True)
     p.add_argument("--which", choices=["benford", "sizes", "tail"], required=True)
     p.add_argument("--range", help="size histogram range in base units, lo:hi")
     p.add_argument("--step", type=int, default=100)
@@ -475,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=float, help="reported rank, for the absolute counterfactual")
     p.add_argument("--coeff-a", type=float, default=vd.DEFAULT_RANK_COEFFS.a)
     p.add_argument("--coeff-b", type=float, default=vd.DEFAULT_RANK_COEFFS.b)
-    p.add_argument("--log-base", type=float, default=float(np.e))
     p.set_defaults(func=cmd_rank)
 
     return parser
@@ -495,6 +480,10 @@ def main(argv: list[str] | None = None) -> int:
         # the reader of stdout has gone: as the Python signal docs advise,
         # point stdout at devnull, so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FATAL
+    except OSError as exc:
+        # an output path that cannot be written: a missing directory, or a file in its way
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
 
 

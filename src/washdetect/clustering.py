@@ -158,14 +158,13 @@ def run_cluster_test(
     step: int = 100,
     *,
     alpha: float = 0.05,
-    min_support: int = MIN_WINDOW_SUPPORT,
 ) -> ClusterTestResult:
     """Full clustering test; flags insufficiency instead of raising.
 
     Fewer than MIN_WINDOWS supported windows means frequency comparisons are
     noise, so the result is flagged and the test is not run.
     """
-    _, counts, at_center, best = cluster_windows(amounts_subunits, spec, step, min_support=min_support)
+    _, counts, at_center, best = cluster_windows(amounts_subunits, spec, step)
     if counts.size < MIN_WINDOWS:
         return ClusterTestResult(
             mean_difference=math.nan,

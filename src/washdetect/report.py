@@ -53,7 +53,6 @@ class RunConfig:
     estimate_wash: bool = True
     pool_pairs: bool = False
     use_controls: bool = False
-    min_window_support: int = cl.MIN_WINDOW_SUPPORT
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 0.5:
@@ -64,8 +63,6 @@ class RunConfig:
             raise ConfigError(f"bootstrap must be 0 or >= {we.MIN_REPLICATES}, got {self.bootstrap}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.min_window_support < 1:
-            raise ConfigError(f"min_window_support must be at least 1, got {self.min_window_support}")
 
 
 @dataclass
@@ -152,9 +149,7 @@ def _pair_battery(group, spec, config: RunConfig) -> tuple[PairReport, np.ndarra
         rep.flags.append(f"benford skipped: {exc}")
 
     for step, attr in ((100, "cluster_100"), (500, "cluster_500")):
-        result = cl.run_cluster_test(
-            amounts, spec, step, alpha=config.alpha, min_support=config.min_window_support
-        )
+        result = cl.run_cluster_test(amounts, spec, step, alpha=config.alpha)
         setattr(rep, attr, result)
         if result.insufficient:
             rep.flags.append(f"clustering-{step} skipped: insufficient windows ({result.n_pairs})")

@@ -134,7 +134,7 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RankCoeffs:
-    """Linear volume-rank model: rank = a + b * log(volume)."""
+    """Linear volume-rank model: rank = a + b * ln(volume)."""
 
     a: float = 416.269
     b: float = -19.202
@@ -155,25 +155,23 @@ def counterfactual_rank(
     wash_percent: float,
     *,
     coeffs: RankCoeffs = DEFAULT_RANK_COEFFS,
-    log_base: float = math.e,
     reported_rank: float | None = None,
 ) -> RankResult:
     """Ranking positions an exchange gained by reporting inflated volume.
 
     The real volume is reported * (1 - wash/100); the improvement is the gap
     between the model rank at the real volume and at the reported volume,
-    which reduces to b * log(1 - wash/100). The log base defaults to natural
-    log and is configurable.
+    which reduces to b * ln(1 - wash/100). A model fitted on another log base
+    has its b divided by ln(base).
     """
     if not 0 < reported_volume < math.inf:
         raise EstimationError(f"volume must be positive and finite, got {reported_volume}")
-    if not (log_base > 0 and log_base != 1):
-        raise EstimationError(f"log base must be positive and not 1, got {log_base}")
+    if reported_rank is not None and not math.isfinite(reported_rank):
+        raise EstimationError(f"reported rank must be finite, got {reported_rank}")
     if not 0.0 <= wash_percent < 100.0:
         raise EstimationError(f"wash percent must be in [0, 100), got {wash_percent}")
-    log = lambda v: math.log(v) / math.log(log_base)
-    model_rank = coeffs.a + coeffs.b * log(reported_volume)
-    counter_rank = coeffs.a + coeffs.b * log(reported_volume * (1.0 - wash_percent / 100.0))
+    model_rank = coeffs.a + coeffs.b * math.log(reported_volume)
+    counter_rank = coeffs.a + coeffs.b * math.log(reported_volume * (1.0 - wash_percent / 100.0))
     raw = counter_rank - model_rank
     if not math.isfinite(raw):
         raise EstimationError(f"rank improvement is not finite under coefficients a={coeffs.a}, b={coeffs.b}")

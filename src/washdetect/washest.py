@@ -395,26 +395,6 @@ def estimate_wash(
     )
 
 
-def bootstrap_wash_sd(
-    target_rows: Sequence[WeeklyVolumeSplit],
-    benchmark_rows: Sequence[WeeklyVolumeSplit],
-    *,
-    n_boot: int = 1000,
-    seed: int = 0,
-    meta: dict[str, ExchangeMeta] | None = None,
-    use_controls: bool = False,
-) -> float:
-    """Bootstrap standard deviation of the wash percentage: :func:`replicate_sd`
-    on a :func:`fit_bootstrap` of the benchmark rows. An empty target panel,
-    or one that spans exchanges, fails at once, before any refit.
-    """
-    panel = list(target_rows)
-    if n_boot >= MIN_REPLICATES:  # a short budget is the fit's error, raised first
-        _target_exchange(panel)
-    fit = fit_bootstrap(benchmark_rows, n_boot=n_boot, seed=seed, meta=meta, use_controls=use_controls)
-    return replicate_sd(panel, fit, meta=meta)
-
-
 def replicate_sd(
     target_rows: Sequence[WeeklyVolumeSplit],
     fit: tuple[list[str], np.ndarray, dict[str, np.ndarray], int],

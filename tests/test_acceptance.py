@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from washdetect.benford import benford_expected, chi_squared_benford, chi_squared_pvalue, digit_histogram
+from washdetect.benford import benford_expected, chi_squared_benford, digit_histogram
 from washdetect.clustering import run_cluster_test
 from washdetect.distributions import chi2_isf, chi2_sf, norm_cdf, t_cdf
 from washdetect.ingest import parse_trades, weekly_split
@@ -19,7 +19,7 @@ from washdetect.synth import GeneratorConfig, gen_exchange
 from washdetect.tailfit import fit_hill, fit_ols, fit_tail, power_law_ols, tail_cutoff
 from washdetect.trades import BUILTIN_PAIR_SPECS, PairRegistry, PairSpec, is_round_mask
 from washdetect.verdicts import P_FLOOR, counterfactual_rank, fisher_combine, spearman_rank_correlation
-from washdetect.washest import bootstrap_wash_sd, cross_validate_regulated, estimate_wash, fit_benchmark
+from washdetect.washest import cross_validate_regulated, estimate_wash, fit_benchmark, fit_bootstrap, replicate_sd
 
 REG = PairRegistry()
 
@@ -48,8 +48,8 @@ def _last_above(f, lo, hi, level):
 def test_criterion_02_chi_squared_survival():
     import mpmath
 
-    assert chi_squared_pvalue(12.592, 6) == pytest.approx(0.05, abs=1e-4)
-    assert chi_squared_pvalue(15.507, 8) == pytest.approx(0.05, abs=1e-4)
+    assert chi2_sf(6, 12.592) == pytest.approx(0.05, abs=1e-4)
+    assert chi2_sf(8, 15.507) == pytest.approx(0.05, abs=1e-4)
     # Every kernel against 40-digit mpmath at 1e-12, down to P_FLOOR tails.
     half = mpmath.mpf(1) / 2
     with mpmath.workdps(40):
@@ -213,8 +213,8 @@ def test_criterion_09_bootstrap_determinism():
     for i, scale in enumerate((300_000, 200_000, 150_000)):
         bench.extend(_panel(f"R{i+1}", 77 + i, scale))
     target = _panel("U1", 99, 200_000, wash=0.5)
-    sd1 = bootstrap_wash_sd(target, bench, n_boot=1000, seed=42)
-    sd2 = bootstrap_wash_sd(target, bench, n_boot=1000, seed=42)
+    sd1 = replicate_sd(target, fit_bootstrap(bench, n_boot=1000, seed=42))
+    sd2 = replicate_sd(target, fit_bootstrap(bench, n_boot=1000, seed=42))
     assert sd1 == sd2  # bit-exact reproduction
     assert sd1 > 0.0
     _passed(9, f"1000-replicate bootstrap SD reproduces bit-exactly: {sd1!r} ({time.time()-t0:.0f}s)")

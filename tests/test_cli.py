@@ -17,7 +17,7 @@ from test_synth import first_difference
 import washdetect
 from washdetect import ingest
 from washdetect.cli import EXIT_FATAL, EXIT_FLAGGED, EXIT_OK, build_parser, main
-from washdetect.ingest import parse_trades, weekly_split
+from washdetect.ingest import parse_trades, unrounded_subset, weekly_split
 from washdetect.trades import PairRegistry, load_exchange_meta
 from washdetect.washest import cross_validate_regulated
 
@@ -573,6 +573,15 @@ class TestPlotData:
         assert sorted(p.name for p in out.iterdir()) == ["tail_X1_BTC-USD.csv"]
         assert capsys.readouterr().err.startswith("T1 BTC/USD: tail skipped: insufficient data")
 
+    def test_unrounded_only_plots_the_unrounded_subset(self, workspace, tmp_path):
+        root, tapes = workspace
+        ds, _ = parse_trades([tapes[0]])
+        out = tmp_path / "plots"
+        argv = ["plot-data", tapes[0], "--which", "benford", "--unrounded-only", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        rows = (out / "benford_R1_BTC-USD.csv").read_text().strip().splitlines()[1:]
+        assert sum(int(r.split(",")[1]) for r in rows) == unrounded_subset(ds, PairRegistry()).n_trades < ds.n_trades
+
 
 class TestFlags:
     @pytest.mark.parametrize(
@@ -581,6 +590,10 @@ class TestFlags:
             ["synth", "--alpha", "0.01", "--out-file", "{tmp}/s.csv"],
             ["synth", "--out", "{tmp}", "--out-file", "{tmp}/s.csv"],
             ["cluster", "{tmp}/t.csv", "--out", "{tmp}"],
+            ["benford", "{tmp}/t.csv", "--out", "{tmp}/d"],
+            ["tail", "{tmp}/t.csv", "--out", "{tmp}/d"],
+            ["cluster", "{tmp}/t.csv", "--min-support", "5"],
+            ["rank", "--volume", "1e9", "--wash-percent", "70", "--log-base", "10"],
             ["ingest-check", "{tmp}/t.csv", "--bootstrap", "500"],
             ["fit-benchmark", "{tmp}/t.csv", "--meta", "{tmp}/m.json", "--out-model", "{tmp}/m", "--bootstrap", "100"],
             ["tail", "{tmp}/t.csv", "--alpha", "0.01"],
@@ -592,6 +605,10 @@ class TestFlags:
             "synth-alpha",
             "synth-out",
             "cluster-out",
+            "benford-out",
+            "tail-out",
+            "cluster-min-support",
+            "rank-log-base",
             "ingest-bootstrap",
             "fit-bootstrap",
             "tail-alpha",
@@ -642,10 +659,9 @@ class TestFlags:
             ["plot-data", "{tape}", "--which", "sizes", "--range", "1:100000000000", "--out", "{tmp}/o"],
             ["plot-data", "{tape}", "--which", "sizes", "--range=-5:10", "--out", "{tmp}/o"],
             ["plot-data", "{tape}", "--which", "sizes", "--step", "0", "--out", "{tmp}/o"],
-            ["cluster", "{tape}", "--min-support", "-5"],
-            ["rank", "--volume", "1e9", "--wash-percent", "70", "--log-base", "1"],
-            ["rank", "--volume", "1e9", "--wash-percent", "70", "--log-base", "0"],
             ["rank", "--volume", "inf", "--wash-percent", "70"],
+            ["rank", "--volume", "1e9", "--wash-percent", "70", "--rank", "nan"],
+            ["rank", "--volume", "1e9", "--wash-percent", "70", "--rank", "inf"],
             ["rank", "--volume", "1e9", "--wash-percent", "70", "--coeff-a", "inf"],
             ["synth", "--seed", "-1", "--out-file", "{tmp}/s.csv"],
             ["synth", "--exchange-id", "", "--out-file", "{tmp}/s.csv"],
@@ -673,10 +689,9 @@ class TestFlags:
             "plot-range-bins",
             "plot-range-negative",
             "plot-step",
-            "cluster-min-support",
-            "rank-log-base-1",
-            "rank-log-base-0",
             "rank-volume-inf",
+            "rank-nan",
+            "rank-inf",
             "rank-coeff-inf",
             "synth-seed",
             "synth-exchange-id",
@@ -743,6 +758,46 @@ class TestFlags:
         assert capsys.readouterr().err == (
             f"error: {meta}: exchange 'R1': rank must be a finite number or null, got {json.loads(value)!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["benford", "{tape}", "--unrounded-only"],
+            ["tail", "{tape}", "--unrounded-only"],
+            ["plot-data", "{tape}", "--which", "benford", "--unrounded-only", "--out", "{tmp}/o"],
+        ],
+        ids=["benford", "tail", "plot-data"],
+    )
+    def test_unrounded_only_without_an_unrounded_trade_is_an_error(self, argv, tmp_path, capsys):
+        tape = tmp_path / "round.csv"  # 1 BTC is 10,000 base units: round
+        tape.write_text("exchange,pair,timestamp_ms,price,amount\nU1,BTC/USD,1,1.0,1\n")
+        assert main([a.format(tape=tape, tmp=tmp_path) for a in argv]) == EXIT_FATAL
+        assert capsys.readouterr() == ("", "error: no unrounded trades ingested\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv,path",
+        [
+            (["synth", "--n", "1000", "--out-file", "{tmp}/nodir/s.csv"], "{tmp}/nodir/s.csv"),
+            (["ingest-check", "{tape}", "--out", "{tape}/sub"], "{tape}/sub"),
+            (["report", "{tape}", "--no-wash", "--out", "{tape}"], "{tape}"),
+            (["fit-benchmark", "{r1}", "{r2}", "{r3}", "--meta", "{meta}", "--out-model", "{tmp}/nodir/m.json"],
+             "{tmp}/nodir/m.json"),
+            (["plot-data", "{tape}", "--which", "sizes", "--out", "{tape}"], "{tape}"),
+        ],
+        ids=["synth", "ingest-check", "report", "fit-benchmark", "plot-data"],
+    )
+    def test_an_output_path_that_cannot_be_written_is_an_error(self, argv, path, workspace, tmp_path, capsys):
+        root, tapes = workspace
+        tape = tmp_path / "t.csv"
+        tape.write_text("exchange,pair,timestamp_ms,price,amount\nU1,BTC/USD,1,1.0,0.0213\n")
+        fields = dict(tmp=tmp_path, tape=tape, r1=tapes[0], r2=tapes[1], r3=tapes[2], meta=root / "meta.json")
+        assert main([a.format(**fields) for a in argv]) == EXIT_FATAL
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+        assert lines[-1].startswith(f"error: {path.format(**fields)}: ")
+        assert "Traceback" not in err
 
     def test_ingest_check_refuses_two_reject_logs_of_one_name(self, tmp_path, capsys):
         tapes = []
@@ -885,6 +940,32 @@ def test_synth_and_report_run_without_scipy(tmp_path):
     jsonschema.validate(json.loads((out / "report.json").read_text()), schema)
 
 
+def test_every_public_name_has_a_program_caller():
+    """Each top-level public function and class of the package is referenced
+    by a module of it other than ``__init__.py``, or by a script."""
+    # acceptance criteria 1 and 10 check the paper's digit law and rank
+    # correlation through these two, which the battery itself does not need
+    test_only = {"benford_expected", "spearman_rank_correlation"}
+    package = Path(washdetect.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+    referenced = set()
+    for path in [p for p in modules if p.name != "__init__.py"] + scripts:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    public = {
+        node.name
+        for path in modules
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert scripts
+    assert public - referenced == test_only
+
+
 def test_cli_and_scripts_leave_the_detectors_to_the_battery():
     """The subcommands and experiment scripts read ``report.run_battery``;
     none of them runs a detector or estimator of its own."""
@@ -894,7 +975,6 @@ def test_cli_and_scripts_leave_the_detectors_to_the_battery():
         "run_cluster_test",
         "fit_benchmark",
         "estimate_wash",
-        "bootstrap_wash_sd",
         "fit_bootstrap",
         "replicate_sd",
         "cross_validate_regulated",

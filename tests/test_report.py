@@ -26,7 +26,7 @@ from washdetect.report import (
 from washdetect.synth import GeneratorConfig, gen_exchange
 from washdetect.trades import ExchangeMeta, PairRegistry, RegulatoryClass
 from washdetect.verdicts import P_FLOOR
-from washdetect.washest import bootstrap_wash_sd
+from washdetect.washest import replicate_sd
 
 REG = PairRegistry()
 
@@ -211,7 +211,8 @@ class TestBootstrapOncePerScope:
             for est, est_again in zip(ex.wash_by_pair, again.wash_by_pair):
                 bench = [r for (reg, pair), rows in panel.items() if reg[0] == "R" and (pool_pairs or pair == est.scope)
                          for r in rows]
-                lone = bootstrap_wash_sd(panel[ex.exchange_id, est.scope], bench, n_boot=100, seed=3, meta=meta)
+                lone_fit = fit(bench, n_boot=100, seed=3, meta=meta)
+                lone = replicate_sd(panel[ex.exchange_id, est.scope], lone_fit, meta=meta)
                 assert est.bootstrap_sd == lone == est_again.bootstrap_sd
             # the aggregate has an sd only where its pairs share the draws
             if not pool_pairs:

@@ -220,7 +220,8 @@ class TestCounterfactualRank:
         assert res.counterfactual_rank == 63
 
     def test_log_base_10_option(self):
-        res = counterfactual_rank(1e9, 70.0, log_base=10.0)
+        # a model fitted on log10(volume) is the natural-log model with b / ln(10)
+        res = counterfactual_rank(1e9, 70.0, coeffs=RankCoeffs(b=-19.202 / math.log(10)))
         assert res.improvement_raw == pytest.approx(-19.202 * math.log10(0.3), rel=1e-9)
         assert res.improvement == 10
 

@@ -12,13 +12,13 @@ from washdetect.trades import BUILTIN_PAIR_SPECS, ExchangeMeta, RegulatoryClass
 from washdetect.washest import (
     _design_matrix,
     _wash_volumes,
-    bootstrap_wash_sd,
     cross_validate_regulated,
     dump_models,
     estimate_wash,
     fit_benchmark,
     fit_bootstrap,
     load_models,
+    replicate_sd,
     roundness_chi_squared,
     roundness_distribution,
 )
@@ -349,7 +349,7 @@ class TestBootstrap:
     def test_noiseless_identity_has_zero_sd(self):
         bench = identity_panel("R1") + identity_panel("R2")
         target = [split("U1", w, v, 2 * v) for w, v in enumerate([1, 2, 3, 4])]
-        sd = bootstrap_wash_sd(target, bench, n_boot=200, seed=1)
+        sd = replicate_sd(target, fit_bootstrap(bench, n_boot=200, seed=1))
         assert sd == pytest.approx(0.0, abs=1e-9)
 
     def test_deterministic_under_fixed_seed(self):
@@ -359,29 +359,29 @@ class TestBootstrap:
             v = float(np.exp(rng.normal(2.0, 1.0)))
             bench.append(split("R1", w, v, 2.5 * v * float(np.exp(rng.normal(0, 0.2)))))
         target = [split("U1", w, 2.0, 9.0) for w in range(8)]
-        sd1 = bootstrap_wash_sd(target, bench, n_boot=300, seed=42)
-        sd2 = bootstrap_wash_sd(target, bench, n_boot=300, seed=42)
+        sd1 = replicate_sd(target, fit_bootstrap(bench, n_boot=300, seed=42))
+        sd2 = replicate_sd(target, fit_bootstrap(bench, n_boot=300, seed=42))
         assert sd1 == sd2  # bit-exact
         assert sd1 > 0
-        sd3 = bootstrap_wash_sd(target, bench, n_boot=300, seed=43)
+        sd3 = replicate_sd(target, fit_bootstrap(bench, n_boot=300, seed=43))
         assert sd1 != sd3
 
     def test_minimum_replicates_enforced(self):
-        with pytest.raises(EstimationError):
-            bootstrap_wash_sd([], [], n_boot=50)
+        with pytest.raises(EstimationError, match="need at least 100 bootstrap replicates"):
+            fit_bootstrap([], n_boot=50)
 
-    def test_bad_target_fails_before_any_refit(self):
-        bench = identity_panel("R1") + identity_panel("R2")
+    def test_a_bad_target_is_an_error(self):
+        fit = fit_bootstrap(identity_panel("R1") + identity_panel("R2"), n_boot=100)
         with pytest.raises(InsufficientDataError, match="empty target panel"):
-            bootstrap_wash_sd([], bench, n_boot=1000)
+            replicate_sd([], fit)
         with pytest.raises(EstimationError, match="spans exchanges"):
-            bootstrap_wash_sd(identity_panel("U1") + identity_panel("U2"), bench, n_boot=1000)
+            replicate_sd(identity_panel("U1") + identity_panel("U2"), fit)
 
     def test_all_singular_panel_exhausts_the_budget(self):
         # every round volume equal: ln_round is collinear with the constant
         bench = [split(f"R{i}", w, 2.0, 1.0 + w) for i in (1, 2) for w in range(10)]
         with pytest.raises(EstimationError, match="too many singular replicates"):
-            bootstrap_wash_sd(identity_panel("U1"), bench, n_boot=100)
+            fit_bootstrap(bench, n_boot=100)
 
 
 class TestBatchedBootstrap:
@@ -392,7 +392,7 @@ class TestBatchedBootstrap:
         replicates, attempts = batched_replicates(target, bench, 200, 7, **kwargs)
         np.testing.assert_allclose(replicates, expected, rtol=1e-12, atol=0)
         assert attempts == expected_attempts
-        sd = bootstrap_wash_sd(target, bench, n_boot=200, seed=7, **kwargs)
+        sd = replicate_sd(target, fit_bootstrap(bench, n_boot=200, seed=7, **kwargs), meta=kwargs.get("meta"))
         assert sd == pytest.approx(float(np.std(expected, ddof=1)), rel=1e-12)
 
     def test_oracle_panels_reach_the_redraw_paths(self):
@@ -423,11 +423,11 @@ class TestBatchedBootstrap:
         has_eth = np.isin(draws, [len(rare) - 2, len(rare) - 1]).any(axis=1)
         names, coefficients, _, _ = fit_bootstrap(rare, n_boot=200, seed=7)
         wash, total = _wash_volumes(target, names, coefficients[has_eth], None)
-        sd = bootstrap_wash_sd(target, rare, n_boot=200, seed=7)
+        sd = replicate_sd(target, fit_bootstrap(rare, n_boot=200, seed=7))
         assert sd == float(np.std(100.0 * wash / total, ddof=1))
         # too few such draws is an error, as any failed bootstrap is
         with pytest.raises(EstimationError, match=r"only \d+ of 100 replicates fitted ETH/USD, need 100"):
-            bootstrap_wash_sd(target, rare, n_boot=100, seed=7)
+            replicate_sd(target, fit_bootstrap(rare, n_boot=100, seed=7))
 
     def test_chunks_do_not_change_the_replicates(self, monkeypatch):
         target, bench, kwargs = oracle_panels()["singular"]
