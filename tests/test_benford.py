@@ -147,6 +147,9 @@ class TestChiSquared:
                 oracle = pytest.approx(float(stats.chi2.sf(x, df)), rel=1e-12, abs=1e-307)
                 assert chi2_sf(df, x) == oracle, (x, df)
 
+    def test_survival_of_nan_is_nan(self):
+        assert math.isnan(chi2_sf(8, math.nan))
+
     @pytest.mark.parametrize(
         "statistic,expected", [(-1.0, 1.0), (-math.inf, 1.0), (0.0, 1.0), (math.inf, 0.0)]
     )
