@@ -297,7 +297,7 @@ def cmd_estimate_wash(args) -> int:
             flagged = True
     out = _outdir(args)
     if out:
-        _write_rows(out / "wash_estimates.csv", rp.wash_estimate_rows(report))
+        _write_rows(out / "wash_estimates.csv", rp.wash_estimate_rows(rp.report_to_json(report)))
     return EXIT_FLAGGED if flagged else EXIT_OK
 
 
@@ -307,9 +307,10 @@ def cmd_report(args) -> int:
     text = rp.dump_report_json(report)
     if out:
         (out / "report.json").write_text(text)
-        _write_rows(out / "report_tests.csv", rp.report_test_rows(report))
+        doc = rp.report_to_json(report)
+        _write_rows(out / "report_tests.csv", rp.report_test_rows(doc))
         if not args.no_wash:
-            _write_rows(out / "wash_estimates.csv", rp.wash_estimate_rows(report))
+            _write_rows(out / "wash_estimates.csv", rp.wash_estimate_rows(doc))
         print(f"report written to {out}")
     else:
         sys.stdout.write(text)
@@ -455,13 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", help="size histogram range in base units, lo:hi")
     p.add_argument("--step", type=int, default=100)
 
-    p = sub.add_parser("rank", help="counterfactual ranking improvement")
+    p = _subcommand(sub, "rank", cmd_rank, "counterfactual ranking improvement", "", inputs=False)
     p.add_argument("--volume", type=float, required=True, help="reported volume")
     p.add_argument("--wash-percent", type=float, required=True)
     p.add_argument("--rank", type=float, help="reported rank, for the absolute counterfactual")
     p.add_argument("--coeff-a", type=float, default=vd.DEFAULT_RANK_COEFFS.a)
     p.add_argument("--coeff-b", type=float, default=vd.DEFAULT_RANK_COEFFS.b)
-    p.set_defaults(func=cmd_rank)
 
     return parser
 

@@ -36,7 +36,7 @@ from . import verdicts as vd
 from . import washest as we
 from .errors import ConfigError, EstimationError, InsufficientDataError
 from .ingest import TradeDataset, WeeklyVolumeSplit, _side_by_side, weekly_split
-from .trades import ExchangeMeta, PairRegistry, SortedAmounts
+from .trades import ExchangeMeta, PairRegistry, SortedAmounts, fields_json
 
 SCHEMA_VERSION = "1"
 BENFORD_EMULATION_N = 10_000
@@ -465,22 +465,8 @@ def _tail_json(t: tf.TailFit | None) -> dict | None:
     }
 
 
-def _wash_json(e: we.WashEstimate | None) -> dict | None:
-    if e is None:
-        return None
-    return {
-        "scope": e.scope,
-        "wash_volume": e.wash_volume,
-        "wash_percent": e.wash_percent,
-        "total_volume": e.total_volume,
-        "n_weeks": e.n_weeks,
-        "bootstrap_sd": e.bootstrap_sd,
-        "controls_used": e.controls_used,
-        "flags": list(e.flags),
-    }
-
-
 def report_to_json(report: BatteryReport) -> dict[str, Any]:
+    """The ``report.json`` document; both CSV tables are flattened from it."""
     return {
         "schema_version": SCHEMA_VERSION,
         "alpha": report.config.alpha,
@@ -493,8 +479,8 @@ def report_to_json(report: BatteryReport) -> dict[str, Any]:
                 "tests_failed": ex.tests_failed,
                 "tests_completed": ex.tests_completed,
                 "rank_improvement": ex.rank_improvement,
-                "wash_aggregate": _wash_json(ex.wash_aggregate),
-                "wash_by_pair": [_wash_json(e) for e in ex.wash_by_pair],
+                "wash_aggregate": fields_json(ex.wash_aggregate, "exchange_id"),
+                "wash_by_pair": [fields_json(e, "exchange_id") for e in ex.wash_by_pair],
                 "flags": list(ex.flags),
                 "pairs": [
                     {
@@ -507,16 +493,7 @@ def report_to_json(report: BatteryReport) -> dict[str, Any]:
                         "clustering_500": _cluster_json(p.cluster_500),
                         "tail": _tail_json(p.tail),
                         "roundness": _chi_json(p.roundness),
-                        "fisher": (
-                            None
-                            if p.fisher is None
-                            else {
-                                "chi2": p.fisher.chi2,
-                                "df": p.fisher.df,
-                                "critical_value": p.fisher.critical_value,
-                                "reject": p.fisher.reject,
-                            }
-                        ),
+                        "fisher": fields_json(p.fisher),
                         "flags": list(p.flags),
                     }
                     for p in ex.pairs
@@ -528,17 +505,7 @@ def report_to_json(report: BatteryReport) -> dict[str, Any]:
         "benchmark_models": we.dump_models(report.benchmark_models),
         "regulated_cross_validation": report.cross_validation,
         "wash_summary": report.wash_summary,
-        "wash_failure_fit": (
-            None
-            if report.wash_failure_fit is None
-            else {
-                "slope": report.wash_failure_fit.slope,
-                "intercept": report.wash_failure_fit.intercept,
-                "adj_r_squared": report.wash_failure_fit.adj_r_squared,
-                "slope_p": report.wash_failure_fit.slope_p,
-                "n": report.wash_failure_fit.n,
-            }
-        ),
+        "wash_failure_fit": fields_json(report.wash_failure_fit),
         "warnings": list(report.warnings),
     }
 
@@ -553,50 +520,38 @@ def dump_report_json(report: BatteryReport) -> str:
     return json_text(report_to_json(report))
 
 
-def report_test_rows(report: BatteryReport) -> list[list]:
-    """Flat spreadsheet rows: one line per exchange-pair-test."""
+# report_tests.csv: a row per test that ran, as (test, key of its object in
+# a pair of report.json, statistic key, p key); fisher has no p
+_TEST_ROWS = (
+    ("benford", "benford", "statistic", "p"),
+    ("cluster_100", "clustering_100", "statistic", "p"),
+    ("cluster_500", "clustering_500", "statistic", "p"),
+    ("pareto_levy", "tail", "alpha_hill", "p_outside_range"),
+    ("roundness", "roundness", "statistic", "p"),
+    ("fisher", "fisher", "chi2", None),
+)
+_WASH_COLUMNS = ("wash_volume", "wash_percent", "bootstrap_sd", "controls_used")
+
+
+def report_test_rows(doc: dict[str, Any]) -> list[list]:
+    """Flat spreadsheet rows of a :func:`report_to_json` document: one line
+    per exchange-pair-test."""
     rows: list[list] = [["exchange", "pair", "test", "statistic", "p_value", "passed"]]
-    for ex in report.exchanges:
-        for p in ex.pairs:
-            if p.benford is not None:
-                rows.append(
-                    [ex.exchange_id, p.pair, "benford", p.benford.statistic, p.benford.p_value, not p.benford.reject]
-                )
-            for step, c in ((100, p.cluster_100), (500, p.cluster_500)):
-                if c is not None and not c.insufficient:
-                    rows.append(
-                        [ex.exchange_id, p.pair, f"cluster_{step}", c.t_statistic, c.p_value, not c.reject]
-                    )
-            if p.tail is not None:
-                rows.append(
-                    [ex.exchange_id, p.pair, "pareto_levy", p.tail.alpha_hill, p.tail.p_outside, p.tail.in_pareto_levy]
-                )
-            if p.roundness is not None:
-                rows.append(
-                    [ex.exchange_id, p.pair, "roundness", p.roundness.statistic, p.roundness.p_value, not p.roundness.reject]
-                )
-            if p.fisher is not None:
-                rows.append(
-                    [ex.exchange_id, p.pair, "fisher", p.fisher.chi2, None, not p.fisher.reject]
-                )
+    for ex in doc["exchanges"]:
+        for p in ex["pairs"]:
+            for test, key, stat, prob in _TEST_ROWS:
+                obj = p[key]
+                if obj is not None and "skipped" not in obj:
+                    passed = obj["pass"] if "pass" in obj else not obj["reject"]
+                    rows.append([ex["exchange_id"], p["pair"], test, obj[stat], obj.get(prob), passed])
     return rows
 
 
-def wash_estimate_rows(report: BatteryReport) -> list[list]:
-    rows: list[list] = [
-        ["exchange", "pair", "wash_volume", "wash_percent", "bootstrap_sd", "controls_used", "flags"]
-    ]
-    for ex in report.exchanges:
-        for e in ex.wash_by_pair + ([ex.wash_aggregate] if ex.wash_aggregate else []):
-            rows.append(
-                [
-                    ex.exchange_id,
-                    e.scope,
-                    e.wash_volume,
-                    e.wash_percent,
-                    e.bootstrap_sd,
-                    e.controls_used,
-                    ";".join(e.flags),
-                ]
-            )
+def wash_estimate_rows(doc: dict[str, Any]) -> list[list]:
+    """Flat spreadsheet rows of a :func:`report_to_json` document: one line
+    per wash estimate, each exchange's pairs and then its aggregate."""
+    rows: list[list] = [["exchange", "pair", *_WASH_COLUMNS, "flags"]]
+    for ex in doc["exchanges"]:
+        for e in ex["wash_by_pair"] + ([ex["wash_aggregate"]] if ex["wash_aggregate"] else []):
+            rows.append([ex["exchange_id"], e["scope"], *(e[c] for c in _WASH_COLUMNS), ";".join(e["flags"])])
     return rows

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +109,18 @@ def read_json_object(path: str | Path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return raw
+
+
+def fields_json(result, *leave_out: str) -> dict | None:
+    """A result dataclass as the JSON object of its fields, tuples as lists,
+    less the fields named in ``leave_out``; None for None."""
+    if result is None:
+        return None
+    return {
+        k: list(v) if isinstance(v, tuple) else v
+        for k, v in asdict(result).items()
+        if k not in leave_out
+    }
 
 
 @dataclass(frozen=True)

@@ -66,8 +66,6 @@ class WashFailureFit:
     slope: float
     intercept: float
     adj_r_squared: float
-    slope_se: float
-    slope_t: float
     slope_p: float  # two-sided
     n: int
 
@@ -94,14 +92,12 @@ def wash_failure_regression(
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
     sigma2 = ss_res / (n - 2)
     slope_se = math.sqrt(sigma2 / sxx)
-    if slope_se == 0.0:
-        slope_t, slope_p = math.inf if slope > 0 else (-math.inf if slope < 0 else 0.0), 0.0
-        if slope == 0.0:
-            slope_p = 1.0
+    if slope_se == 0.0:  # a perfect fit: an infinite t, or none for a flat line
+        slope_p = 0.0 if slope else 1.0
     else:
         slope_t = slope / slope_se
         slope_p = 2.0 * t_cdf(n - 2, -abs(slope_t))
-    return WashFailureFit(slope, intercept, adj_r2, slope_se, slope_t, slope_p, n)
+    return WashFailureFit(slope, intercept, adj_r2, slope_p, n)
 
 
 def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
@@ -168,6 +164,8 @@ def counterfactual_rank(
         raise EstimationError(f"volume must be positive and finite, got {reported_volume}")
     if reported_rank is not None and not math.isfinite(reported_rank):
         raise EstimationError(f"reported rank must be finite, got {reported_rank}")
+    if reported_rank is not None and (reported_rank < 1 or reported_rank != math.floor(reported_rank)):
+        raise EstimationError(f"reported rank must be a whole number of at least 1, got {reported_rank:g}")
     if not 0.0 <= wash_percent < 100.0:
         raise EstimationError(f"wash percent must be in [0, 100), got {wash_percent}")
     model_rank = coeffs.a + coeffs.b * math.log(reported_volume)

@@ -24,7 +24,7 @@ import numpy as np
 from .benford import ChiSquaredResult, chi_squared_gof
 from .errors import AmountError, ConfigError, EstimationError, InsufficientDataError
 from .ingest import WeeklyVolumeSplit
-from .trades import AMOUNT_DECIMALS, CONTROL_FIELDS, ExchangeMeta, PairSpec, read_json_object
+from .trades import AMOUNT_DECIMALS, CONTROL_FIELDS, ExchangeMeta, PairSpec, fields_json, read_json_object
 
 MIN_BENCHMARK_OBS = 8
 
@@ -140,18 +140,6 @@ class BenchmarkModel:
     def slope(self) -> float:
         return self.coefficients[self.feature_names.index("ln_round")]
 
-    def to_json(self) -> dict:
-        return {
-            "feature_names": list(self.feature_names),
-            "coefficients": list(self.coefficients),
-            "resid_se": self.resid_se,
-            "scope": self.scope,
-            "n_obs": self.n_obs,
-            "n_dropped": self.n_dropped,
-            "controls_used": self.controls_used,
-            "pair_levels": list(self.pair_levels),
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "BenchmarkModel":
         return cls(
@@ -167,12 +155,13 @@ class BenchmarkModel:
 
 
 def dump_models(models: dict[str, BenchmarkModel]) -> dict[str, dict]:
-    """The benchmark-model file format: ``{scope: model.to_json()}``.
+    """The benchmark-model file format: ``{scope: model}``, each model the
+    JSON object of its fields.
 
     A scope is a pair code or ``"pooled"``. ``report.json`` carries the same
     mapping under ``benchmark_models``.
     """
-    return {scope: m.to_json() for scope, m in sorted(models.items())}
+    return {scope: fields_json(m) for scope, m in sorted(models.items())}
 
 
 def load_models(path: str | Path) -> dict[str, BenchmarkModel]:

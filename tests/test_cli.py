@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output files."""
 
 import ast
+import csv
 import json
 import os
 import random
@@ -220,6 +221,68 @@ class TestReport:
         dirty = capsys.readouterr()
         assert dirty.out == clean.out
         assert dirty.err == "warning: 1 row(s) rejected and skipped; ingest-check lists them\n" + clean.err
+
+
+def test_csv_tables_hold_the_report_json_values(workspace, tmp_path):
+    """Every cell of report_tests.csv and wash_estimates.csv is the value
+    report.json holds, a null as an empty cell. The market has a clustering
+    test skipped for too few windows (Y, Z), Fisher rows, a flagged wash
+    aggregate (Y, whose only week has no round trade), and an all-round tape
+    (Z: 15 sizes of 0.01-0.15 BTC, 60 trades each) whose every window has the
+    same frequency difference, so its clustering t is infinite."""
+    root, tapes = workspace
+    header = "exchange,pair,timestamp_ms,price,amount\n"
+    z_rows = (f"Z,BTC/USD,{1000 * i},9000.00,{(i % 15 + 1) / 100:.2f}\n" for i in range(900))
+    (tmp_path / "z.csv").write_text(header + "".join(z_rows))
+    (tmp_path / "y.csv").write_text(header + "".join(f"Y,BTC/USD,{i},1.0,0.0{213 + i}\n" for i in range(30)))
+    meta = json.loads((root / "meta.json").read_text())
+    (tmp_path / "meta.json").write_text(json.dumps({**meta, "Y": meta["U1"], "Z": meta["U1"]}))
+    out = tmp_path / "out"
+    argv = ["report", *tapes, str(tmp_path / "y.csv"), str(tmp_path / "z.csv"), "--meta", str(tmp_path / "meta.json")]
+    assert main(argv + ["--out", str(out)]) == EXIT_FLAGGED
+    report = json.loads((out / "report.json").read_text())
+    jsonschema.validate(report, json.loads(Path(washdetect.__file__).with_name("report_schema.json").read_text()))
+    assert report["wash_failure_fit"] is not None and report["benchmark_models"]
+
+    def cells(*values):
+        return ["" if v is None else str(v) for v in values]
+
+    # test -> (its object in a pair of report.json, statistic key, p key)
+    columns = {
+        "benford": ("benford", "statistic", "p"),
+        "cluster_100": ("clustering_100", "statistic", "p"),
+        "cluster_500": ("clustering_500", "statistic", "p"),
+        "pareto_levy": ("tail", "alpha_hill", "p_outside_range"),
+        "roundness": ("roundness", "statistic", "p"),
+        "fisher": ("fisher", "chi2", None),
+    }
+    pairs = {(ex["exchange_id"], p["pair"]): p for ex in report["exchanges"] for p in ex["pairs"]}
+    ran = {(*key, test) for key, p in pairs.items() for test, (obj, _, _) in columns.items()
+           if p[obj] is not None and "skipped" not in p[obj]}
+    with open(out / "report_tests.csv", newline="") as fh:
+        header_row, *rows = list(csv.reader(fh))
+    assert header_row == ["exchange", "pair", "test", "statistic", "p_value", "passed"]
+    assert {tuple(r[:3]) for r in rows} == ran and len(rows) == len(ran)
+    for ex, pair, test, *values in rows:
+        obj, stat, prob = columns[test]
+        o = pairs[ex, pair][obj]
+        passed = o["pass"] if test != "fisher" else not o["reject"]
+        assert values == cells(o[stat], o.get(prob), passed), (ex, pair, test)
+    assert ["Z", "BTC/USD", "cluster_100", ""] in [r[:4] for r in rows]
+    assert pairs["Z", "BTC/USD"]["clustering_100"]["statistic"] is None
+    assert "skipped" in pairs["Z", "BTC/USD"]["clustering_500"]
+    assert any(r[2] == "fisher" and r[4] == "" for r in rows)
+
+    with open(out / "wash_estimates.csv", newline="") as fh:
+        header_row, *rows = list(csv.reader(fh))
+    assert header_row == ["exchange", "pair", "wash_volume", "wash_percent", "bootstrap_sd", "controls_used", "flags"]
+    expected = []
+    for ex in report["exchanges"]:
+        for e in ex["wash_by_pair"] + ([ex["wash_aggregate"]] if ex["wash_aggregate"] else []):
+            values = (e[k] for k in ("scope", "wash_volume", "wash_percent", "bootstrap_sd", "controls_used"))
+            expected.append([ex["exchange_id"], *cells(*values), ";".join(e["flags"])])
+    assert rows == expected
+    assert any(r[:2] == ["Y", "aggregate"] and r[6] == "zero_round_weeks" for r in rows)
 
 
 class TestBenchmarkModelFlow:
@@ -662,6 +725,9 @@ class TestFlags:
             ["rank", "--volume", "inf", "--wash-percent", "70"],
             ["rank", "--volume", "1e9", "--wash-percent", "70", "--rank", "nan"],
             ["rank", "--volume", "1e9", "--wash-percent", "70", "--rank", "inf"],
+            ["rank", "--volume", "1e9", "--wash-percent", "70", "--rank", "-5"],
+            ["rank", "--volume", "1e9", "--wash-percent", "70", "--rank", "0"],
+            ["rank", "--volume", "1e9", "--wash-percent", "70", "--rank", "2.5"],
             ["rank", "--volume", "1e9", "--wash-percent", "70", "--coeff-a", "inf"],
             ["synth", "--seed", "-1", "--out-file", "{tmp}/s.csv"],
             ["synth", "--exchange-id", "", "--out-file", "{tmp}/s.csv"],
@@ -692,6 +758,9 @@ class TestFlags:
             "rank-volume-inf",
             "rank-nan",
             "rank-inf",
+            "rank-negative",
+            "rank-zero",
+            "rank-fraction",
             "rank-coeff-inf",
             "synth-seed",
             "synth-exchange-id",
@@ -1001,3 +1070,15 @@ class TestRank:
     def test_with_reported_rank(self, capsys):
         main(["rank", "--volume", "1e9", "--wash-percent", "70", "--rank", "40"])
         assert "63" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["--vol 1e9 --wash 70 --ra 40", "--volume 1e9 --wash-percent 70 --ra 40"],
+        ids=["all-abbreviated", "rank-abbreviated"],
+    )
+    def test_abbreviated_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", *argv.split()])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("usage: washdetect")

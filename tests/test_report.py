@@ -62,6 +62,16 @@ def battery():
     return run_battery(ds, REG, meta, RunConfig())
 
 
+@pytest.fixture(scope="module")
+def graded():
+    """Three unregulated exchanges at graded wash, so that their failure
+    rates differ and the report has a wash-failure fit."""
+    specs = [("R1", 1, 120_000, 0.0), ("R2", 2, 100_000, 0.0), ("R3", 3, 80_000, 0.0)]
+    specs += [(f"U{i}", 40 + i, 80_000, w) for i, w in enumerate((0.05, 0.5, 0.9))]
+    meta = make_meta(["R1", "R2", "R3"], ["U0", "U1", "U2"])
+    return run_battery(make_dataset(specs), REG, meta, RunConfig())
+
+
 class TestBattery:
     def test_regulated_pass_everything(self, battery):
         for ex in battery.exchanges:
@@ -121,16 +131,10 @@ class TestBattery:
         assert rep.exchanges[0].wash_aggregate is None
         assert rep.exchanges[0].failure_rate is not None
 
-    def test_wash_failure_fit_with_graded_exchanges(self):
-        # wash grades spread enough that failure rates are not all equal
-        specs = [("R1", 1, 120_000, 0.0), ("R2", 2, 100_000, 0.0), ("R3", 3, 80_000, 0.0)]
-        specs += [(f"U{i}", 40 + i, 80_000, w) for i, w in enumerate((0.05, 0.5, 0.9))]
-        ds = make_dataset(specs)
-        meta = make_meta(["R1", "R2", "R3"], ["U0", "U1", "U2"])
-        rep = run_battery(ds, REG, meta, RunConfig())
-        assert rep.wash_failure_fit is not None
-        assert rep.wash_failure_fit.n == 3
-        assert rep.wash_failure_fit.slope > 0
+    def test_wash_failure_fit_with_graded_exchanges(self, graded):
+        assert graded.wash_failure_fit is not None
+        assert graded.wash_failure_fit.n == 3
+        assert graded.wash_failure_fit.slope > 0
 
     def test_equal_failure_rates_leave_a_warning(self):
         # wash-only tapes fail every test, so the failure rates have no spread
@@ -311,18 +315,49 @@ class TestAgainstScipy:
                     assert p.fisher.critical_value == pytest.approx(critical, rel=1e-12, abs=0)
                     assert p.fisher.reject == (chi2 > critical)
                     checked["fisher"] += 1
-        fit = battery.wash_failure_fit
-        if fit is not None:
-            assert fit.slope_p == pytest.approx(2.0 * float(stats.t.sf(abs(fit.slope_t), fit.n - 2)), rel=1e-12, abs=0)
         assert min(checked.values()) > 0, checked
+
+    def test_wash_failure_fit_matches_scipy_linregress(self, graded):
+        """The fit of wash fraction on failure rate, recomputed with
+        scipy.stats.linregress over the scored exchanges."""
+        fit = graded.wash_failure_fit
+        assert fit is not None
+        scored = [ex for ex in graded.exchanges if ex.failure_rate is not None and ex.wash_aggregate is not None]
+        x = [ex.failure_rate for ex in scored]
+        line = stats.linregress(x, [ex.wash_aggregate.wash_percent / 100.0 for ex in scored])
+        assert fit.n == len(x) == 3
+        assert fit.slope == pytest.approx(line.slope, rel=1e-12, abs=0)
+        assert fit.intercept == pytest.approx(line.intercept, rel=1e-12, abs=0)
+        oracle = 2.0 * float(stats.t.sf(abs(line.slope / line.stderr), fit.n - 2))
+        assert fit.slope_p == pytest.approx(oracle, rel=1e-12, abs=0)
+
+
+SCHEMA = json.loads(resources.files("washdetect").joinpath("report_schema.json").read_text())
 
 
 class TestSerialization:
-    def test_json_validates_against_shipped_schema(self, battery):
-        schema = json.loads(
-            resources.files("washdetect").joinpath("report_schema.json").read_text()
-        )
-        jsonschema.validate(report_to_json(battery), schema)
+    def test_json_validates_against_shipped_schema(self, battery, graded):
+        jsonschema.validate(report_to_json(battery), SCHEMA)
+        doc = report_to_json(graded)
+        assert doc["wash_failure_fit"] is not None and doc["benchmark_models"]
+        jsonschema.validate(doc, SCHEMA)
+
+    def test_schema_refuses_a_key_the_result_has_no_field_for(self, graded):
+        doc = report_to_json(graded)
+        u0 = next(ex for ex in doc["exchanges"] if ex["exchange_id"] == "U0")
+        written_from_fields = [
+            doc["wash_failure_fit"],
+            doc["benchmark_models"]["BTC/USD"],
+            u0["wash_aggregate"],
+            u0["wash_by_pair"][0],
+            u0["pairs"][0]["fisher"],
+        ]
+        for obj in written_from_fields:
+            obj["extra"] = 1.0
+            with pytest.raises(jsonschema.ValidationError, match="'extra' was unexpected"):
+                jsonschema.validate(doc, SCHEMA)
+            del obj["extra"]
+        jsonschema.validate(doc, SCHEMA)
 
     def test_schema_version_stamped(self, battery):
         assert report_to_json(battery)["schema_version"] == "1"
@@ -336,11 +371,12 @@ class TestSerialization:
         assert dump_report_json(rep1) == dump_report_json(rep2)
 
     def test_flat_rows(self, battery):
-        rows = report_test_rows(battery)
+        doc = report_to_json(battery)
+        rows = report_test_rows(doc)
         assert rows[0] == ["exchange", "pair", "test", "statistic", "p_value", "passed"]
         tests = {r[2] for r in rows[1:]}
         assert {"benford", "cluster_100", "cluster_500", "pareto_levy", "fisher"} <= tests
-        wash_rows = wash_estimate_rows(battery)
+        wash_rows = wash_estimate_rows(doc)
         assert any(r[0] == "U1" for r in wash_rows[1:])
 
 

@@ -124,18 +124,33 @@ class TestWashFailureRegression:
         fit = wash_failure_regression(rates, wash)
         assert fit.slope > 0
         assert fit.slope_p < 0.05
-        oracle_t = fit.slope / fit.slope_se
-        assert fit.slope_t == pytest.approx(oracle_t)
+        oracle = stats.linregress(rates, wash)
+        assert fit.slope == pytest.approx(oracle.slope, rel=1e-12)
+        oracle_t = oracle.slope / oracle.stderr
         assert fit.slope_p == pytest.approx(2 * float(stats.t.sf(abs(oracle_t), 18)), rel=1e-9, abs=0)
 
     def test_slope_p_equals_scipy_stats_t(self):
+        """slope_p is scipy's two-sided t probability at the slope's t, taken
+        from an OLS in 50-digit mpmath. linregress reads its t off r through
+        (1 - r)(1 + r), which here loses up to 1.5e-11 near |r| = 1."""
+        import mpmath
+
+        def ols_t(x, y):
+            with mpmath.workdps(50):
+                x, y = [mpmath.mpf(float(v)) for v in x], [mpmath.mpf(float(v)) for v in y]
+                mx, my = sum(x) / len(x), sum(y) / len(y)
+                sxx = sum((a - mx) ** 2 for a in x)
+                b = sum((a - mx) * (c - my) for a, c in zip(x, y)) / sxx
+                ss_res = sum((c - my - b * (a - mx)) ** 2 for a, c in zip(x, y))
+                return float(b / mpmath.sqrt(ss_res / (len(x) - 2) / sxx))
+
         rng = np.random.default_rng(5)
         for n in range(3, 43):
             rates = np.linspace(0.0, 0.9, n)
             for slope in (0.0, 0.05, 0.6, -2.0):
                 wash = 0.4 + slope * rates + rng.normal(0, 0.05, size=n)
                 fit = wash_failure_regression(rates, wash)
-                oracle = 2.0 * float(stats.t.sf(abs(fit.slope_t), n - 2))
+                oracle = 2.0 * float(stats.t.sf(abs(ols_t(rates, wash)), n - 2))
                 assert fit.slope_p == pytest.approx(oracle, rel=1e-12, abs=0), (n, slope)
 
 

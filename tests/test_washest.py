@@ -332,7 +332,7 @@ class TestEstimateWash:
         assert estimate_wash(wash_target(), model).scope == "BTC/USD"
         # a model file that lists no pairs, as older files, loads and covers any pair
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({"BTC/USD": {k: v for k, v in model.to_json().items() if k != "pair_levels"}}))
+        path.write_text(json.dumps({"BTC/USD": {k: v for k, v in dump_models({"BTC/USD": model})["BTC/USD"].items() if k != "pair_levels"}}))
         old = load_models(path)["BTC/USD"]
         assert old.pair_levels == ()
         assert estimate_wash(wash_target(pair="ETH/USD"), old).scope == "ETH/USD"
