@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from pathlib import Path
@@ -51,15 +52,19 @@ _SHARED_FLAGS = {
 
 
 def _subcommand(
-    sub, name: str, func, help: str, flags: str, inputs: bool = True, unrounded: bool = False
-) -> argparse.ArgumentParser:
-    """Declare a subcommand with the shared flags it reads, named in ``flags``.
+    sub, command: str | None, name: str, func, help: str, flags: str, inputs: bool = True, unrounded: bool = False
+) -> argparse.ArgumentParser | None:
+    """Register a subcommand by name and help; only when it is ``command``,
+    declare its flags, with the shared ones it reads named in ``flags``, and
+    return its parser for the rest.
 
     Abbreviated flags are refused, so that a flag a subcommand does not take
     (``synth --out``) is a usage error and not a prefix of another one.
     """
     p = sub.add_parser(name, help=help, allow_abbrev=False)
     p.set_defaults(func=func)
+    if name != command:
+        return None
     if unrounded:
         p.add_argument(
             "--unrounded-only",
@@ -400,75 +405,82 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of ``washdetect``, with the flags of the subcommand ``command`` only.
+
+    Every subcommand is registered with its help, so that ``--help`` lists
+    them all and an unknown one is a usage error that names them; declaring
+    the flags of the one called alone halves the parser's cost.
+    """
     parser = argparse.ArgumentParser(
         prog="washdetect",
         description="Detect and quantify wash trading in exchange trade tapes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(_subcommand, parser.add_subparsers(dest="command", required=True), command)
 
     battery = "--pairs --alpha --effective-n"
-    _subcommand(sub, "ingest-check", cmd_ingest_check, "parse inputs and report rejected rows", "--out")
+    add("ingest-check", cmd_ingest_check, "parse inputs and report rejected rows", "--out")
 
-    _subcommand(sub, "benford", cmd_benford, "first-digit chi-squared test per group", battery, unrounded=True)
+    add("benford", cmd_benford, "first-digit chi-squared test per group", battery, unrounded=True)
 
-    p = _subcommand(sub, "cluster", cmd_cluster, "round-size clustering t-test per group", "--pairs --alpha")
-    p.add_argument("--step", type=int, choices=[100, 500], default=100)
+    if p := add("cluster", cmd_cluster, "round-size clustering t-test per group", "--pairs --alpha"):
+        p.add_argument("--step", type=int, choices=[100, 500], default=100)
 
-    _subcommand(sub, "tail", cmd_tail, "power-law tail fit per group", "--pairs", unrounded=True)
+    add("tail", cmd_tail, "power-law tail fit per group", "--pairs", unrounded=True)
 
-    p = _subcommand(sub, "roundness", cmd_roundness, "roundness distribution vs regulated benchmark", battery)
-    p.add_argument("--meta", required=True, help="exchange metadata JSON")
+    if p := add("roundness", cmd_roundness, "roundness distribution vs regulated benchmark", battery):
+        p.add_argument("--meta", required=True, help="exchange metadata JSON")
 
-    p = _subcommand(sub, "fit-benchmark", cmd_fit_benchmark, "fit the round/unrounded volume relation", "--pairs")
-    p.add_argument("--meta", required=True)
-    p.add_argument("--pooled", action="store_true", help="pool pairs with indicator terms")
-    p.add_argument("--controls", action="store_true", help="include exchange covariates")
-    p.add_argument("--out-model", required=True, help="where to write the model JSON")
+    if p := add("fit-benchmark", cmd_fit_benchmark, "fit the round/unrounded volume relation", "--pairs"):
+        p.add_argument("--meta", required=True)
+        p.add_argument("--pooled", action="store_true", help="pool pairs with indicator terms")
+        p.add_argument("--controls", action="store_true", help="include exchange covariates")
+        p.add_argument("--out-model", required=True, help="where to write the model JSON")
 
     wash = "--bootstrap --seed --out"
-    p = _subcommand(sub, "estimate-wash", cmd_estimate_wash, "estimate wash volume per exchange", f"--pairs {wash}")
-    p.add_argument("--meta")
-    p.add_argument("--model", help="benchmark model JSON from fit-benchmark")
+    if p := add("estimate-wash", cmd_estimate_wash, "estimate wash volume per exchange", f"--pairs {wash}"):
+        p.add_argument("--meta")
+        p.add_argument("--model", help="benchmark model JSON from fit-benchmark")
 
-    _subcommand(sub, "fisher", cmd_fisher, "combined test per exchange-pair", battery)
+    add("fisher", cmd_fisher, "combined test per exchange-pair", battery)
 
-    p = _subcommand(sub, "report", cmd_report, "full battery plus wash estimation", f"{battery} {wash}")
-    p.add_argument("--meta")
-    p.add_argument("--model", help="benchmark model JSON (skip refitting)")
-    p.add_argument("--no-wash", action="store_true", help="battery only")
-    p.add_argument("--pooled", action="store_true")
-    p.add_argument("--controls", action="store_true")
+    if p := add("report", cmd_report, "full battery plus wash estimation", f"{battery} {wash}"):
+        p.add_argument("--meta")
+        p.add_argument("--model", help="benchmark model JSON (skip refitting)")
+        p.add_argument("--no-wash", action="store_true", help="battery only")
+        p.add_argument("--pooled", action="store_true")
+        p.add_argument("--controls", action="store_true")
 
-    p = _subcommand(sub, "synth", cmd_synth, "generate a synthetic labeled tape", "--seed", inputs=False)
-    p.add_argument("--wash", type=float, default=0.0, help="wash volume fraction in [0, 1]")
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--pair", default="BTC/USD")
-    p.add_argument("--exchange-id", default="X1")
-    p.add_argument("--weeks", type=int, default=12)
-    p.add_argument("--profile", choices=list(synth.PROFILES), default="default")
-    p.add_argument("--labels", action="store_true", help="emit the ground-truth label column")
-    p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    p.add_argument("--out-file", required=True)
+    if p := add("synth", cmd_synth, "generate a synthetic labeled tape", "--seed", inputs=False):
+        p.add_argument("--wash", type=float, default=0.0, help="wash volume fraction in [0, 1]")
+        p.add_argument("--n", type=int, default=100_000)
+        p.add_argument("--pair", default="BTC/USD")
+        p.add_argument("--exchange-id", default="X1")
+        p.add_argument("--weeks", type=int, default=12)
+        p.add_argument("--profile", choices=list(synth.PROFILES), default="default")
+        p.add_argument("--labels", action="store_true", help="emit the ground-truth label column")
+        p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
+        p.add_argument("--out-file", required=True)
 
-    p = _subcommand(sub, "plot-data", cmd_plot_data, "emit plot-ready CSVs", "--pairs --out", unrounded=True)
-    p.add_argument("--which", choices=["benford", "sizes", "tail"], required=True)
-    p.add_argument("--range", help="size histogram range in base units, lo:hi")
-    p.add_argument("--step", type=int, default=100)
+    if p := add("plot-data", cmd_plot_data, "emit plot-ready CSVs", "--pairs --out", unrounded=True):
+        p.add_argument("--which", choices=["benford", "sizes", "tail"], required=True)
+        p.add_argument("--range", help="size histogram range in base units, lo:hi")
+        p.add_argument("--step", type=int, default=100)
 
-    p = _subcommand(sub, "rank", cmd_rank, "counterfactual ranking improvement", "", inputs=False)
-    p.add_argument("--volume", type=float, required=True, help="reported volume")
-    p.add_argument("--wash-percent", type=float, required=True)
-    p.add_argument("--rank", type=float, help="reported rank, for the absolute counterfactual")
-    p.add_argument("--coeff-a", type=float, default=vd.DEFAULT_RANK_COEFFS.a)
-    p.add_argument("--coeff-b", type=float, default=vd.DEFAULT_RANK_COEFFS.b)
+    if p := add("rank", cmd_rank, "counterfactual ranking improvement", "", inputs=False):
+        p.add_argument("--volume", type=float, required=True, help="reported volume")
+        p.add_argument("--wash-percent", type=float, required=True)
+        p.add_argument("--rank", type=float, help="reported rank, for the absolute counterfactual")
+        p.add_argument("--coeff-a", type=float, default=vd.DEFAULT_RANK_COEFFS.a)
+        p.add_argument("--coeff-b", type=float, default=vd.DEFAULT_RANK_COEFFS.b)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the subcommand is the first word that is not an option: the top-level parser takes none with a value
+    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe fails here and not at exit

@@ -11,7 +11,10 @@ bursts a few milliseconds apart. Prices follow a small random walk around
 ``BASE_PRICE`` and sit on a 0.01 tick; no test of the battery reads them.
 
 Everything is driven by one numpy Generator seeded from the config, so a
-(seed, config) pair fully determines the tape, byte for byte.
+(seed, config) pair fully determines the tape, byte for byte. The trades are
+put in time order by one sort of 63-bit keys, a trade's time since
+``START_MS`` and its row number, so a config whose weeks and trades overflow
+that key is refused with ConfigError before anything is drawn.
 """
 
 from __future__ import annotations
@@ -258,11 +261,12 @@ def _price_path(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.rint(BASE_PRICE * np.exp(walk) * 10**PRICE_DECIMALS) / 10**PRICE_DECIMALS
 
 
-def _finish_group(cfg, timestamps, subunits, labels, rng):
-    prices = _price_path(rng, timestamps.size)  # the i-th price is the i-th trade's in time order
-    order = np.argsort(timestamps, kind="stable")
-    group = TradeGroup(cfg.exchange_id, cfg.pair, timestamps[order], subunits[order], prices)
-    return TradeDataset({(cfg.exchange_id, cfg.pair): group}), labels[order]
+def _time_order(timestamps: np.ndarray) -> np.ndarray:
+    """The order a stable sort of ``timestamps`` gives, from one sort of the keys
+    ``(t - START_MS) << b | row``, b the bit length of n - 1 (``_split_counts`` keeps them in 63 bits)."""
+    shift = (timestamps.size - 1).bit_length()
+    keys = np.sort((timestamps - START_MS) << shift | np.arange(timestamps.size))
+    return keys & ((1 << shift) - 1)
 
 
 def _gen_authentic_arrays(rng, cfg, weights, n):
@@ -279,12 +283,8 @@ def _gen_wash_arrays(rng, cfg, weights, n):
     anchor_ts = _draw_timestamps(rng, cfg, weights, n_bursts)
     lo, hi = BURST_GAP_MS
     gaps = rng.integers(lo, hi + 1, size=n_bursts)
-    ts = np.empty(2 * n_bursts, dtype=np.int64)
-    subs = np.empty(2 * n_bursts, dtype=np.int64)
-    ts[0::2] = anchor_ts
-    ts[1::2] = anchor_ts + gaps
-    subs[0::2] = sizes
-    subs[1::2] = sizes  # the matching leg of each self-trade
+    ts = np.stack([anchor_ts, anchor_ts + gaps], axis=1).ravel()
+    subs = np.repeat(sizes, 2)  # the matching leg of each self-trade
     return ts[:n], subs[:n]
 
 
@@ -295,6 +295,8 @@ def _split_counts(cfg: GeneratorConfig) -> tuple[int, int]:
         raise ConfigError(f"wash fraction must be in [0, 1], got {w}")
     if cfg.n_trades < 1 or cfg.n_weeks < 1:
         raise ConfigError(f"need at least one trade and one week, got {cfg.n_trades} and {cfg.n_weeks}")
+    if (cfg.n_weeks * MS_PER_WEEK + BURST_GAP_MS[1]) << (cfg.n_trades - 1).bit_length() > 2**63:
+        raise ConfigError(f"{cfg.n_trades} trades over {cfg.n_weeks} weeks overflow the 63-bit key that orders them")
     if w == 0.0:
         return cfg.n_trades, 0
     if w == 1.0:
@@ -311,28 +313,25 @@ def gen_exchange(cfg: GeneratorConfig) -> LabeledTape:
     rng = np.random.default_rng(cfg.seed)
     weights = _weekly_weights(rng, cfg)
     flags: list[str] = []
-    parts_ts, parts_subs, parts_lab = [], [], []
+    parts = []
     if n_auth:
-        ts, subs = _gen_authentic_arrays(rng, cfg, weights, n_auth)
-        parts_ts.append(ts)
-        parts_subs.append(subs)
-        parts_lab.append(np.zeros(n_auth, dtype=bool))
+        parts.append(_gen_authentic_arrays(rng, cfg, weights, n_auth))
     else:
         flags.append("no_authentic_flow")
     if n_wash:
-        ts, subs = _gen_wash_arrays(rng, cfg, weights, n_wash)
-        parts_ts.append(ts)
-        parts_subs.append(subs)
-        parts_lab.append(np.ones(n_wash, dtype=bool))
-    ts = np.concatenate(parts_ts)
-    subs = np.concatenate(parts_subs)
-    labels = np.concatenate(parts_lab)
-    ds, sorted_labels = _finish_group(cfg, ts, subs, labels, rng)
+        parts.append(_gen_wash_arrays(rng, cfg, weights, n_wash))
+    elif cfg.wash_fraction > 0.0:
+        flags.append("no_wash_flow")  # one trade leaves no room for a wash trade beside it
+    ts, subs = (np.concatenate(column) for column in zip(*parts))
+    labels = np.arange(cfg.n_trades) >= n_auth  # the authentic trades come first
+    prices = _price_path(rng, cfg.n_trades)  # the i-th price is the i-th trade's in time order
+    order = _time_order(ts)
+    group = TradeGroup(cfg.exchange_id, cfg.pair, ts[order], subs[order], prices)
     wash_volume = exact_sum(subs[labels])
     total_volume = exact_sum(subs)
     return LabeledTape(
-        dataset=ds,
-        labels=sorted_labels,
+        dataset=TradeDataset({(cfg.exchange_id, cfg.pair): group}),
+        labels=labels[order],
         realized_wash_fraction=wash_volume / total_volume,
         n_authentic=n_auth,
         n_wash=n_wash,
@@ -342,50 +341,59 @@ def gen_exchange(cfg: GeneratorConfig) -> LabeledTape:
 
 
 # Rows assembled per write, by format: bounds the transient byte matrices of
-# a large tape near 11 MB (about 325 bytes a CSV row, 570 a JSONL row).
+# a large tape near 8 MB (about 226 bytes a CSV row, 474 a JSONL row).
 _WRITE_ROWS = {"csv": 1 << 15, "jsonl": 1 << 14}
-_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+# Fills each byte position a row leaves unused. UTF-8 never produces this
+# byte, surrogatepass included, so dropping it drops no byte of text.
+_UNUSED = 0xFF
 
 
 def _digits(values: np.ndarray, width: int) -> np.ndarray:
-    """Non-negative integers as ASCII digits, right-aligned and zero-padded in ``width`` columns."""
-    out = np.empty((width, values.size), np.uint8)  # a column per row, so each store is contiguous
-    for c in range(width - 1, -1, -1):
-        q = values // 10  # floor division by a scalar is vectorised; divmod is not
-        out[c] = values - q * 10
-        values = q
+    """Non-negative integers as ASCII digits, zero-padded in ``width`` rows, a column per value."""
+    out = np.empty((width, values.size), np.uint8)  # a row per digit, so each store is contiguous
+    for stop in range(width, 0, -9):  # nine digits at a time in uint32, whose division is faster
+        high = values // 10**9 if stop > 9 else 0
+        group = (values - high * 10**9).astype(np.uint32)
+        for c in range(stop - 1, max(stop - 9, 0) - 1, -1):
+            q = group // 10  # floor division by a scalar is vectorised; divmod is not
+            out[c] = group - q * 10
+            group = q
+        values = high
     out += np.uint8(48)
-    return out.T
+    return out
 
 
-def _int_text(values: np.ndarray):
-    """int64 values as ``str(int)`` writes them: a right-aligned byte matrix and each row's first column."""
-    negative = values < 0
-    magnitude = values.view(np.uint64)
-    magnitude = np.where(negative, -magnitude, magnitude)
-    n_digits = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1)
-    width = int(n_digits.max()) + 1  # room for a sign
-    m = _digits(magnitude, width)
-    first = width - n_digits - negative
-    m[negative, first[negative]] = ord("-")
-    return m, first, width
+def _blank_zeros(rows: np.ndarray) -> np.ndarray:
+    """Make ``_UNUSED`` the run of "0" each column of ``rows`` starts with; return where it is all "0"."""
+    run = np.ones(rows.shape[1], bool)
+    for row in rows:
+        run &= row == ord("0")
+        row |= run * np.uint8(_UNUSED)  # faster than a masked store
+    return run
+
+
+def _int_text(values: np.ndarray) -> np.ndarray:
+    """Non-negative integers as ``str(int)`` writes them, right-aligned after ``_UNUSED`` bytes."""
+    shortest, width = (len(str(v)) for v in (values.min(), values.max()))
+    m = _digits(values, width)
+    _blank_zeros(m[: width - shortest])  # the columns where a shorter value has leading zeros
+    return m
 
 
 def _amount_text(amounts: np.ndarray) -> list:
-    """Sub-unit counts as canonical decimals: no trailing fractional zeros, and no dot
-    when the fraction is 0. The parts of units, dot and fraction."""
+    """Sub-unit counts as canonical decimals, in the blocks of units, dot and fraction: trailing
+    fractional zeros are ``_UNUSED``, and so is the dot when the fraction is 0."""
     if amounts.size and amounts.min() <= 0:
         raise AmountError(f"non-positive amount {amounts[amounts <= 0][0]}")
-    units, frac = np.divmod(amounts, SUBUNITS_PER_UNIT)
-    digits = _digits(frac, AMOUNT_DECIMALS)
-    # the fraction's digits up to its last non-zero one, none when it is 0
-    stop = np.where(frac > 0, AMOUNT_DECIMALS - (digits[:, ::-1] != ord("0")).argmax(axis=1), 0)
-    return [_int_text(units), (_const(".")[0], 0, np.minimum(stop, 1)), (digits, 0, stop)]
+    units = amounts // SUBUNITS_PER_UNIT
+    digits = _digits(amounts - units * SUBUNITS_PER_UNIT, AMOUNT_DECIMALS)
+    dot = np.where(_blank_zeros(digits[::-1]), np.uint8(_UNUSED), np.uint8(ord(".")))
+    return [_int_text(units), dot[None], digits]
 
 
 def _price_text(prices: np.ndarray) -> list:
     """Prices as ``units.cc``, their whole count of ticks with a dot placed, which reads back as
-    the same double: the parts of units, dot and decimals. A price off the tick (not the double
+    the same double: the blocks of units, dot and decimals. A price off the tick (not the double
     nearest a positive multiple of it) raises ValueError."""
     scale = 10**PRICE_DECIMALS
     ticks = np.rint(prices * scale)
@@ -393,42 +401,32 @@ def _price_text(prices: np.ndarray) -> list:
     if off.any():
         raise ValueError(f"price {prices[off][0]} is not a positive multiple of the {10.0**-PRICE_DECIMALS} tick")
     units, frac = np.divmod(ticks.astype(np.int64), scale)
-    return [_int_text(units), _const("."), (_digits(frac, PRICE_DECIMALS), 0, PRICE_DECIMALS)]
+    return [_int_text(units), _const("."), _digits(frac, PRICE_DECIMALS)]
 
 
-def _rows_text(parts: list, n: int) -> str:
-    """``n`` rows, each the concatenation of ``parts``.
+def _rows_text(blocks: list, n: int) -> str:
+    """``n`` rows, each the concatenation of ``blocks``.
 
-    A part is ``(matrix, first, stop)``: row i takes columns [first, stop) of
-    row i of the matrix, which may be one row for all. The bounds are per row
-    or one for all. The parts are laid side by side and the columns outside
-    them dropped in one pass.
+    A block holds a field's bytes column-major: a row per byte position and a
+    column per row (or one for all rows), with ``_UNUSED`` where a row's text
+    is shorter than the block. The blocks are stacked, transposed once into
+    row order, and every ``_UNUSED`` byte is dropped.
     """
-    mats, masks = [], []
-    for m, first, stop in parts:
-        shape = (n, m.shape[1])
-        leading = np.tri(shape[1] + 1, shape[1], -1, bool)  # row k marks the first k columns
-        mats.append(np.broadcast_to(m, shape))
-        masks.append(np.broadcast_to(leading.take(stop, axis=0) ^ leading.take(first, axis=0), shape))
-    rows = np.concatenate(mats, axis=1)[np.concatenate(masks, axis=1)]
-    return rows.tobytes().decode("utf-8", "surrogatepass")
+    m = np.concatenate([np.broadcast_to(b, (b.shape[0], n)) for b in blocks])
+    return m.T.tobytes().translate(None, bytes([_UNUSED])).decode("utf-8", "surrogatepass")
 
 
-def _const(text: str):
-    """The same text on every row.
-
-    Lone surrogates, as an id read from undecodable command-line bytes holds,
-    pass through to the text ``_rows_text`` returns unchanged.
-    """
-    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)[None, :]
-    return data, 0, data.shape[1]
+def _const(text: str) -> np.ndarray:
+    """The same text on every row; a lone surrogate, as an id read from undecodable
+    command-line bytes holds, passes through to the text ``_rows_text`` returns."""
+    return np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)[:, None]
 
 
-def _choice(texts: tuple[str, ...], index: np.ndarray):
+def _choice(texts: tuple[str, ...], index: np.ndarray) -> np.ndarray:
     """Per row, the text ``texts[index]``."""
-    table = np.array([t.encode() for t in texts])
-    index = index.astype(np.intp)
-    return table.view(np.uint8).reshape(len(texts), -1)[index], 0, np.char.str_len(table)[index]
+    codes = [t.encode() for t in texts]
+    table = np.array([list(c.ljust(max(map(len, codes)), bytes([_UNUSED]))) for c in codes], np.uint8)
+    return table.T[:, index.astype(np.intp)]
 
 
 def _csv_fields(*fields: str) -> str:
@@ -446,14 +444,19 @@ def write_tape(tape: LabeledTape, out: TextIO, fmt: str = "csv", include_labels:
     The label column exists for oracle workflows only; detector-input files
     should be written without it.
 
-    Rows are assembled a chunk at a time as byte matrices, one column block
-    per field. Prices sit on the 0.01 tick and are written with two
-    decimals, in JSONL as a bare number; a price off the tick raises
+    Rows are assembled a chunk at a time in one byte matrix, a column per
+    row. A position a row does not use (a number's leading zeros, an amount's
+    trailing fractional zeros, the dot of a whole amount, the tail of the
+    shorter label) holds 0xFF, which UTF-8 never produces, and those bytes are
+    dropped after one transpose. Prices sit on the 0.01 tick and are written
+    with two decimals, in JSONL as a bare number; a price off the tick raises
     ValueError (:func:`_price_text`).
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}")
     g = tape.group
+    if g.n and g.timestamps[0] < 0:
+        raise ValueError(f"negative timestamp {g.timestamps[0]}")
     if fmt == "csv":
         out.write(",".join(CSV_HEADER) + (",label" if include_labels else "") + "\n")
         head, comma = _const(_csv_fields(g.exchange_id, g.pair) + ","), _const(",")
@@ -465,13 +468,10 @@ def write_tape(tape: LabeledTape, out: TextIO, fmt: str = "csv", include_labels:
         ends = ('"label": "authentic", ', '"label": "wash", ') if include_labels else ("", "")
     for lo in range(0, g.n, _WRITE_ROWS[fmt]):
         rows = slice(lo, lo + _WRITE_ROWS[fmt])
-        timestamps = g.timestamps[rows]
-        ts = _int_text(timestamps)
-        price = _price_text(g.prices[rows])
-        amount = _amount_text(g.amounts[rows])
+        ts, price, amount = _int_text(g.timestamps[rows]), _price_text(g.prices[rows]), _amount_text(g.amounts[rows])
         label = _choice(ends, tape.labels[rows])
         if fmt == "csv":
-            parts = [head, ts, comma, *price, comma, *amount, label]
+            blocks = [head, ts, comma, *price, comma, *amount, label]
         else:
-            parts = [opening, *amount, after_amount, label, before_price, *price, before_ts, ts, closing]
-        out.write(_rows_text(parts, timestamps.size))
+            blocks = [opening, *amount, after_amount, label, before_price, *price, before_ts, ts, closing]
+        out.write(_rows_text(blocks, ts.shape[1]))

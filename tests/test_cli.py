@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,13 @@ class TestSynth:
         assert code == EXIT_OK
         assert path.exists()
         assert "no_authentic_flow" in capsys.readouterr().err
+
+    def test_one_trade_with_some_wash_warns_of_no_wash_flow(self, tmp_path, capsys):
+        paths = [tmp_path / f"{w}.csv" for w in ("0.5", "0")]
+        for path in paths:
+            assert main(["synth", "--n", "1", "--wash", path.stem, "--out-file", str(path)]) == EXIT_OK
+        assert capsys.readouterr().err == "warning: no_wash_flow\n"
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_labels_flag(self, tmp_path):
         path = tmp_path / "l.csv"
@@ -646,6 +654,59 @@ class TestPlotData:
         assert sum(int(r.split(",")[1]) for r in rows) == unrounded_subset(ds, PairRegistry()).n_trades < ds.n_trades
 
 
+# Each subcommand's help line and flags, as --help prints them
+SUBCOMMANDS = {
+    "ingest-check": ("parse inputs and report rejected rows", "--format --strict --dedupe --out"),
+    "benford": ("first-digit chi-squared test per group",
+                "--unrounded-only --format --strict --dedupe --pairs --alpha --effective-n"),
+    "cluster": ("round-size clustering t-test per group", "--format --strict --dedupe --pairs --alpha --step"),
+    "tail": ("power-law tail fit per group", "--unrounded-only --format --strict --dedupe --pairs"),
+    "roundness": ("roundness distribution vs regulated benchmark",
+                  "--format --strict --dedupe --pairs --alpha --effective-n --meta"),
+    "fit-benchmark": ("fit the round/unrounded volume relation",
+                      "--format --strict --dedupe --pairs --meta --pooled --controls --out-model"),
+    "estimate-wash": ("estimate wash volume per exchange",
+                      "--format --strict --dedupe --pairs --bootstrap --seed --out --meta --model"),
+    "fisher": ("combined test per exchange-pair", "--format --strict --dedupe --pairs --alpha --effective-n"),
+    "report": ("full battery plus wash estimation", "--format --strict --dedupe --pairs --alpha --effective-n "
+               "--bootstrap --seed --out --meta --model --no-wash --pooled --controls"),
+    "synth": ("generate a synthetic labeled tape",
+              "--seed --wash --n --pair --exchange-id --weeks --profile --labels --format --out-file"),
+    "plot-data": ("emit plot-ready CSVs",
+                  "--unrounded-only --format --strict --dedupe --pairs --out --which --range --step"),
+    "rank": ("counterfactual ranking improvement", "--volume --wash-percent --rank --coeff-a --coeff-b"),
+}
+
+
+class TestParser:
+    """One call's parser declares the flags of its subcommand alone."""
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^    (\S+) +(.+)$", capsys.readouterr().out, re.MULTILINE)
+        assert listed == [(name, text) for name, (text, _) in SUBCOMMANDS.items()]
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_each_subcommand_help_names_its_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: washdetect {command} ")
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+        assert flags == {"--help", *SUBCOMMANDS[command][1].split()}
+
+    def test_an_unknown_subcommand_is_a_usage_error_naming_the_choices(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", "--n", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'synthesize'" in err
+        assert all(f"'{name}'" in err for name in SUBCOMMANDS)
+
+
 class TestFlags:
     @pytest.mark.parametrize(
         "argv",
@@ -697,7 +758,7 @@ class TestFlags:
         ids=["report", "synth", "ingest-check"],
     )
     def test_kept_flags_still_parse(self, argv):
-        build_parser().parse_args(argv.split())
+        build_parser(argv.split()[0]).parse_args(argv.split())
 
     @pytest.mark.parametrize(
         "argv",
@@ -715,6 +776,8 @@ class TestFlags:
             ["report", "{tape}", "--meta", "{tmp}/missing.json"],
             ["synth", "--wash", "2", "--out-file", "{tmp}/s.csv"],
             ["synth", "--n", "0", "--out-file", "{tmp}/s.csv"],
+            ["synth", "--n", str(2**30 + 1), "--out-file", "{tmp}/s.csv"],
+            ["synth", "--n", "1", "--weeks", str(2**40), "--out-file", "{tmp}/s.csv"],
             ["synth", "--pair", "DOGE/USD", "--out-file", "{tmp}/s.csv"],
             ["plot-data", "{tape}", "--which", "sizes", "--range", "abc", "--out", "{tmp}/o"],
             ["plot-data", "{tape}", "--which", "sizes", "--range", "1:2:3", "--out", "{tmp}/o"],
@@ -748,6 +811,8 @@ class TestFlags:
             "meta-missing",
             "synth-wash",
             "synth-n",
+            "synth-n-over-key",
+            "synth-weeks-over-key",
             "synth-pair",
             "plot-range-text",
             "plot-range-parts",

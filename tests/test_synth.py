@@ -21,7 +21,7 @@ from washdetect.synth import (
     write_tape,
 )
 from washdetect.tailfit import fit_tail
-from washdetect.trades import PairRegistry, is_round_mask
+from washdetect.trades import MAX_AMOUNT_SUBUNITS, PairRegistry, is_round_mask
 
 
 def tape_csv(cfg, include_labels=False):
@@ -70,6 +70,13 @@ class TestDeterminism:
             tape.group.prices[40] = price
             with pytest.raises(ValueError, match="not a positive multiple of the 0.01 tick"):
                 write_tape(tape, io.StringIO(), fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_a_negative_timestamp_is_refused(self, fmt):
+        tape = gen_exchange(GeneratorConfig(seed=3, n_trades=100))
+        tape.group.timestamps[0] = -1  # ingest would reject the row
+        with pytest.raises(ValueError, match="negative timestamp -1"):
+            write_tape(tape, io.StringIO(), fmt)
 
     @pytest.mark.parametrize("exchange_id", ["A,B", 'A"B', "A\nB", "A\r\nB", '"', " A "])
     def test_ids_that_need_quoting_round_trip(self, exchange_id):
@@ -134,7 +141,31 @@ GOLDEN_TAPES = [
     (8, "BTC/USD", 'Börse "1"', 500, 0.5, "default", "csv", False, 1),
     (9, "BTC/USD", "X1", 65_537, 0.4, "default", "csv", True, 3),
     (10, "BTC/USD", "X1", 16_385, 0.4, "default", "jsonl", True, 2),
+    *(
+        (11, "BTC/USD", exchange_id, 500, 0.5, "default", fmt, labels, 1)
+        # a NUL, a 4-byte UTF-8 character, and a lone surrogate as undecodable argv bytes give
+        for exchange_id in ("X\x001", "\U0001f4b1", "X\udcff")
+        for fmt in ("csv", "jsonl")
+        for labels in (False, True)
+    ),
+    (12, "BTC/USD", "X1", 2000, 0.5, "default", "csv", False, 1),
+    (12, "BTC/USD", "X1", 2000, 0.5, "default", "jsonl", True, 1),
 ]
+
+
+def spanning_amounts():
+    """Amounts of every count of unit digits, 1 to 11, beside every count of
+    fraction digits, 0 to 8, the largest near ``MAX_AMOUNT_SUBUNITS``."""
+    units = [0, *(int("9" * k) for k in range(1, 11)), (MAX_AMOUNT_SUBUNITS - 1) // 10**8 - 1]
+    fractions = [0, 7 * 10**7, *(int("5" + "0" * (f - 2) + "3") * 10 ** (8 - f) for f in range(2, 9))]
+    amounts = np.array([u * 10**8 + f for u in units for f in fractions if u or f], np.int64)
+    assert amounts.max() < MAX_AMOUNT_SUBUNITS
+    return amounts
+
+
+# Written over the first rows of the tapes of these seeds, so that one chunk
+# holds every width of amount text
+GOLDEN_AMOUNTS = {12: spanning_amounts()}
 
 
 class TestGoldenBytes:
@@ -146,6 +177,9 @@ class TestGoldenBytes:
             seed=seed, exchange_id=exchange_id, pair=pair, n_trades=n, wash_fraction=wash, profile=profile
         )
         tape = gen_exchange(cfg)
+        amounts = GOLDEN_AMOUNTS.get(seed)
+        if amounts is not None:
+            tape.group.amounts[: amounts.size] = amounts
         buf = io.StringIO()
         write_tape(tape, buf, fmt, labels)
         assert first_difference(buf.getvalue(), oracle_tape(tape, fmt, labels)) is None
@@ -154,6 +188,28 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_a_tape_crosses_a_chunk(self, fmt):
         assert max(chunks for *_, f, _, chunks in GOLDEN_TAPES if f == fmt) > 1
+
+
+class TestTimeOrder:
+    """One sort of (time, row) keys orders the trades as a stable sort of their times."""
+
+    @pytest.mark.parametrize("n,distinct", [(1, 1), (2, 1), (1024, 3), (1025, 1024), (100_000, 2000), (65_536, 65_536)])
+    def test_matches_a_stable_argsort_with_ties(self, n, distinct):
+        rng = np.random.default_rng(n)
+        # times spread over the whole span a 12-week tape can have, each shared by about n / distinct rows
+        times = rng.choice(12 * synth.MS_PER_WEEK + synth.BURST_GAP_MS[1], size=distinct, replace=False)
+        timestamps = START_MS + rng.choice(times, size=n)
+        assert (synth._time_order(timestamps) == np.argsort(timestamps, kind="stable")).all()
+
+    @pytest.mark.parametrize("n,weeks", [(2**30 + 1, 12), (2**40, 12), (1, 2**40), (2**10 + 1, 2**23)])
+    def test_a_config_over_the_key_is_refused_before_a_draw(self, n, weeks, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)  # a draw would raise TypeError
+        with pytest.raises(ConfigError, match="overflow the 63-bit key"):
+            gen_exchange(GeneratorConfig(n_trades=n, n_weeks=weeks))
+
+    def test_the_largest_config_under_the_key_is_accepted(self):
+        assert synth._split_counts(GeneratorConfig(n_trades=2**30, n_weeks=12)) == (2**30, 0)
+        assert synth._split_counts(GeneratorConfig(n_trades=2**10, n_weeks=2**23)) == (2**10, 0)
 
 
 class TestAuthenticFlow:
@@ -271,6 +327,14 @@ class TestInterleaving:
         allwash = gen_exchange(GeneratorConfig(seed=45, n_trades=10_000, wash_fraction=1.0))
         assert allwash.n_authentic == 0
         assert "no_authentic_flow" in allwash.flags
+
+    def test_one_trade_with_some_wash_flags_no_wash_flow(self):
+        tape = gen_exchange(GeneratorConfig(seed=46, n_trades=1, wash_fraction=0.5))
+        assert tape.flags == ("no_wash_flow",)
+        assert tape.n_wash == 0 and not tape.labels.any()
+        clean = GeneratorConfig(seed=46, n_trades=1)
+        assert gen_exchange(clean).flags == ()
+        assert tape_csv(tape.config) == tape_csv(clean)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
