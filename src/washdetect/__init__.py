@@ -34,21 +34,14 @@ from .ingest import (
     week_index,
     weekly_split,
 )
-from .tailfit import (
-    HillFit,
-    TailFit,
-    fit_hill,
-    fit_ols,
-    fit_tail,
-    pareto_levy_p,
-    tail_cutoff,
-)
+from .tailfit import TailFit, fit_tail, pareto_levy_p
 from .trades import (
     BUILTIN_PAIR_SPECS,
     ExchangeMeta,
     PairRegistry,
     PairSpec,
     RegulatoryClass,
+    SortedAmounts,
 )
 from .verdicts import (
     FisherResult,

@@ -51,22 +51,15 @@ class DigitHistogram:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(counts > 0, vols / counts, np.nan)
 
-    @property
-    def total_volume_subunits(self) -> int:
-        return sum(self.volume_subunits)
 
-
-def digit_histogram(amounts_subunits: np.ndarray | SortedAmounts) -> DigitHistogram:
-    """Histogram the first significant digits of a non-empty amount array.
+def digit_histogram(amounts: SortedAmounts) -> DigitHistogram:
+    """Histogram the first significant digits of a non-empty group's amounts.
 
     The sorted amounts fall in one run per first digit and decade, cut at
     ``_DIGIT_STARTS``, so each run's count and exact volume come from its
     bounds alone.
     """
-    if isinstance(amounts_subunits, SortedAmounts):
-        x = amounts_subunits.values
-    else:
-        x = np.sort(np.asarray(amounts_subunits, dtype=np.int64))
+    x = amounts.values
     if x.size == 0:
         raise InsufficientDataError("insufficient data: empty trade group")
     if x[0] <= 0:

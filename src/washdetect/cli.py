@@ -28,7 +28,7 @@ from . import verdicts as vd
 from . import washest as we
 from .errors import ConfigError, WashdetectError
 from .ingest import TradeDataset, parse_each, parse_trades, unrounded_subset
-from .trades import PairRegistry, RegulatoryClass, load_exchange_meta
+from .trades import PairRegistry, RegulatoryClass, SortedAmounts, load_exchange_meta
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -174,12 +174,11 @@ def _export_fits(out: Path, ds: TradeDataset, registry: PairRegistry, report: rp
             if fit is None:
                 skipped.append(f"{ex.exchange_id} {p.pair}: {_flags(p, which + ' skipped')}")
                 continue
-            g = ds.groups[(ex.exchange_id, p.pair)]
+            amounts = SortedAmounts.of(ds.groups[(ex.exchange_id, p.pair)].amounts, registry.get(p.pair))
             if which == "benford":
-                rows = bf.histogram_rows(bf.digit_histogram(g.amounts))
+                rows = bf.histogram_rows(bf.digit_histogram(amounts))
             else:
-                sizes = g.amounts / registry.get(p.pair).subunits_per_base_unit
-                rows = tf.tail_rows(fit, sizes[sizes >= fit.x_min])
+                rows = tf.tail_rows(fit, amounts)
             _write_rows(_plot_path(out, which, ex.exchange_id, p.pair), rows)
     return skipped
 

@@ -16,7 +16,7 @@ off the sorted floored sizes, ``searchsorted`` sizes each window, and one
 ``np.maximum.reduceat`` over the interleaved window bounds finds every best
 competitor. Only the array of frequency differences reaches the t-test. The
 sort, the floored sizes and the integer-size runs come from a group's
-``trades.SortedAmounts``, derived once for both grids.
+``trades.SortedAmounts``, derived once for every detector.
 """
 
 from __future__ import annotations
@@ -59,17 +59,8 @@ class ClusterTestResult:
     insufficient: bool = False
 
 
-def _percentile_nearest_rank(sorted_values: np.ndarray, q: float) -> int:
-    rank = max(1, math.ceil(q / 100.0 * sorted_values.size))
-    return int(sorted_values[rank - 1])
-
-
 def cluster_windows(
-    amounts_subunits: np.ndarray | SortedAmounts,
-    spec: PairSpec,
-    step: int = 100,
-    *,
-    min_support: int = MIN_WINDOW_SUPPORT,
+    amounts: SortedAmounts, step: int = 100, *, min_support: int = MIN_WINDOW_SUPPORT
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every supported window as int64 arrays ``(centers, counts, at_center, best)``.
 
@@ -79,25 +70,18 @@ def cluster_windows(
     ``at_center`` counts the trades exactly at the center, and ``best`` those
     at the most frequent integer size in the window that is not a multiple of
     100 base units, so the 500-step test never compares round against round.
-    Given the group's ``SortedAmounts`` for ``spec``, the two grids share its
-    sort and its integer sizes.
     """
     if step not in STEP_RADIUS:
         raise ValueError(f"step must be one of {sorted(STEP_RADIUS)}, got {step}")
     radius = STEP_RADIUS[step]
-    s = amounts_subunits
-    if not isinstance(s, SortedAmounts):
-        s = SortedAmounts.of(s, spec)
-    elif s.spec != spec:
-        raise ValueError(f"sorted amounts of {s.spec.pair} given for {spec.pair}")
-    if s.values.size == 0:
+    if amounts.values.size == 0:
         return (np.zeros(0, dtype=np.int64),) * 4
 
-    cap_units = _percentile_nearest_rank(s.values, CAP_PERCENTILE) // spec.subunits_per_base_unit
+    cap_units = amounts.percentile(CAP_PERCENTILE) // amounts.spec.subunits_per_base_unit
     # Window bounds are integer unit counts, so floored sizes locate windows
     # exactly. The sentinel that closes the integer sizes makes each position
     # searchsorted returns in them an index.
-    q, sizes, size_counts = s.floored, s.sizes, s.size_counts
+    q, sizes, size_counts = amounts.floored, amounts.sizes, amounts.size_counts
 
     # Centers come from the sizes, not from every multiple of step up to the
     # cap, which would explode on heavy-tailed tapes. Size q lies in the window
@@ -152,19 +136,13 @@ def clustering_t_test(differences: np.ndarray, step: int = 100, alpha: float = 0
     )
 
 
-def run_cluster_test(
-    amounts_subunits: np.ndarray | SortedAmounts,
-    spec: PairSpec,
-    step: int = 100,
-    *,
-    alpha: float = 0.05,
-) -> ClusterTestResult:
+def run_cluster_test(amounts: SortedAmounts, step: int = 100, *, alpha: float = 0.05) -> ClusterTestResult:
     """Full clustering test; flags insufficiency instead of raising.
 
     Fewer than MIN_WINDOWS supported windows means frequency comparisons are
     noise, so the result is flagged and the test is not run.
     """
-    _, counts, at_center, best = cluster_windows(amounts_subunits, spec, step)
+    _, counts, at_center, best = cluster_windows(amounts, step)
     if counts.size < MIN_WINDOWS:
         return ClusterTestResult(
             mean_difference=math.nan,

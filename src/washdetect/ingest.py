@@ -24,11 +24,9 @@ field, and skipped, or abort the parse in strict mode.
 The sources of a list are parsed side by side, each with its own columns
 and reject log, on a pool of up to as many threads as the process has usable
 cores (``_side_by_side``, which also runs the battery's groups); each thread
-holds one block at a time. On a 2-core x86-64 host a second thread took the
-quick start's four files from 130 to 102 ms, and a paper-scale market's 87
-files (1.74M rows) from 1.11 to 0.89 s. The sources' columns are then
-joined in list order, their group codes renumbered in place, and their
-reject logs concatenated.
+holds one block at a time. The sources' columns are then joined in list
+order, their group codes renumbered in place, and their reject logs
+concatenated.
 
 Trades are grouped by (exchange, pair). Each group keeps compact parallel
 numpy arrays (timestamps, sub-unit amounts, prices) sorted by timestamp, so

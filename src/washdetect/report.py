@@ -13,12 +13,10 @@ failure rate and counterfactual rank improvement summarize each exchange.
 
 The groups are tested side by side, on as many threads as a parse runs
 (``ingest._WORKERS``), and their results assembled in sorted key order, so
-the report is the same on any number of threads. On a 2-core x86-64 host a
-second thread took the quick start's battery from 35 to 27 ms, and a
-paper-scale market's (87 groups) from 0.35 to 0.32 s. Each group's amounts
-are sorted once (``trades.SortedAmounts``) for the Benford histogram and
-both clustering grids, and its roundness counts, taken once, serve both its
-own roundness test and the pooled regulated benchmark of its pair.
+the report is the same on any number of threads. Each group's amounts are
+sorted once (``trades.SortedAmounts``) for every detector, and its
+roundness counts, taken once, serve both its own roundness test and the
+pooled regulated benchmark of its pair.
 """
 
 from __future__ import annotations
@@ -149,14 +147,13 @@ def _pair_battery(group, spec, config: RunConfig) -> tuple[PairReport, np.ndarra
         rep.flags.append(f"benford skipped: {exc}")
 
     for step, attr in ((100, "cluster_100"), (500, "cluster_500")):
-        result = cl.run_cluster_test(amounts, spec, step, alpha=config.alpha)
+        result = cl.run_cluster_test(amounts, step, alpha=config.alpha)
         setattr(rep, attr, result)
         if result.insufficient:
             rep.flags.append(f"clustering-{step} skipped: insufficient windows ({result.n_pairs})")
 
-    sizes = group.amounts / spec.subunits_per_base_unit
     try:
-        rep.tail = tf.fit_tail(sizes)
+        rep.tail = tf.fit_tail(amounts)
         if rep.tail.flags:
             rep.flags.extend(f"tail: {f}" for f in rep.tail.flags)
     except (InsufficientDataError, EstimationError) as exc:
@@ -172,7 +169,7 @@ def _pair_battery(group, spec, config: RunConfig) -> tuple[PairReport, np.ndarra
             [rep.benford.p_value, rep.cluster_100.anomaly_p, rep.tail.anomaly_p],
             config.alpha,
         )
-    roundness = we.roundness_distribution(group.amounts, spec) if group.n else np.zeros(8, dtype=np.int64)
+    roundness = we.roundness_distribution(amounts) if group.n else np.zeros(8, dtype=np.int64)
     return rep, roundness
 
 

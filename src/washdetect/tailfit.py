@@ -1,9 +1,10 @@
 """Power-law tail estimation of trade-size distributions.
 
-The tail starts at the 90th percentile of trade size (nearest rank). Two
-estimators of the tail exponent alpha (the survival-function exponent) are
-fitted: an OLS line through the log-binned empirical PDF, whose slope is
--(alpha + 1), and the Hill maximum-likelihood estimator. Authentic trade
+The tail starts at the 90th percentile of trade size (nearest rank,
+``trades.SortedAmounts.percentile``). Two estimators of the tail exponent
+alpha (the survival-function exponent) are fitted: an OLS line through the
+log-binned empirical PDF, whose slope is -(alpha + 1), and the Hill
+maximum-likelihood estimator. Authentic trade
 sizes in financial markets carry tail exponents in the Pareto-Levy range
 (1, 2); the verdict checks both estimates against that interval.
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .distributions import norm_cdf
 from .errors import EstimationError, InsufficientDataError
+from .trades import SortedAmounts
 from .verdicts import P_FLOOR
 
 MIN_TAIL_SIZE = 50
@@ -32,72 +34,39 @@ TAIL_BIN_MIN_COUNT = 30
 # Fewer bins or a narrower span than this cannot pin an OLS slope.
 MIN_TAIL_BINS = 5
 MIN_TAIL_DECADES = 1.0
+TAIL_PERCENTILE = 90.0
 
 
-def tail_cutoff(sizes: np.ndarray) -> float:
-    """Nearest-rank 90th percentile; the tail is everything >= the cutoff."""
-    x = np.asarray(sizes, dtype=np.float64)
+def _tail(amounts: SortedAmounts) -> tuple[float, np.ndarray]:
+    """``(x_min, tail)``: the nearest-rank ``TAIL_PERCENTILE`` of trade size
+    and the sizes at or above it, both in base units. The tail is in trade
+    order, which fixes the order, and so the last bits, of the Hill sum."""
+    x = amounts.trade_order
     if x.size < 10 * MIN_TAIL_SIZE:
-        raise InsufficientDataError(
-            f"insufficient data: {x.size} sizes, need at least {10 * MIN_TAIL_SIZE}"
-        )
-    s = np.sort(x)
-    rank = max(1, math.ceil(0.9 * s.size))
-    return float(s[rank - 1])
+        raise InsufficientDataError(f"insufficient data: {x.size} sizes, need at least {10 * MIN_TAIL_SIZE}")
+    cutoff, unit = amounts.percentile(TAIL_PERCENTILE), amounts.spec.subunits_per_base_unit
+    # float(cutoff) rounds as numpy rounds the tail, so no tail size falls below x_min
+    return float(cutoff) / unit, x[x >= cutoff] / unit
 
 
-@dataclass(frozen=True)
-class HillFit:
-    """Hill MLE of the tail exponent with its asymptotic standard error."""
-
-    alpha: float  # tail (survival) exponent
-    pdf_exponent: float  # alpha + 1, the direct MLE value
-    stderr: float  # alpha / sqrt(n)
-    n_tail: int
-    x_min: float
-
-
-def fit_hill(tail_sizes: np.ndarray, x_min: float) -> HillFit:
-    """Hill maximum-likelihood fit on sizes at or above the cutoff."""
-    x = np.asarray(tail_sizes, dtype=np.float64)
-    if x.size < MIN_TAIL_SIZE:
-        raise InsufficientDataError(f"tail of {x.size} sizes, need at least {MIN_TAIL_SIZE}")
-    if x_min <= 0:
-        raise EstimationError(f"x_min must be positive, got {x_min}")
-    if (x < x_min).any():
-        raise EstimationError("tail sizes must all be at or above x_min")
-    log_sum = float(np.sum(np.log(x / x_min)))
+def _hill(tail: np.ndarray, x_min: float) -> float:
+    """Hill maximum-likelihood PDF exponent (alpha + 1) of the tail."""
+    log_sum = float(np.sum(np.log(tail / x_min)))
     if log_sum <= 0.0:
         raise EstimationError("degenerate tail: all sizes at the cutoff")
-    pdf_exponent = 1.0 + x.size / log_sum
-    alpha = pdf_exponent - 1.0
-    return HillFit(alpha, pdf_exponent, alpha / math.sqrt(x.size), int(x.size), float(x_min))
+    return 1.0 + tail.size / log_sum
 
 
-@dataclass(frozen=True)
-class OlsFit:
-    slope: float
-    intercept: float
-    r_squared: float
-    n_points: int
+def _power_law_ols(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line ``(slope, intercept, r_squared)`` through (log x, log y) points."""
+    slope, intercept = np.polyfit(log_x, log_y, 1)
+    ss_res = float(np.sum((log_y - (intercept + slope * log_x)) ** 2))
+    ss_tot = float(np.sum((log_y - log_y.mean()) ** 2))
+    return float(slope), float(intercept), 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
-def power_law_ols(log_x: np.ndarray, log_y: np.ndarray) -> OlsFit:
-    """Least-squares line through (log x, log y) points."""
-    lx = np.asarray(log_x, dtype=np.float64)
-    ly = np.asarray(log_y, dtype=np.float64)
-    if lx.size < 2:
-        raise InsufficientDataError("need at least 2 points for a line")
-    slope, intercept = np.polyfit(lx, ly, 1)
-    fitted = intercept + slope * lx
-    ss_res = float(np.sum((ly - fitted) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return OlsFit(float(slope), float(intercept), r2, int(lx.size))
-
-
-def log_binned_density(
-    tail_sizes: np.ndarray, x_min: float, *, last_bin_min_count: int = 1
+def _log_binned_density(
+    tail: np.ndarray, x_min: float, *, last_bin_min_count: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Empirical PDF of the tail on logarithmically spaced bins.
 
@@ -106,14 +75,10 @@ def log_binned_density(
     Empty bins are dropped, and with ``last_bin_min_count`` > 1 the binning
     stops at the last bin holding that many points.
     """
-    x = np.asarray(tail_sizes, dtype=np.float64)
-    x_max = float(x.max())
-    if x_max <= x_min:
-        raise EstimationError("degenerate tail: no spread above x_min")
-    decades = math.log10(x_max / x_min)
-    n_bins = max(1, math.ceil(decades * BINS_PER_DECADE))
+    x_max = float(tail.max())
+    n_bins = max(1, math.ceil(math.log10(x_max / x_min) * BINS_PER_DECADE))
     edges = np.geomspace(x_min, x_max, n_bins + 1)
-    counts, _ = np.histogram(x, bins=edges)
+    counts, _ = np.histogram(tail, bins=edges)
     widths = np.diff(edges)
     centers = np.sqrt(edges[:-1] * edges[1:])
     if last_bin_min_count > 1:
@@ -122,37 +87,25 @@ def log_binned_density(
             last = populated.max() + 1
             counts, widths, centers = counts[:last], widths[:last], centers[:last]
     keep = counts > 0
-    density = counts[keep] / (x.size * widths[keep])
+    density = counts[keep] / (tail.size * widths[keep])
     return centers[keep], density
 
 
-@dataclass(frozen=True)
-class OlsTailFit:
-    alpha: float  # tail exponent: -(slope) - 1
-    slope: float
-    intercept: float
-    r_squared: float
-    n_bins: int
-
-
-def fit_ols(tail_sizes: np.ndarray, x_min: float) -> OlsTailFit:
-    """OLS power-law fit of the log-binned tail PDF.
+def _fit_ols(tail: np.ndarray, x_min: float) -> tuple[float, float, float, int]:
+    """``(slope, intercept, r_squared, n_bins)`` of the OLS power-law fit of
+    the log-binned tail PDF.
 
     The PDF of a tail with survival exponent alpha falls as x**-(alpha + 1),
     so alpha = -slope - 1. Requires the tail to span at least one decade and
     populate at least ``MIN_TAIL_BINS`` bins; otherwise the span cannot pin a
     slope and InsufficientDataError is raised.
     """
-    x = np.asarray(tail_sizes, dtype=np.float64)
-    if x.size == 0:
-        raise InsufficientDataError("empty tail")
-    if math.log10(float(x.max()) / x_min) < MIN_TAIL_DECADES:
+    if math.log10(float(tail.max()) / x_min) < MIN_TAIL_DECADES:
         raise InsufficientDataError("insufficient tail span: less than one decade")
-    centers, density = log_binned_density(x, x_min, last_bin_min_count=TAIL_BIN_MIN_COUNT)
+    centers, density = _log_binned_density(tail, x_min, last_bin_min_count=TAIL_BIN_MIN_COUNT)
     if centers.size < MIN_TAIL_BINS:
         raise InsufficientDataError(f"insufficient tail span: only {centers.size} non-empty bins")
-    line = power_law_ols(np.log(centers), np.log(density))
-    return OlsTailFit(-line.slope - 1.0, line.slope, line.intercept, line.r_squared, line.n_points)
+    return *_power_law_ols(np.log(centers), np.log(density)), centers.size
 
 
 def pareto_levy_p(alpha_hill: float, hill_se: float) -> tuple[float, float]:
@@ -194,39 +147,26 @@ class TailFit:
         return 1.0 < self.alpha_hill < 2.0 and self.alpha_ols is not None and 1.0 < self.alpha_ols < 2.0
 
 
-def fit_tail(sizes: np.ndarray) -> TailFit:
+def fit_tail(amounts: SortedAmounts) -> TailFit:
     """Cut the top decile and fit both tail-exponent estimators."""
-    x = np.asarray(sizes, dtype=np.float64)
-    x_min = tail_cutoff(x)
-    tail = x[x >= x_min]
-    hill = fit_hill(tail, x_min)
-    flags: list[str] = []
+    x_min, tail = _tail(amounts)
+    pdf_exponent = _hill(tail, x_min)
+    alpha = pdf_exponent - 1.0
+    hill_se = alpha / math.sqrt(tail.size)
     try:
-        ols = fit_ols(tail, x_min)
+        slope, intercept, r_squared, n_bins = _fit_ols(tail, x_min)
+        ols, flags = (-slope - 1.0, slope, intercept, r_squared), ()
     except InsufficientDataError as exc:
-        ols = None
-        flags.append(str(exc))
-    p_outside, anomaly_p = pareto_levy_p(hill.alpha, hill.stderr)
-    return TailFit(
-        x_min=x_min,
-        n_tail=hill.n_tail,
-        alpha_hill=hill.alpha,
-        hill_pdf_exponent=hill.pdf_exponent,
-        hill_se=hill.stderr,
-        alpha_ols=None if ols is None else ols.alpha,
-        ols_slope=None if ols is None else ols.slope,
-        ols_intercept=None if ols is None else ols.intercept,
-        ols_r_squared=None if ols is None else ols.r_squared,
-        n_bins=0 if ols is None else ols.n_bins,
-        p_outside=p_outside,
-        anomaly_p=anomaly_p,
-        flags=tuple(flags),
-    )
+        ols, n_bins, flags = (None,) * 4, 0, (str(exc),)
+    p_outside, anomaly_p = pareto_levy_p(alpha, hill_se)
+    return TailFit(x_min, tail.size, alpha, pdf_exponent, hill_se, *ols, n_bins, p_outside, anomaly_p, flags)
 
 
-def tail_rows(fit: TailFit, tail_sizes: np.ndarray) -> list[list]:
-    """Plot-ready CSV rows, header first: binned density with both fitted lines, in log10."""
-    centers, density = log_binned_density(np.asarray(tail_sizes, float), fit.x_min)
+def tail_rows(fit: TailFit, amounts: SortedAmounts) -> list[list]:
+    """Plot-ready CSV rows, header first: the binned density of the tail of
+    ``amounts`` with both lines of ``fit``, its fit, in log10."""
+    x_min, tail = _tail(amounts)
+    centers, density = _log_binned_density(tail, x_min)
     ln10 = math.log(10.0)
     rows: list[list] = [["log10_size", "log10_density", "fitted_ols", "fitted_hill"]]
     for c, d in zip(centers, density):

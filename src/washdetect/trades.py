@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -126,16 +127,19 @@ def fields_json(result, *leave_out: str) -> dict | None:
 @dataclass(frozen=True)
 class SortedAmounts:
     """One group's amounts sorted once, with the sizes the detectors read off
-    them. The Benford and clustering functions take it in place of an
-    amount array.
+    them. Every per-group detector takes it, and reads the pair's base unit
+    off ``spec``.
 
-    ``floored`` holds each amount's size in whole base units of ``spec``,
-    ascending as the amounts are; ``sizes`` the integer sizes (amounts that
-    are whole base units), each once, closed by a sentinel size above every
-    other, and ``size_counts`` the trades at each.
+    ``trade_order`` holds the amounts as given, uncopied, for the sums that
+    run in trade order; ``values`` the same amounts ascending. ``floored``
+    holds each amount's size in whole base units, ascending as ``values``
+    is; ``sizes`` the integer sizes (amounts that are whole base units),
+    each once, closed by a sentinel size above every other, and
+    ``size_counts`` the trades at each.
     """
 
     spec: PairSpec
+    trade_order: np.ndarray  # int64 sub-units, as given
     values: np.ndarray  # int64 sub-units, ascending
     floored: np.ndarray
     sizes: np.ndarray
@@ -143,13 +147,18 @@ class SortedAmounts:
 
     @classmethod
     def of(cls, amounts_subunits: np.ndarray, spec: PairSpec) -> "SortedAmounts":
-        x = np.sort(np.asarray(amounts_subunits, dtype=np.int64))
+        given = np.asarray(amounts_subunits, dtype=np.int64)
+        x = np.sort(given)
         unit = spec.subunits_per_base_unit
         q = x // unit
         # the integer sizes are ascending, so each run of one size is a count
         whole = np.append(q[q * unit == x], np.iinfo(np.int64).max)
         heads = np.flatnonzero(np.append(True, whole[1:] != whole[:-1]))
-        return cls(spec, x, q, whole[heads], np.diff(heads, append=whole.size))
+        return cls(spec, given, x, q, whole[heads], np.diff(heads, append=whole.size))
+
+    def percentile(self, q: float) -> int:
+        """The nearest-rank ``q``-th percentile amount of a non-empty group, in sub-units."""
+        return int(self.values[max(1, math.ceil(q / 100.0 * self.values.size)) - 1])
 
 
 # ---------------------------------------------------------------------------

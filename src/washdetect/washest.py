@@ -24,7 +24,7 @@ import numpy as np
 from .benford import ChiSquaredResult, chi_squared_gof
 from .errors import AmountError, ConfigError, EstimationError, InsufficientDataError
 from .ingest import WeeklyVolumeSplit
-from .trades import AMOUNT_DECIMALS, CONTROL_FIELDS, ExchangeMeta, PairSpec, fields_json, read_json_object
+from .trades import AMOUNT_DECIMALS, CONTROL_FIELDS, ExchangeMeta, SortedAmounts, fields_json, read_json_object
 
 MIN_BENCHMARK_OBS = 8
 
@@ -33,7 +33,7 @@ MIN_BENCHMARK_OBS = 8
 # Roundness distributions
 
 
-def roundness_distribution(amounts_subunits: np.ndarray, spec: PairSpec) -> np.ndarray:
+def roundness_distribution(amounts: SortedAmounts) -> np.ndarray:
     """Counts over the eight roundness-level buckets (least round first).
 
     A size's place is the power of ten, in base units, of its last non-zero
@@ -46,12 +46,12 @@ def roundness_distribution(amounts_subunits: np.ndarray, spec: PairSpec) -> np.n
     amounts have at least ``lo``, ``lo + 1``, ..., ``lo + 6`` trailing zeros.
     Each of those filters only the amounts the one before kept, divided down.
     """
-    x = np.asarray(amounts_subunits, dtype=np.int64)
+    x = amounts.values
     if x.size == 0:
         raise InsufficientDataError("empty trade group")
-    if x.min() <= 0:
+    if x[0] <= 0:
         raise AmountError("trailing zeros undefined for non-positive amount")
-    lo = AMOUNT_DECIMALS + spec.base_unit_exponent - 2
+    lo = AMOUNT_DECIMALS + amounts.spec.base_unit_exponent - 2
     kept, stripped = [x.size], 0
     for zeros in range(lo, lo + 7):
         if zeros > stripped:

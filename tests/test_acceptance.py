@@ -16,8 +16,8 @@ from washdetect.clustering import run_cluster_test
 from washdetect.distributions import chi2_isf, chi2_sf, norm_cdf, t_cdf
 from washdetect.ingest import parse_trades, weekly_split
 from washdetect.synth import GeneratorConfig, gen_exchange
-from washdetect.tailfit import fit_hill, fit_ols, fit_tail, power_law_ols, tail_cutoff
-from washdetect.trades import BUILTIN_PAIR_SPECS, PairRegistry, PairSpec, is_round_mask
+from washdetect.tailfit import _fit_ols, _hill, _power_law_ols, _tail, fit_tail
+from washdetect.trades import BUILTIN_PAIR_SPECS, PairRegistry, PairSpec, SortedAmounts, is_round_mask
 from washdetect.verdicts import P_FLOOR, counterfactual_rank, fisher_combine, spearman_rank_correlation
 from washdetect.washest import cross_validate_regulated, estimate_wash, fit_benchmark, fit_bootstrap, replicate_sd
 
@@ -86,29 +86,31 @@ def test_criterion_02_chi_squared_survival():
 def test_criterion_03_hill_exactness_and_recovery():
     t0 = time.time()
     x = np.full(1000, math.e * 7.0)
-    fit = fit_hill(x, 7.0)
-    assert fit.pdf_exponent == pytest.approx(2.0, abs=1e-12)
+    assert _hill(x, 7.0) == pytest.approx(2.0, abs=1e-12)
 
     rng = np.random.default_rng(20190709)
     sample = rng.uniform(size=100_000) ** (-1.0 / 1.5)  # survival exponent 1.5, x_min 1
-    recovered = fit_hill(sample, 1.0)
-    assert 1.48 <= recovered.alpha <= 1.52
-    _passed(3, f"Hill MLE exactly 2 at ratio e; Pareto(1.5) gives {recovered.alpha:.4f} ({time.time()-t0:.1f}s)")
+    alpha = _hill(sample, 1.0) - 1.0
+    assert 1.48 <= alpha <= 1.52
+    _passed(3, f"Hill MLE exactly 2 at ratio e; Pareto(1.5) gives {alpha:.4f} ({time.time()-t0:.1f}s)")
 
 
 def test_criterion_04_ols_tail_fit():
     t0 = time.time()
     centers = np.geomspace(5.0, 5e3, 35)
     densities = 2.0 * centers**-2.5
-    line = power_law_ols(np.log(centers), np.log(densities))
-    assert -line.slope - 1.0 == pytest.approx(1.5, abs=1e-9)
+    slope, _, _ = _power_law_ols(np.log(centers), np.log(densities))
+    assert -slope - 1.0 == pytest.approx(1.5, abs=1e-9)
 
     rng = np.random.default_rng(20190710)
     sample = rng.uniform(size=100_000) ** (-1.0 / 1.5)
-    x_min = tail_cutoff(sample)
-    fit = fit_ols(sample[sample >= x_min], x_min)
-    assert 1.4 <= fit.alpha <= 1.6
-    _passed(4, f"noiseless OLS alpha exactly 1.5; Pareto(1.5) sample gives {fit.alpha:.4f} ({time.time()-t0:.1f}s)")
+    # sizes on a 1e-12 grid, one base unit being 10**12 sub-units
+    fine = PairSpec("FINE/USD", 4)
+    x_min, tail = _tail(SortedAmounts.of(np.round(sample * fine.subunits_per_base_unit).astype(np.int64), fine))
+    slope, *_ = _fit_ols(tail, x_min)
+    alpha = -slope - 1.0
+    assert 1.4 <= alpha <= 1.6
+    _passed(4, f"noiseless OLS alpha exactly 1.5; Pareto(1.5) sample gives {alpha:.4f} ({time.time()-t0:.1f}s)")
 
 
 def test_criterion_05_fisher():
@@ -123,15 +125,14 @@ def test_criterion_05_fisher():
 
 def _families(tape):
     """Pass/fail of the three detector families at alpha 0.05, n_eff 10000."""
-    g = tape.group
-    spec = tape.config.spec
+    amounts = SortedAmounts.of(tape.group.amounts, tape.config.spec)
     benford_ok = not chi_squared_benford(
-        digit_histogram(g.amounts), effective_n=10_000, alpha=0.05
+        digit_histogram(amounts), effective_n=10_000, alpha=0.05
     ).reject
-    cluster = run_cluster_test(g.amounts, spec, 100, alpha=0.05)
+    cluster = run_cluster_test(amounts, 100, alpha=0.05)
     cluster_ok = not cluster.insufficient and not cluster.reject
     try:
-        tail_ok = fit_tail(g.amounts / spec.subunits_per_base_unit).in_pareto_levy
+        tail_ok = fit_tail(amounts).in_pareto_levy
     except Exception:
         tail_ok = False
     return benford_ok, cluster_ok, tail_ok

@@ -41,10 +41,15 @@ def padded(sizes):
     return subs(sizes + [PAD_UNITS] * (len(sizes) // 99 + 1))
 
 
+def btc(amounts_subunits):
+    """The BTC/USD group of these amounts."""
+    return SortedAmounts.of(amounts_subunits, BTC)
+
+
 def windows(sizes, step=100, min_support=1):
     """center -> (count, at_center, best) for each window of ``padded(sizes)``;
     with the default support floor, every window that holds a trade."""
-    centers, *columns = cluster_windows(padded(sizes), BTC, step, min_support=min_support)
+    centers, *columns = cluster_windows(btc(padded(sizes)), step, min_support=min_support)
     return {int(c): tuple(int(col[i]) for col in columns) for i, c in enumerate(centers)}
 
 
@@ -87,11 +92,11 @@ def loop_windows(amounts_subunits, spec, step, min_support):
 
 
 def assert_matches_loop(amounts, spec, step, min_support):
-    got = cluster_windows(amounts, spec, step, min_support=min_support)
+    got = cluster_windows(SortedAmounts.of(amounts, spec), step, min_support=min_support)
     assert all(a.dtype == np.int64 for a in got)
-    # the same bytes from the group's sorted amounts, which the battery hands both grids
-    shared = cluster_windows(SortedAmounts.of(amounts[::-1], spec), spec, step, min_support=min_support)
-    assert [a.tobytes() for a in shared] == [a.tobytes() for a in got]
+    # the same bytes whatever order the trades come in
+    shuffled = cluster_windows(SortedAmounts.of(amounts[::-1], spec), step, min_support=min_support)
+    assert [a.tobytes() for a in shuffled] == [a.tobytes() for a in got]
     rows, differences = loop_windows(amounts, spec, step, min_support)
     expected = np.array(rows, dtype=np.int64).reshape(-1, 4).T
     for name, have, want in zip(("centers", "counts", "at_center", "best"), got, expected):
@@ -151,12 +156,7 @@ class TestArrayWindowsMatchLoop:
         assert_matches_loop(amounts, spec, step, min_support)
 
     def test_empty_tape_has_no_windows(self):
-        assert all(a.size == 0 and a.dtype == np.int64 for a in cluster_windows(np.zeros(0, np.int64), BTC))
-
-    def test_sorted_amounts_must_be_of_the_pair_tested(self):
-        amounts = SortedAmounts.of(subs([200] * 60), BTC)
-        with pytest.raises(ValueError, match="BTC/USD given for ETH/USD"):
-            run_cluster_test(amounts, BUILTIN_PAIR_SPECS["ETH/USD"], 100)
+        assert all(a.size == 0 and a.dtype == np.int64 for a in cluster_windows(btc(np.zeros(0, np.int64))))
 
 
 class TestWindowFrequencies:
@@ -204,7 +204,7 @@ class TestClusterPairs:
         sizes = []
         for c in range(100, 2100, 100):
             sizes += [c] * 60
-        centers, counts, at_center, best = cluster_windows(padded(sizes), BTC, 100, min_support=50)
+        centers, counts, at_center, best = cluster_windows(btc(padded(sizes)), 100, min_support=50)
         assert centers.size >= 10
         assert (best == 0).all()
         assert (at_center == counts).all()
@@ -222,13 +222,13 @@ class TestClusterPairs:
     def test_uniform_fine_precision_has_no_integer_mass(self):
         rng = np.random.default_rng(5)
         amounts = rng.integers(1 * UNIT, 3000 * UNIT, size=200_000).astype(np.int64)
-        centers, counts, at_center, best = cluster_windows(amounts, BTC, 100)
+        centers, counts, at_center, best = cluster_windows(btc(amounts), 100)
         assert centers.size >= 10
         assert abs(float(np.mean(at_center / counts - best / counts))) < 1e-3  # analytic expectation is 0
 
     def test_cap_percentile_bounds_centers(self):
         sizes = [100] * 1000 + [200] * 1000 + [100000] * 5
-        centers, *_ = cluster_windows(subs(sizes), BTC, 100)
+        centers, *_ = cluster_windows(btc(subs(sizes)), 100)
         assert centers.max() <= 200
 
 
@@ -280,7 +280,7 @@ class TestClusteringTTest:
 class TestRunClusterTest:
     def test_insufficient_windows_flagged(self):
         sizes = [200] * 60 + [300] * 60
-        res = run_cluster_test(padded(sizes), BTC, 100)
+        res = run_cluster_test(btc(padded(sizes)), 100)
         assert res.insufficient
         assert res.n_pairs == 2
         assert not res.reject
@@ -289,7 +289,7 @@ class TestRunClusterTest:
         rng = np.random.default_rng(17)
         background = rng.integers(50 * UNIT, 3000 * UNIT, size=60_000).astype(np.int64)
         round_sizes = (rng.integers(1, 30, size=25_000) * 100 * UNIT).astype(np.int64)
-        res = run_cluster_test(np.concatenate([background, round_sizes]), BTC, 100)
+        res = run_cluster_test(btc(np.concatenate([background, round_sizes])), 100)
         assert not res.insufficient
         assert res.mean_difference > 0
         assert res.p_value < 0.01
@@ -300,8 +300,8 @@ class TestRunClusterTest:
         background = rng.integers(50 * UNIT, 3000 * UNIT, size=60_000).astype(np.int64)
         light = (rng.integers(1, 30, size=5_000) * 100 * UNIT).astype(np.int64)
         heavy = (rng.integers(1, 30, size=25_000) * 100 * UNIT).astype(np.int64)
-        r_light = run_cluster_test(np.concatenate([background, light]), BTC, 100)
-        r_heavy = run_cluster_test(np.concatenate([background, light, heavy]), BTC, 100)
+        r_light = run_cluster_test(btc(np.concatenate([background, light])), 100)
+        r_heavy = run_cluster_test(btc(np.concatenate([background, light, heavy])), 100)
         assert r_heavy.t_statistic >= r_light.t_statistic
 
 

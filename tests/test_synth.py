@@ -21,7 +21,12 @@ from washdetect.synth import (
     write_tape,
 )
 from washdetect.tailfit import fit_tail
-from washdetect.trades import MAX_AMOUNT_SUBUNITS, PairRegistry, is_round_mask
+from washdetect.trades import MAX_AMOUNT_SUBUNITS, PairRegistry, SortedAmounts, is_round_mask
+
+
+def amounts_of(tape):
+    """The sorted amounts of a labeled tape's group, of its pair."""
+    return SortedAmounts.of(tape.group.amounts, tape.config.spec)
 
 
 def tape_csv(cfg, include_labels=False):
@@ -224,13 +229,13 @@ class TestAuthenticFlow:
     def test_benford_self_test(self):
         cfg = GeneratorConfig(seed=11, n_trades=1_000_000)
         tape = gen_exchange(cfg)
-        res = chi_squared_benford(digit_histogram(tape.group.amounts), effective_n=10_000)
+        res = chi_squared_benford(digit_histogram(amounts_of(tape)), effective_n=10_000)
         assert res.p_value > 0.05
 
     def test_tail_recovers_configured_alpha(self):
         cfg = GeneratorConfig(seed=12, n_trades=1_000_000)
         tape = gen_exchange(cfg)
-        fit = fit_tail(tape.group.amounts / cfg.spec.subunits_per_base_unit)
+        fit = fit_tail(amounts_of(tape))
         assert fit.alpha_hill == pytest.approx(1.5, abs=0.05)
         assert fit.alpha_ols == pytest.approx(1.5, abs=0.1)
         assert fit.in_pareto_levy
@@ -238,7 +243,7 @@ class TestAuthenticFlow:
     def test_clustering_present(self):
         cfg = GeneratorConfig(seed=13, n_trades=400_000)
         tape = gen_exchange(cfg)
-        res = run_cluster_test(tape.group.amounts, cfg.spec, 100)
+        res = run_cluster_test(amounts_of(tape), 100)
         assert res.mean_difference > 0
         assert res.p_value < 0.01
 
@@ -249,7 +254,7 @@ class TestAuthenticFlow:
             for seed in range(20):
                 cfg = GeneratorConfig(seed=100 + seed, n_trades=150_000)
                 tape = gen_exchange(cfg)
-                res = run_cluster_test(tape.group.amounts, cfg.spec, step, alpha=0.01)
+                res = run_cluster_test(amounts_of(tape), step, alpha=0.01)
                 if not res.insufficient and res.mean_difference > 0 and res.p_value < 0.01:
                     hits += 1
             assert hits >= 19, f"step {step}: only {hits}/20 seeds significant"
@@ -295,7 +300,7 @@ class TestWashFlow:
         for seed in (31, 32, 33):
             cfg = GeneratorConfig(seed=seed, n_trades=300_000, wash_fraction=1.0)
             tape = gen_exchange(cfg)
-            res = run_cluster_test(tape.group.amounts, cfg.spec, 100)
+            res = run_cluster_test(amounts_of(tape), 100)
             assert res.insufficient or res.mean_difference <= 0 or res.p_value >= 0.05
 
 
@@ -364,10 +369,9 @@ class TestStablePanelProfile:
     def test_passes_detector_battery(self):
         cfg = GeneratorConfig(seed=61, n_trades=400_000, profile="stable-panel")
         tape = gen_exchange(cfg)
-        g = tape.group
-        b = chi_squared_benford(digit_histogram(g.amounts), effective_n=10_000)
+        b = chi_squared_benford(digit_histogram(amounts_of(tape)), effective_n=10_000)
         assert b.p_value > 0.05
-        fit = fit_tail(g.amounts / cfg.spec.subunits_per_base_unit)
+        fit = fit_tail(amounts_of(tape))
         assert fit.in_pareto_levy
 
     def test_weekly_volume_concentration(self):

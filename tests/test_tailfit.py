@@ -8,16 +8,25 @@ from scipy import stats
 
 from washdetect.errors import EstimationError, InsufficientDataError
 from washdetect.tailfit import (
-    TailFit,
-    fit_hill,
-    fit_ols,
-    fit_tail,
     TAIL_BIN_MIN_COUNT,
-    log_binned_density,
+    TailFit,
+    _fit_ols,
+    _hill,
+    _log_binned_density,
+    _power_law_ols,
+    _tail,
+    fit_tail,
     pareto_levy_p,
-    power_law_ols,
-    tail_cutoff,
 )
+from washdetect.trades import MAX_AMOUNT_SUBUNITS, PairSpec, SortedAmounts
+
+# One base unit is 10**12 sub-units, so float sizes keep 12 decimals as amounts.
+FINE = PairSpec("FINE/USD", 4)
+
+
+def sized(x):
+    """The group of base-unit sizes ``x``, rounded onto the sub-unit grid of ``FINE``."""
+    return SortedAmounts.of(np.round(np.asarray(x) * FINE.subunits_per_base_unit).astype(np.int64), FINE)
 
 
 def pareto_sample(rng, alpha, n, x_min=1.0):
@@ -27,54 +36,49 @@ def pareto_sample(rng, alpha, n, x_min=1.0):
 
 class TestTailCutoff:
     def test_nearest_rank_on_uniform_ranks(self):
-        sizes = np.arange(1, 501, dtype=float)
-        x_min = tail_cutoff(sizes)
+        x_min, tail = _tail(sized(np.arange(1, 501)))
         assert x_min == 450.0
-        assert (sizes >= x_min).sum() == 51
+        assert tail.size == 51
 
     def test_pareto_quantile(self):
         rng = np.random.default_rng(101)
         x = pareto_sample(rng, 1.5, 100_000)
-        x_min = tail_cutoff(x)
+        x_min, _ = _tail(sized(x))
         assert x_min == pytest.approx(10 ** (2 / 3), rel=0.02)
 
     def test_too_few_observations(self):
         with pytest.raises(InsufficientDataError):
-            tail_cutoff(np.ones(400))
+            fit_tail(sized(np.ones(400)))
 
     def test_degenerate_tail_rejected_by_hill(self):
-        sizes = np.full(1000, 7.0)
-        x_min = tail_cutoff(sizes)
-        assert x_min == 7.0
+        amounts = sized(np.full(1000, 7.0))
+        assert _tail(amounts)[0] == 7.0
         with pytest.raises(EstimationError, match="degenerate"):
-            fit_hill(sizes, x_min)
+            fit_tail(amounts)
 
 
 class TestHill:
     def test_exact_value_at_e_ratio(self):
         # sum(log(x/x_min)) = n exactly, so the MLE value is exactly 2.
         x = np.full(500, math.e * 3.0)
-        fit = fit_hill(x, 3.0)
-        assert fit.pdf_exponent == pytest.approx(2.0, abs=1e-12)
-        assert fit.alpha == pytest.approx(1.0, abs=1e-12)
+        assert _hill(x, 3.0) == pytest.approx(2.0, abs=1e-12)
+        assert _hill(x, 3.0) - 1.0 == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_value_at_e_squared_ratio(self):
         x = np.full(500, math.e**2 * 3.0)
-        fit = fit_hill(x, 3.0)
-        assert fit.pdf_exponent == pytest.approx(1.5, abs=1e-12)
+        assert _hill(x, 3.0) == pytest.approx(1.5, abs=1e-12)
 
     def test_recovers_pareto_tail_exponent(self):
         # Pareto draws are memoryless above any cutoff, so both the full
         # sample (x_min = 1) and the top decile recover the same exponent.
         rng = np.random.default_rng(55)
         x = pareto_sample(rng, 1.5, 100_000)
-        full = fit_hill(x, 1.0)
-        assert full.alpha == pytest.approx(1.5, abs=0.02)
-        assert full.stderr == pytest.approx(1.5 / math.sqrt(100_000), abs=5e-4)
-        x_min = tail_cutoff(x)
-        decile = fit_hill(x[x >= x_min], x_min)
-        assert decile.alpha == pytest.approx(1.5, abs=0.05)
-        assert decile.stderr == pytest.approx(decile.alpha / math.sqrt(decile.n_tail))
+        alpha = _hill(x, 1.0) - 1.0
+        assert alpha == pytest.approx(1.5, abs=0.02)
+        assert alpha / math.sqrt(x.size) == pytest.approx(1.5 / math.sqrt(100_000), abs=5e-4)
+        decile = fit_tail(sized(x))
+        assert decile.alpha_hill == pytest.approx(1.5, abs=0.05)
+        assert decile.hill_se == pytest.approx(decile.alpha_hill / math.sqrt(decile.n_tail))
 
     def test_consistency_across_seeds(self):
         # |alpha_hat - alpha| < 3 SE in at least 99 of 100 seeds.
@@ -83,37 +87,41 @@ class TestHill:
             for seed in range(100):
                 rng = np.random.default_rng(1000 + seed)
                 x = pareto_sample(rng, alpha, 10_000)
-                fit = fit_hill(x, 1.0)
-                if abs(fit.alpha - alpha) < 3 * fit.stderr:
+                fitted = _hill(x, 1.0) - 1.0
+                if abs(fitted - alpha) < 3 * fitted / math.sqrt(x.size):
                     hits += 1
             assert hits >= 99, f"alpha={alpha}: only {hits}/100 within 3 SE"
 
     def test_rejects_sizes_below_cutoff(self):
-        with pytest.raises(EstimationError):
-            fit_hill(np.array([0.5] * 100), 1.0)
+        # The tail the fit cuts holds no size below x_min, also near 2**62,
+        # where the exact quotient c / unit rounds above the float tail sizes.
+        unit = FINE.subunits_per_base_unit
+        c = next(c for c in range(MAX_AMOUNT_SUBUNITS - 1, 0, -1) if c / unit > float(c) / unit)
+        amounts = SortedAmounts.of(np.array([c - 1] * 899 + [c] * 101, dtype=np.int64), FINE)
+        x_min, tail = _tail(amounts)
+        assert amounts.percentile(90) == c and tail.size == 101
+        assert (tail >= x_min).all()
 
     def test_scale_invariance_is_exact(self):
         rng = np.random.default_rng(8)
         ints = rng.integers(90, 5000, size=5000)
         x = ints.astype(float)
-        f1 = fit_hill(x, 90.0)
-        f2 = fit_hill(x * 1000, 90_000.0)  # integers scale exactly in float64
-        assert f1.alpha == f2.alpha
+        assert _hill(x, 90.0) == _hill(x * 1000, 90_000.0)  # integers scale exactly in float64
 
 
 class TestOls:
     def test_noiseless_power_law_recovered_to_1e9(self):
         centers = np.geomspace(10, 1e4, 40)
         densities = 7.3 * centers**-2.5
-        line = power_law_ols(np.log(centers), np.log(densities))
-        assert line.slope == pytest.approx(-2.5, abs=1e-9)
-        assert -line.slope - 1.0 == pytest.approx(1.5, abs=1e-9)
-        assert line.r_squared == pytest.approx(1.0, abs=1e-12)
+        slope, _, r_squared = _power_law_ols(np.log(centers), np.log(densities))
+        assert slope == pytest.approx(-2.5, abs=1e-9)
+        assert -slope - 1.0 == pytest.approx(1.5, abs=1e-9)
+        assert r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_binned_density_integrates_to_one(self):
         rng = np.random.default_rng(77)
         x = pareto_sample(rng, 1.5, 50_000)
-        centers, density = log_binned_density(x, 1.0)
+        centers, density = _log_binned_density(x, 1.0)
         edges_mass = 0.0
         # reconstruct bin widths from the full binning to check normalization
         x_max = float(x.max())
@@ -127,37 +135,35 @@ class TestOls:
 
     def test_pareto_sample_recovered(self):
         rng = np.random.default_rng(56)
-        x = pareto_sample(rng, 1.5, 100_000)
-        x_min = tail_cutoff(x)
-        fit = fit_ols(x[x >= x_min], x_min)
-        assert fit.alpha == pytest.approx(1.5, abs=0.1)
-        assert fit.r_squared > 0.95
+        fit = fit_tail(sized(pareto_sample(rng, 1.5, 100_000)))
+        assert fit.alpha_ols == pytest.approx(1.5, abs=0.1)
+        assert fit.ols_r_squared > 0.95
 
     def test_exponential_tail_flagged(self):
         # No power tail: the top decile of an exponential spans well under
         # one decade, so the fit is refused rather than reported.
         rng = np.random.default_rng(57)
         x = rng.exponential(scale=1.0, size=100_000)
-        x_min = tail_cutoff(x)
-        tail = x[x >= x_min]
+        amounts = sized(x)
+        x_min, tail = _tail(amounts)
         assert math.log10(tail.max() / x_min) < 1.0
-        with pytest.raises(InsufficientDataError, match="span"):
-            fit_ols(tail, x_min)
+        fit = fit_tail(amounts)
+        assert fit.alpha_ols is None and fit.n_bins == 0
+        assert fit.flags == ("insufficient tail span: less than one decade",)
         # Forcing a fit from the median (1.2 decades) still shows the
         # curvature: R^2 below any straight power law's, frozen at this seed.
         med = float(np.median(x))
-        centers, density = log_binned_density(x[x >= med], med, last_bin_min_count=TAIL_BIN_MIN_COUNT)
-        forced = power_law_ols(np.log(centers), np.log(density))
-        assert forced.r_squared == pytest.approx(0.9163, abs=0.001)
-        assert forced.r_squared < 0.92
+        centers, density = _log_binned_density(x[x >= med], med, last_bin_min_count=TAIL_BIN_MIN_COUNT)
+        _, _, forced_r_squared = _power_law_ols(np.log(centers), np.log(density))
+        assert forced_r_squared == pytest.approx(0.9163, abs=0.001)
+        assert forced_r_squared < 0.92
 
     def test_scale_invariance_within_1e9(self):
         rng = np.random.default_rng(58)
-        x = pareto_sample(rng, 1.4, 50_000)
-        x_min = tail_cutoff(x)
-        f1 = fit_ols(x[x >= x_min], x_min)
-        f2 = fit_ols(x[x >= x_min] * 1e3, x_min * 1e3)
-        assert f1.alpha == pytest.approx(f2.alpha, abs=1e-9)
+        x_min, tail = _tail(sized(pareto_sample(rng, 1.4, 50_000)))
+        s1, *_ = _fit_ols(tail, x_min)
+        s2, *_ = _fit_ols(tail * 1e3, x_min * 1e3)
+        assert -s1 - 1.0 == pytest.approx(-s2 - 1.0, abs=1e-9)
 
 
 class TestVerdict:
@@ -230,8 +236,7 @@ class TestVerdict:
 class TestFitTail:
     def test_full_pipeline_on_pareto(self):
         rng = np.random.default_rng(60)
-        x = pareto_sample(rng, 1.5, 120_000)
-        fit = fit_tail(x)
+        fit = fit_tail(sized(pareto_sample(rng, 1.5, 120_000)))
         assert fit.in_pareto_levy
         assert fit.alpha_hill == pytest.approx(1.5, abs=0.05)
         assert fit.alpha_ols == pytest.approx(1.5, abs=0.1)
@@ -240,6 +245,5 @@ class TestFitTail:
 
     def test_bounded_sizes_fail_the_range_check(self):
         rng = np.random.default_rng(61)
-        x = rng.uniform(4.0, 9.0, size=50_000)
-        fit = fit_tail(x)
+        fit = fit_tail(sized(rng.uniform(4.0, 9.0, size=50_000)))
         assert not fit.in_pareto_levy

@@ -1,7 +1,9 @@
 """Fixed-point amounts, digits, base units, and roundness."""
 
 import io
+import math
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,9 +20,12 @@ from washdetect.trades import (
     MAX_AMOUNT_SUBUNITS,
     PairRegistry,
     PairSpec,
+    SortedAmounts,
     exact_sum,
     is_round_mask,
 )
+from washdetect.clustering import cluster_windows
+from washdetect.tailfit import fit_tail
 from washdetect.washest import roundness_distribution
 
 BTC = BUILTIN_PAIR_SPECS["BTC/USD"]
@@ -304,7 +309,7 @@ class TestRoundnessLevel:
     def test_distribution_matches_the_bucket_counts(self, values, exponent):
         spec = PairSpec("P", exponent)
         arr = np.array(values, dtype=np.int64)
-        counts = roundness_distribution(arr, spec)
+        counts = roundness_distribution(SortedAmounts.of(arr, spec))
         assert counts.dtype == np.int64
         assert counts.tolist() == np.bincount(roundness_level_indices(arr, spec), minlength=8).tolist()
 
@@ -313,7 +318,37 @@ class TestRoundnessLevel:
         with pytest.raises(AmountError, match="non-positive"):
             trailing_zero_counts(np.array(values, dtype=np.int64))
         with pytest.raises(AmountError, match="non-positive"):
-            roundness_distribution(np.array(values, dtype=np.int64), BTC)
+            roundness_distribution(SortedAmounts.of(np.array(values, dtype=np.int64), BTC))
+
+
+class TestNearestRankPercentile:
+    @pytest.mark.parametrize("q", [90, 99])
+    def test_matches_the_sorted_list_oracle(self, q):
+        rng = np.random.default_rng(q)
+        for n in range(1, 201):
+            # few distinct values, so most ranks fall among ties
+            ties = rng.integers(0, n // 4 + 2, size=n)
+            for a in (1 + ties, MAX_AMOUNT_SUBUNITS - 1 - ties):
+                want = sorted(a.tolist())[max(1, math.ceil(q / 100 * n)) - 1]
+                assert SortedAmounts.of(a, BTC).percentile(q) == want, (n, q)
+
+    def test_tail_cutoff_and_center_cap_are_read_from_it(self):
+        rng = np.random.default_rng(5)
+        unit = BTC.subunits_per_base_unit
+        amounts = SortedAmounts.of(rng.integers(1, 3000, size=5000) * unit, BTC)
+        read = {}
+
+        def median(self, q):  # answers every percentile with the median
+            read[q] = int(self.values[self.values.size // 2])
+            return read[q]
+
+        with mock.patch.object(SortedAmounts, "percentile", median):
+            fit = fit_tail(amounts)
+            centers, *_ = cluster_windows(amounts, 100, min_support=1)
+        assert sorted(read) == [90, 99]
+        assert fit.x_min == read[90] / unit
+        assert centers.max() == read[99] // unit // 100 * 100
+        assert fit_tail(amounts).x_min == amounts.percentile(90) / unit > fit.x_min
 
 
 class TestPairRegistry:

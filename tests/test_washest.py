@@ -8,7 +8,7 @@ import pytest
 
 from washdetect.errors import EstimationError, InsufficientDataError
 from washdetect.ingest import WeeklyVolumeSplit
-from washdetect.trades import BUILTIN_PAIR_SPECS, ExchangeMeta, RegulatoryClass
+from washdetect.trades import BUILTIN_PAIR_SPECS, ExchangeMeta, RegulatoryClass, SortedAmounts
 from washdetect.washest import (
     _design_matrix,
     _wash_volumes,
@@ -133,7 +133,7 @@ def batched_replicates(target, bench, n_boot, seed, meta=None, use_controls=Fals
 class TestRoundnessDistribution:
     def test_buckets_count_all_trades(self):
         amounts = np.array([2_000_000, 2_130_000, 10_001], dtype=np.int64)
-        dist = roundness_distribution(amounts, BTC)
+        dist = roundness_distribution(SortedAmounts.of(amounts, BTC))
         assert dist.sum() == 3
         assert dist[5] == 1  # 200 base units -> hundreds
         assert dist[3] == 1  # 213 base units -> ones
@@ -169,8 +169,8 @@ class TestRoundnessDistribution:
         rng = np.random.default_rng(2)
         bench_amounts = (rng.integers(1, 50, size=20_000) * BTC.round_modulus).astype(np.int64)
         target_amounts = rng.integers(4 * 10**8, 9 * 10**8, size=20_000).astype(np.int64)
-        bench = roundness_distribution(bench_amounts, BTC)
-        target = roundness_distribution(target_amounts, BTC)
+        bench = roundness_distribution(SortedAmounts.of(bench_amounts, BTC))
+        target = roundness_distribution(SortedAmounts.of(target_amounts, BTC))
         res = roundness_chi_squared(target, bench, effective_n=10_000, alpha=0.01)
         assert res.reject
 
